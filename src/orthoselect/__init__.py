@@ -35,7 +35,6 @@ from .selection import (
     feasible_subsets,
     greedy_outer,
     monotonicity_check,
-    random_extract,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "net_cardinality_bound",
     "net_norm_estimate",
     "operator_norm",
-    "random_extract",
     "sample_sphere_matrix",
     "sample_unit_vector",
     "sample_unit_vectors",

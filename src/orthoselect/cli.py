@@ -178,13 +178,6 @@ def gen(n, p, seed, out, config_path):
     _write_text(out, matrixio.matrix_to_csv(matrix, {"n": n, "p": p, "seed": seed}))
 
 
-def _selection_config(cfg_file, s, rho, kappa, max_attempts, net_eps=None) -> SelectionConfig:
-    kwargs = dict(s=s, rho_minus=rho, kappa=kappa, max_attempts=max_attempts)
-    if net_eps is not None:
-        kwargs["epsilon"] = net_eps
-    return SelectionConfig(**kwargs)
-
-
 @main.command()
 @click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--v-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Direction vector file.")
@@ -216,11 +209,13 @@ def select(matrix_path, v_file, v_random, s, rho, kappa, max_attempts, seed, out
         v = matrixio.load_vector(v_file)
         if v.shape[0] != matrix.n:
             raise FormatError(f"direction has {v.shape[0]} entries, matrix has n={matrix.n}")
+        if not np.all(np.isfinite(v)):
+            raise FormatError("direction vector entries must be finite")
         if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
             raise FormatError("direction vector must have unit norm (within 1e-9)")
     else:
         v = sample_unit_vector(matrix.n, RngStream(seed, _STREAM_DIRECTION))
-    cfg = _selection_config(cfgf, s, rho, kappa, max_attempts)
+    cfg = SelectionConfig(s=s, rho_minus=rho, kappa=kappa, max_attempts=max_attempts)
     outcome = constrained_select(matrix, v, cfg, RngStream(seed, 0))
     effective = {
         "s": s, "rho": rho, "kappa": kappa, "max_attempts": max_attempts,
@@ -277,7 +272,7 @@ def gamma(matrix_path, s, rho, kappa, net_eps, probes, seed, out, fmt, config_pa
     if not 0.0 < net_eps < 1.0:
         raise click.UsageError("--net-eps must lie in (0, 1)")
     matrix, _ = matrixio.load_matrix(matrix_path)
-    cfg = _selection_config(cfgf, s, rho, kappa, 1000, net_eps=net_eps)
+    cfg = SelectionConfig(s=s, rho_minus=rho, kappa=kappa)
     net = build_eps_net(matrix.n, net_eps, RngStream(seed, _STREAM_NET), stall_budget=2000)
     est = estimate_gamma(matrix, cfg, net, probes, RngStream(seed, 0))
     if (

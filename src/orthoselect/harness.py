@@ -657,8 +657,9 @@ def run_theorem_audit(
         raise InvalidInput("theorem audit needs at least 20 trials")
     if kappa is None:
         kappa = analytic.KAPPA_BRANCH_CONSTANT
-    cfg = SelectionConfig(s=s, rho_minus=rho_minus, kappa=kappa, epsilon=net_eps,
-                          c_kappa=c_kappa, c_subgauss=c_subgauss)
+    if not 0.0 < net_eps < 1.0:
+        raise InvalidInput("net_eps must lie in (0, 1)")
+    cfg = SelectionConfig(s=s, rho_minus=rho_minus, kappa=kappa)
     net = build_eps_net(n, net_eps, RngStream(seed, _STREAM_NET), stall_budget=500)
     bound = analytic.claimed_gamma_bound(p)
     lp = math.log(p)

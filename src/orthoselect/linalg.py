@@ -35,6 +35,8 @@ class ColumnMatrix:
             raise InvalidInput(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
             raise InvalidInput("matrix must have at least one row")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInput("matrix entries must be finite")
         if arr.shape[1] > 0:
             norms = np.linalg.norm(arr, axis=0)
             worst = float(np.max(np.abs(norms - 1.0)))
@@ -54,11 +56,6 @@ class ColumnMatrix:
     @property
     def p(self) -> int:
         return self.data.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.p:
-            raise InvalidIndex(f"column {j} out of range for p={self.p}")
-        return self.data[:, j]
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,8 @@ def gram_deviation(matrix: ColumnMatrix) -> float:
 
 def check_unit_vector(v: np.ndarray, tol: float = UNIT_NORM_TOL) -> np.ndarray:
     vec = np.asarray(v, dtype=float).reshape(-1)
-    if abs(float(np.linalg.norm(vec)) - 1.0) > tol:
-        raise InvalidInput("direction vector must have unit norm")
+    if not abs(float(np.linalg.norm(vec)) - 1.0) <= tol:
+        raise InvalidInput("direction vector must be finite with unit norm")
     return vec
 
 

@@ -1,9 +1,11 @@
-"""The constructive selection pipeline and its exact oracles.
+"""The constructive selection pipeline and its exact oracle.
 
 Given a direction v, the pipeline greedily collects the columns least
 correlated with v (the outer set), then repeatedly draws uniform s-subsets of
 the outer set until one is well conditioned (smallest singular value at least
-rho_minus).  Certified estimates of the worst-direction selection value are
+rho_minus).  One batched kernel, `_pipeline`, runs this for many directions at
+once; `attained_values` and `constrained_select` (its count=1 view) read its
+results.  Certified estimates of the worst-direction selection value are
 obtained by running the pipeline over an eps-net and adding eps, which lifts
 the net supremum to the whole sphere.
 """
@@ -16,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidInput
-from .linalg import ColumnMatrix, IndexSet, check_unit_vector, inf_norm_against, sigma_min, submatrix
+from .linalg import UNIT_NORM_TOL, ColumnMatrix, IndexSet, check_unit_vector
 from .analytic import KAPPA_BRANCH_CONSTANT
 from .sphere import EpsNet, RngStream, _as_generator, sample_unit_vectors
 
@@ -31,9 +33,6 @@ class SelectionConfig:
     s: int
     rho_minus: float = 0.5
     kappa: float = KAPPA_BRANCH_CONSTANT
-    epsilon: float = 0.25
-    c_kappa: float = 1.0
-    c_subgauss: float = 0.5
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     brute_force_limit: int = DEFAULT_BRUTE_FORCE_LIMIT
 
@@ -42,10 +41,8 @@ class SelectionConfig:
             raise InvalidInput("target cardinality s must be at least 1")
         if not 0.0 < self.rho_minus < 1.0:
             raise InvalidInput("rho_minus must lie in (0, 1)")
-        if self.kappa < 1.0:
-            raise InvalidInput("kappa must be at least 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidInput("epsilon must lie in (0, 1)")
+        if not (math.isfinite(self.kappa) and self.kappa >= 1.0):
+            raise InvalidInput("kappa must be finite and at least 1")
         if self.max_attempts < 1:
             raise InvalidInput("max_attempts must be at least 1")
 
@@ -69,6 +66,23 @@ class SelectionOutcome:
     attempts_used: int
 
 
+def _directions(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
+    """`directions` as a (count, n) float array of finite unit rows."""
+    dirs = np.asarray(directions, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != matrix.n:
+        raise InvalidInput("directions must be a (count, n) array")
+    if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= UNIT_NORM_TOL):
+        raise InvalidInput(f"directions must be finite with unit norm within {UNIT_NORM_TOL}")
+    return dirs
+
+
+def _ranked(matrix: ColumnMatrix, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|<X_j, v>| as a (p, count) array, and its stable argsort per direction
+    (so ties go to the smaller column index)."""
+    b = np.abs(matrix.data.T @ dirs.T)
+    return b, np.argsort(b, axis=0, kind="stable")
+
+
 def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
     """The m column indices with smallest |<X_j, v>|, ties to the smaller index.
 
@@ -76,43 +90,73 @@ def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
     """
     if not 1 <= m <= matrix.p:
         raise InvalidInput(f"outer size m={m} must satisfy 1 <= m <= p={matrix.p}")
-    vec = check_unit_vector(v)
-    if vec.shape[0] != matrix.n:
-        raise InvalidInput("direction dimension does not match matrix")
-    vals = np.abs(matrix.data.T @ vec)
-    order = np.argsort(vals, kind="stable")
-    return IndexSet.from_iterable(order[:m])
+    _, order = _ranked(matrix, _directions(matrix, np.reshape(v, (1, -1))))
+    return IndexSet.from_iterable(order[:m, 0])
 
 
-def random_extract(
+def _pipeline(
     matrix: ColumnMatrix,
-    outer: IndexSet,
-    s: int,
-    rho_minus: float,
+    directions: np.ndarray,
+    cfg: SelectionConfig,
     rng: RngStream | np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> tuple[IndexSet | None, int]:
-    """Draw uniform s-subsets of `outer` until one has sigma_min >= rho_minus.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The selection pipeline for every direction row, in batched rounds.
 
-    Subsets come from a partial Fisher-Yates shuffle, so they are uniform over
-    unordered s-subsets.  Returns (subset, attempts) on success and
-    (None, max_attempts) when the budget is exhausted.
+    Each round draws one uniform s-subset (a partial Fisher-Yates shuffle of
+    positions into the direction's value-ranked outer list) for every
+    direction still without a well-conditioned subset, and conditions them
+    all with one batched eigvalsh.  Returns per direction row:
+
+    - the outer columns (count, m), in value order;
+    - the accepted inner columns (count, s), in draw order, -1 if none;
+    - their sigma_min (NaN if none);
+    - the attempts used (max_attempts if none);
+    - the attained value max_{j in inner} |<X_j, v>| (+inf if none).
     """
-    pool = list(outer.indices)
-    m = len(pool)
-    if s < 1 or s > m:
+    if math.ceil(cfg.kappa * cfg.s) > matrix.p:
+        raise InvalidInput(
+            f"ceil(kappa*s)={math.ceil(cfg.kappa * cfg.s)} exceeds p={matrix.p}"
+        )
+    dirs = _directions(matrix, directions)
+    count = dirs.shape[0]
+    m = cfg.outer_size(matrix.p)
+    s = cfg.s
+    if s > m:
         raise InvalidInput(f"cannot draw s={s} columns from an outer set of size {m}")
-    outer.validate_for(matrix)
     gen = _as_generator(rng)
-    for attempt in range(1, max_attempts + 1):
-        pos = list(range(m))
+
+    b, order = _ranked(matrix, dirs)
+    outer = order[:m, :].T
+    inner = np.full((count, s), -1)
+    smin = np.full(count, math.nan)
+    attempts = np.full(count, cfg.max_attempts)
+    attained = np.full(count, math.inf)
+    # rank-deficient subsets can never reach rho_minus > 0
+    active = np.arange(count if s <= matrix.n else 0)
+    cols_t = matrix.data.T  # (p, n)
+    for attempt in range(1, cfg.max_attempts + 1):
+        if active.size == 0:
+            break
+        a = active.size
+        pos = np.tile(np.arange(m), (a, 1))
         for i in range(s):
-            j = int(gen.integers(i, m))
-            pos[i], pos[j] = pos[j], pos[i]
-        chosen = IndexSet.from_iterable(pool[pos[i]] for i in range(s))
-        if sigma_min(submatrix(matrix, chosen)) >= rho_minus:
-            return chosen, attempt
-    return None, max_attempts
+            j = gen.integers(i, m, size=a)
+            rows = np.arange(a)
+            pos[rows, i], pos[rows, j] = pos[rows, j], pos[rows, i]
+        chosen_cols = outer[active[:, None], pos[:, :s]]  # (a, s)
+        vecs = cols_t[chosen_cols]  # (a, s, n)
+        gram = vecs @ vecs.transpose(0, 2, 1)
+        lam = np.linalg.eigvalsh(gram)
+        sig = np.sqrt(np.maximum(lam[:, 0], 0.0))
+        ok = sig >= cfg.rho_minus
+        if np.any(ok):
+            hit = active[ok]
+            inner[hit] = chosen_cols[ok]
+            smin[hit] = sig[ok]
+            attempts[hit] = attempt
+            attained[hit] = np.max(b[chosen_cols[ok], hit[:, None]], axis=1)
+            active = active[~ok]
+    return outer, inner, smin, attempts, attained
 
 
 def constrained_select(
@@ -121,23 +165,15 @@ def constrained_select(
     cfg: SelectionConfig,
     rng: RngStream | np.random.Generator,
 ) -> SelectionOutcome:
-    """Full pipeline for one direction: greedy outer set, then random extraction."""
-    if math.ceil(cfg.kappa * cfg.s) > matrix.p:
-        raise InvalidInput(
-            f"ceil(kappa*s)={math.ceil(cfg.kappa * cfg.s)} exceeds p={matrix.p}"
-        )
-    m = cfg.outer_size(matrix.p)
-    outer = greedy_outer(matrix, v, m)
-    gen = _as_generator(rng)
-    inner, attempts = random_extract(matrix, outer, cfg.s, cfg.rho_minus, gen, cfg.max_attempts)
-    if inner is None:
-        return SelectionOutcome(outer, None, None, math.inf, attempts)
+    """Full pipeline for one direction: the count=1 view of the batched kernel."""
+    outer, inner, smin, attempts, attained = _pipeline(matrix, np.reshape(v, (1, -1)), cfg, rng)
+    found = inner[0, 0] >= 0
     return SelectionOutcome(
-        outer_set=outer,
-        inner_set=inner,
-        sigma_min_achieved=sigma_min(submatrix(matrix, inner)),
-        attained_value=inf_norm_against(matrix, inner, v),
-        attempts_used=attempts,
+        outer_set=IndexSet.from_iterable(outer[0]),
+        inner_set=IndexSet.from_iterable(inner[0]) if found else None,
+        sigma_min_achieved=float(smin[0]) if found else None,
+        attained_value=float(attained[0]),
+        attempts_used=int(attempts[0]),
     )
 
 
@@ -147,58 +183,13 @@ def attained_values(
     cfg: SelectionConfig,
     rng: RngStream | np.random.Generator,
 ) -> np.ndarray:
-    """Pipeline attained values for many directions at once (vectorized).
+    """Pipeline attained values for many directions at once.
 
-    Behaves like one `constrained_select` per direction row (uniform subsets,
-    same attempt budget) but draws and conditions the candidate subsets in
-    batched rounds, which is what makes certificate probing at 10^5 directions
-    tractable.  Infeasible directions come back as +inf.
+    The attained-value column of the batched kernel: uniform subsets, one
+    attempt budget per direction row, +inf for infeasible directions.  This
+    is what makes certificate probing at 10^5 directions tractable.
     """
-    if math.ceil(cfg.kappa * cfg.s) > matrix.p:
-        raise InvalidInput(
-            f"ceil(kappa*s)={math.ceil(cfg.kappa * cfg.s)} exceeds p={matrix.p}"
-        )
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != matrix.n:
-        raise InvalidInput("directions must be a (count, n) array")
-    count = dirs.shape[0]
-    m = cfg.outer_size(matrix.p)
-    s = cfg.s
-    if s > m:
-        raise InvalidInput(f"cannot draw s={s} columns from an outer set of size {m}")
-    gen = _as_generator(rng)
-
-    b = np.abs(matrix.data.T @ dirs.T)  # (p, count)
-    order = np.argsort(b, axis=0, kind="stable")
-    outer_cols = order[:m, :].T  # (count, m) column indices per direction
-
-    attained = np.full(count, math.inf)
-    active = np.arange(count)
-    if s > matrix.n:
-        return attained  # rank-deficient subsets can never reach rho_minus > 0
-    cols_t = matrix.data.T  # (p, n)
-    for _ in range(cfg.max_attempts):
-        if active.size == 0:
-            break
-        a = active.size
-        pos = np.tile(np.arange(m), (a, 1))
-        for i in range(s):
-            j = gen.integers(i, m, size=a)
-            rows = np.arange(a)
-            pos[rows, i], pos[rows, j] = pos[rows, j], pos[rows, i]
-        chosen_pos = pos[:, :s]  # positions into each outer list
-        chosen_cols = outer_cols[active[:, None], chosen_pos]  # (a, s)
-        vecs = cols_t[chosen_cols]  # (a, s, n)
-        gram = vecs @ vecs.transpose(0, 2, 1)
-        lam = np.linalg.eigvalsh(gram)
-        smin = np.sqrt(np.maximum(lam[:, 0], 0.0))
-        ok = smin >= cfg.rho_minus
-        if np.any(ok):
-            hit = active[ok]
-            vals = b[chosen_cols[ok], hit[:, None]]
-            attained[hit] = np.max(vals, axis=1)
-            active = active[~ok]
-    return attained
+    return _pipeline(matrix, directions, cfg, rng)[-1]
 
 
 def feasible_subsets(
@@ -239,14 +230,10 @@ def brute_force_inf(
 ) -> float:
     """Exact inf over well-conditioned s-subsets of max_j |<X_j, v>|.
 
-    Returns +inf when the feasible family is empty.
+    The one-direction view of `exact_inf_profile`; +inf when the feasible
+    family is empty.
     """
-    feas = feasible_subsets(matrix, s, rho_minus, limit)
-    if not feas:
-        return math.inf
-    vec = check_unit_vector(v)
-    b = np.abs(matrix.data.T @ vec)
-    return float(min(np.max(b[list(subset)]) for subset in feas))
+    return float(exact_inf_profile(matrix, check_unit_vector(v)[None], s, rho_minus, limit)[0])
 
 
 def exact_inf_profile(
@@ -257,10 +244,8 @@ def exact_inf_profile(
     limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
     chunk: int = 20_000,
 ) -> np.ndarray:
-    """`brute_force_inf` for many directions, sharing one feasibility pass."""
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != matrix.n:
-        raise InvalidInput("directions must be a (count, n) array")
+    """Exact selection value for many directions, sharing one feasibility pass."""
+    dirs = _directions(matrix, directions)
     feas = feasible_subsets(matrix, s, rho_minus, limit)
     count = dirs.shape[0]
     if not feas:
@@ -309,17 +294,12 @@ def estimate_gamma(
     if probe_count < 0:
         raise InvalidInput("probe_count must be nonnegative")
     gen = _as_generator(rng)
-    finite = 0
-    best_net = 0.0
-    net_infeasible = False
-    for v in net.points:
-        out = constrained_select(matrix, v, cfg, gen)
-        if math.isinf(out.attained_value):
-            net_infeasible = True
-        else:
-            finite += 1
-            best_net = max(best_net, out.attained_value)
-    certified_upper = math.inf if net_infeasible else best_net + net.epsilon
+    net_vals = attained_values(matrix, net.points, cfg, gen)
+    finite = int(np.sum(np.isfinite(net_vals)))
+    if finite < len(net):
+        certified_upper = math.inf
+    else:
+        certified_upper = float(np.max(net_vals, initial=0.0)) + net.epsilon
 
     oracle_exact = math.comb(matrix.p, cfg.s) <= cfg.brute_force_limit
     heuristic_lower = 0.0

@@ -190,6 +190,44 @@ def test_gamma_net_eps_domain(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_select_rejects_non_finite_direction_file(runner, tmp_path):
+    matrix_path = write_matrix(tmp_path)
+    nan_v = tmp_path / "nan.csv"
+    nan_v.write_text("nan,1.0,0.0,0.0\n")
+    result = runner.invoke(main, [
+        "select", "--matrix", str(matrix_path), "--v-file", str(nan_v), "--s", "2", "--kappa", "3",
+    ])
+    assert result.exit_code == 3
+
+
+def test_gamma_rejects_matrix_with_non_finite_entry(runner, tmp_path):
+    matrix_path = write_matrix(tmp_path)
+    lines = matrix_path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[0] = "nan"
+    lines[1] = ",".join(cells)
+    matrix_path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "gamma", "--matrix", str(matrix_path), "--s", "2", "--kappa", "3",
+        "--net-eps", "0.5", "--probes", "10",
+    ])
+    assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_select_and_gamma_reject_non_finite_kappa(runner, tmp_path, kappa):
+    matrix_path = write_matrix(tmp_path)
+    sel = runner.invoke(main, [
+        "select", "--matrix", str(matrix_path), "--v-random", "--s", "2", "--kappa", kappa,
+    ])
+    assert sel.exit_code == 2
+    gam = runner.invoke(main, [
+        "gamma", "--matrix", str(matrix_path), "--s", "2", "--kappa", kappa,
+        "--net-eps", "0.5", "--probes", "10",
+    ])
+    assert gam.exit_code == 2
+
+
 # --- constants -------------------------------------------------------------------
 
 def test_constants_text_and_json_agree(runner):

@@ -172,6 +172,12 @@ def test_theorem_audit_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_theorem_audit_rejects_net_eps_outside_unit_interval():
+    for net_eps in (0.0, 1.0, 1.5):
+        with pytest.raises(InvalidInput):
+            hn.run_theorem_audit(4, 120, 2, 0.5, net_eps, 20, seed=44)
+
+
 def test_theorem_audit_negative_claimed_probability_is_vacuous():
     # at (n=3, p=5) the claimed probability 1 - 5n/(p log^{n-1} p) - 9 p^-n
     # is negative, which alone forces untestable-at-scale

@@ -34,6 +34,20 @@ def test_column_matrix_rejects_non_unit_columns():
         ColumnMatrix(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
+def test_column_matrix_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        data = np.eye(3)
+        data[1, 2] = bad
+        with pytest.raises(InvalidInput):
+            ColumnMatrix(data)
+
+
+def test_inf_norm_against_rejects_non_finite_direction():
+    x = ColumnMatrix(np.eye(3))
+    with pytest.raises(InvalidInput):
+        inf_norm_against(x, IndexSet((0, 1)), np.array([math.nan, 0.0, 0.0]))
+
+
 def test_column_matrix_is_immutable():
     m = ColumnMatrix(np.eye(2))
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 from orthoselect import (
     BudgetExceeded,
     ColumnMatrix,
-    IndexSet,
     InvalidInput,
     RngStream,
     SelectionConfig,
@@ -21,7 +20,6 @@ from orthoselect import (
     greedy_outer,
     inf_norm_against,
     monotonicity_check,
-    random_extract,
     sample_sphere_matrix,
     sample_unit_vector,
     sample_unit_vectors,
@@ -53,9 +51,25 @@ def test_config_validation():
         SelectionConfig(s=2, rho_minus=1.5)
     with pytest.raises(InvalidInput):
         SelectionConfig(s=2, kappa=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInput):
+            SelectionConfig(s=2, kappa=bad)
     assert SelectionConfig(s=2, kappa=3.0).outer_size(12) == 6
     assert SelectionConfig(s=2, kappa=3.0).outer_size(100) == 6
     assert SelectionConfig(s=4, kappa=100.0).outer_size(100) == 50
+
+
+def test_kernel_rejects_non_unit_and_non_finite_directions():
+    x = sample_sphere_matrix(4, 12, RngStream(1, 0))
+    cfg = SelectionConfig(s=2, rho_minus=0.5, kappa=3.0)
+    for row in ([3.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]):
+        dirs = np.array([row])
+        with pytest.raises(InvalidInput):
+            attained_values(x, dirs, cfg, RngStream(2, 0))
+        with pytest.raises(InvalidInput):
+            exact_inf_profile(x, dirs, 2, 0.5)
+        with pytest.raises(InvalidInput):
+            constrained_select(x, dirs[0], cfg, RngStream(2, 0))
 
 
 def test_greedy_outer_identity_plus_direction_column():
@@ -97,53 +111,66 @@ def test_greedy_outer_tie_break_smallest_index():
     assert greedy_outer(x, v, 2).indices == (0, 1)
 
 
-def test_random_extract_orthonormal_first_attempt():
-    x = ColumnMatrix(np.eye(5))
-    subset, attempts = random_extract(x, IndexSet(tuple(range(5))), 3, 0.9, RngStream(7, 0))
-    assert attempts == 1
-    assert subset is not None and len(subset) == 3
+def test_constrained_select_orthonormal_first_attempt():
+    x = ColumnMatrix(np.eye(8))
+    v = np.eye(8)[:, 7]
+    cfg = SelectionConfig(s=3, rho_minus=0.9, kappa=1.25)  # outer size 4
+    out = constrained_select(x, v, cfg, RngStream(7, 0))
+    assert out.attempts_used == 1
+    assert out.inner_set is not None and len(out.inner_set) == 3
+    assert out.sigma_min_achieved == pytest.approx(1.0, abs=1e-12)
 
 
-def test_random_extract_infeasible_antipodal_duplicates():
+def test_constrained_select_budget_exhausted_on_antipodal_duplicates():
     col = sample_unit_vector(4, RngStream(8, 0))
-    x = ColumnMatrix(np.column_stack([col, -col]))
-    subset, attempts = random_extract(x, IndexSet((0, 1)), 2, 0.5, RngStream(9, 0), max_attempts=50)
-    assert subset is None
-    assert attempts == 50
+    x = ColumnMatrix(np.column_stack([col, -col, col, -col]))
+    v = sample_unit_vector(4, RngStream(9, 1))
+    cfg = SelectionConfig(s=2, rho_minus=0.5, kappa=1.0, max_attempts=50)  # outer size 2
+    out = constrained_select(x, v, cfg, RngStream(9, 0))
+    assert out.inner_set is None and out.sigma_min_achieved is None
+    assert out.attempts_used == 50
+    assert out.attained_value == math.inf
 
 
-def test_random_extract_rejects_oversized_request():
+def test_pipeline_rejects_outer_set_smaller_than_s():
+    # ceil(kappa*s) = 3 fits p = 4, but the outer size is capped at p // 2 = 2
     x = ColumnMatrix(np.eye(4))
+    cfg = SelectionConfig(s=3, kappa=1.0)
     with pytest.raises(InvalidInput):
-        random_extract(x, IndexSet((0, 1)), 3, 0.5, RngStream(1, 0))
+        constrained_select(x, np.eye(4)[:, 0], cfg, RngStream(1, 0))
+    with pytest.raises(InvalidInput):
+        attained_values(x, np.eye(4)[:1], cfg, RngStream(1, 0))
 
 
-def test_random_extract_acceptance_frequency_matches_brute_force():
-    x = sample_sphere_matrix(4, 8, RngStream(10, 0))
-    outer = IndexSet(tuple(range(8)))
-    feasible = feasible_subsets(x, 2, 0.5)
+def test_attained_values_acceptance_frequency_matches_brute_force():
+    # one attempt per direction: the finite fraction estimates the share of
+    # feasible pairs inside the outer set
+    x = sample_sphere_matrix(4, 16, RngStream(10, 0))
+    v = sample_unit_vector(4, RngStream(10, 1))
+    cfg = SelectionConfig(s=2, rho_minus=0.5, kappa=4.0, max_attempts=1)  # outer size 8
+    outer = greedy_outer(x, v, cfg.outer_size(16))
+    feasible = feasible_subsets(submatrix(x, outer), 2, 0.5)
     exact_fraction = len(feasible) / math.comb(8, 2)
-    gen = RngStream(11, 0).generator()
-    hits = 0
-    attempts = 10_000
-    for _ in range(attempts):
-        subset, _ = random_extract(x, outer, 2, 0.5, gen, max_attempts=1)
-        hits += subset is not None
-    freq = hits / attempts
-    sigma = math.sqrt(exact_fraction * (1.0 - exact_fraction) / attempts)
+    assert 0.0 < exact_fraction < 1.0
+    draws = 10_000
+    vals = attained_values(x, np.tile(v, (draws, 1)), cfg, RngStream(11, 0))
+    freq = float(np.mean(np.isfinite(vals)))
+    sigma = math.sqrt(exact_fraction * (1.0 - exact_fraction) / draws)
     assert abs(freq - exact_fraction) <= 3.0 * sigma
 
 
-def test_random_extract_subsets_are_uniform():
-    # every feasible pair of an orthonormal family should appear ~equally
-    x = ColumnMatrix(np.eye(4))
-    outer = IndexSet((0, 1, 2, 3))
+def test_constrained_select_subsets_are_uniform():
+    # every pair of an orthonormal outer set is feasible and should appear ~equally
+    x = ColumnMatrix(np.eye(8))
+    v = np.eye(8)[:, 7]
+    cfg = SelectionConfig(s=2, rho_minus=0.5, kappa=2.0)  # outer set {0, 1, 2, 3}
     gen = RngStream(12, 0).generator()
     counts: dict = {}
     draws = 12_000
     for _ in range(draws):
-        subset, _ = random_extract(x, outer, 2, 0.5, gen)
-        counts[subset.indices] = counts.get(subset.indices, 0) + 1
+        out = constrained_select(x, v, cfg, gen)
+        assert out.outer_set.indices == (0, 1, 2, 3)
+        counts[out.inner_set.indices] = counts.get(out.inner_set.indices, 0) + 1
     assert len(counts) == 6
     expected = draws / 6
     for count in counts.values():
@@ -267,7 +294,7 @@ def test_exact_inf_profile_matches_scalar():
     dirs = sample_unit_vectors(4, 25, RngStream(40, 0))
     prof = exact_inf_profile(x, dirs, 2, 0.5)
     for k in range(25):
-        assert prof[k] == pytest.approx(brute_force_inf(x, dirs[k], 2, 0.5), abs=1e-12)
+        assert prof[k] == pytest.approx(brute_inf_second_path(x, dirs[k], 2, 0.5), abs=1e-12)
 
 
 def test_estimate_gamma_orthonormal_square_case():
