@@ -3,8 +3,7 @@ and the experiment audits, with stable self-describing file formats.
 
 Exit codes: 0 success, 2 usage error, 3 format/IO error, 4 domain error.
 Every artifact embeds the effective configuration and master seed, and any
-command rerun with identical flags and seed produces byte-identical output,
-independent of the CRI_THREADS worker count.
+command rerun with identical flags and seed produces byte-identical output.
 """
 from __future__ import annotations
 
@@ -69,24 +68,25 @@ def _load_config(config: str | None) -> dict[str, str]:
 
 
 def _effective(flag_value, cfg: dict[str, str], key: str, cast, default):
-    """CLI flag wins, then the config file, then the built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise click.UsageError(f"config key {key}: cannot parse {cfg[key]!r}") from exc
-    return default
+    """CLI flag wins, then the config file, then the built-in default.
 
-
-def _parse_grid(text: str, flag: str) -> list[float]:
+    Flag values pass through cast too, so a text flag parses like its config
+    value.
+    """
+    if flag_value is None and key not in cfg:
+        return default
+    raw = cfg[key] if flag_value is None else flag_value
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return cast(raw)
     except ValueError as exc:
-        raise click.UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
+        raise click.UsageError(f"{key}: cannot parse {raw!r}") from exc
+
+
+def _grid(text: str) -> list[float]:
+    """Parse a nonempty comma-separated list of numbers."""
+    values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     if not values:
-        raise click.UsageError(f"{flag} must be nonempty")
+        raise ValueError("empty grid")
     return values
 
 
@@ -369,27 +369,53 @@ def constants(n, p, s, rho, epsilon, c_kappa, c_subgauss, out, fmt, config_path)
         _write_text(out, "\n".join(lines) + "\n")
 
 
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "order-stat": {"n": 3, "p": 20, "r": 5, "trials": 10000},
-    "coherence": {"n": 6, "p": 50, "trials": 1000},
-    "norm": {"n": 8, "p": 64, "kappa_s": 12, "epsilon": 0.5, "c_kappa": 2.0, "trials": 200},
-    "decoupling": {
-        "n": 8, "p": 24, "kappa": 4.0, "s": 3, "trials": 5000,
-        "r_grid": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-    },
-    "theorem": {"n": 4, "p": 120, "s": 2, "rho": 0.5, "net_eps": 0.5, "trials": 20, "probes": 50},
-    "chernoff": {"count": 1000, "q_grid": "0.05,0.1,0.3", "eps_grid": "0.2,0.5,0.8", "trials": 2000},
+# name -> (config keys as (key, cast, default), runner over the effective
+# config).  Every experiment also reads seed.  Runners look each audit up on
+# the harness module when they run, so a wrapper installed on it sees the call.
+_EXPERIMENTS = {
+    "order-stat": (
+        (("n", int, 3), ("p", int, 20), ("r", int, 5), ("trials", int, 10000)),
+        lambda c: harness.run_order_stat_audit(c["n"], c["p"], c["r"], c["trials"], c["seed"]),
+    ),
+    "coherence": (
+        (("n", int, 6), ("p", int, 50), ("trials", int, 1000)),
+        lambda c: harness.run_coherence_audit(c["n"], c["p"], c["trials"], c["seed"]),
+    ),
+    "norm": (
+        (("n", int, 8), ("p", int, 64), ("kappa_s", int, 12), ("epsilon", float, 0.5),
+         ("c_kappa", float, 2.0), ("trials", int, 200)),
+        lambda c: harness.run_norm_audit(c["n"], c["p"], c["kappa_s"], c["epsilon"], c["trials"],
+                                         c["seed"], c_kappa=c["c_kappa"]),
+    ),
+    "decoupling": (
+        (("n", int, 8), ("p", int, 24), ("kappa", float, 4.0), ("s", int, 3),
+         ("r_grid", _grid, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]), ("trials", int, 5000)),
+        lambda c: harness.run_decoupling_audit(c["n"], c["p"], c["kappa"], c["s"], c["r_grid"],
+                                               c["trials"], c["seed"]),
+    ),
+    "theorem": (
+        (("n", int, 4), ("p", int, 120), ("s", int, 2), ("rho", float, 0.5), ("net_eps", float, 0.5),
+         ("probes", int, 50), ("kappa", float, analytic.KAPPA_BRANCH_CONSTANT), ("trials", int, 20)),
+        lambda c: harness.run_theorem_audit(c["n"], c["p"], c["s"], c["rho"], c["net_eps"], c["trials"],
+                                            c["seed"], probe_count=c["probes"], kappa=c["kappa"]),
+    ),
+    "chernoff": (
+        (("count", int, 1000), ("q_grid", _grid, [0.05, 0.1, 0.3]),
+         ("eps_grid", _grid, [0.2, 0.5, 0.8]), ("trials", int, 2000)),
+        lambda c: harness.run_chernoff_audit(c["q_grid"], c["eps_grid"], c["trials"], c["seed"],
+                                             count=c["count"]),
+    ),
 }
 
 
 @main.command()
-@click.argument("name", type=click.Choice(harness.EXPERIMENT_NAMES))
+@click.argument("name", type=click.Choice(list(_EXPERIMENTS)))
 @click.option("--n", type=int, default=None)
 @click.option("--p", type=int, default=None)
 @click.option("--r", type=int, default=None, help="Order-statistic index (order-stat).")
 @click.option("--s", type=int, default=None)
 @click.option("--rho", type=float, default=None)
-@click.option("--kappa", type=float, default=None, help="Bernoulli inflation factor (decoupling).")
+@click.option("--kappa", type=float, default=None, help="Inflation factor (decoupling, theorem).")
 @click.option("--kappa-s", type=int, default=None, help="Outer-set size (norm).")
 @click.option("--epsilon", type=float, default=None)
 @click.option("--c-kappa", type=float, default=None)
@@ -406,63 +432,22 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
                    "(default: experiment-<name> in the working directory).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_guard
-def experiment(name, n, p, r, s, rho, kappa, kappa_s, epsilon, c_kappa, net_eps, probes,
-               count, q_grid, eps_grid, r_grid, trials, seed, out, config_path):
+def experiment(name, out, config_path, **flags):
     """Run one named audit and write its report JSON and trial CSV."""
+    keys, run = _EXPERIMENTS[name]
+    keys += (("seed", int, 0),)
+    read = {key for key, _, _ in keys}
+    unread = [f"--{k.replace('_', '-')}" for k, v in flags.items() if v is not None and k not in read]
+    if unread:
+        raise click.UsageError(f"experiment {name} does not read {', '.join(unread)}")
     cfgf = _load_config(config_path)
+    settings = {key: _effective(flags[key], cfgf, key, cast, default) for key, cast, default in keys}
+    report = run(settings)
+    config = {"name": name}
+    for key, value in settings.items():
+        config[key] = ",".join(f"{x:g}" for x in value) if isinstance(value, list) else value
     if out is None:
         out = f"experiment-{name}"
-    d = _EXPERIMENT_DEFAULTS[name]
-    seed = _effective(seed, cfgf, "seed", int, 0)
-    trials = _effective(trials, cfgf, "trials", int, d.get("trials"))
-    if name == "order-stat":
-        n = _effective(n, cfgf, "n", int, d["n"])
-        p = _effective(p, cfgf, "p", int, d["p"])
-        r = _effective(r, cfgf, "r", int, d["r"])
-        config = {"name": name, "n": n, "p": p, "r": r, "trials": trials, "seed": seed}
-        report = harness.run_order_stat_audit(n, p, r, trials, seed)
-    elif name == "coherence":
-        n = _effective(n, cfgf, "n", int, d["n"])
-        p = _effective(p, cfgf, "p", int, d["p"])
-        config = {"name": name, "n": n, "p": p, "trials": trials, "seed": seed}
-        report = harness.run_coherence_audit(n, p, trials, seed)
-    elif name == "norm":
-        n = _effective(n, cfgf, "n", int, d["n"])
-        p = _effective(p, cfgf, "p", int, d["p"])
-        kappa_s = _effective(kappa_s, cfgf, "kappa_s", int, d["kappa_s"])
-        epsilon = _effective(epsilon, cfgf, "epsilon", float, d["epsilon"])
-        c_kappa = _effective(c_kappa, cfgf, "c_kappa", float, d["c_kappa"])
-        config = {"name": name, "n": n, "p": p, "kappa_s": kappa_s, "epsilon": epsilon,
-                  "c_kappa": c_kappa, "trials": trials, "seed": seed}
-        report = harness.run_norm_audit(n, p, kappa_s, epsilon, trials, seed, c_kappa=c_kappa)
-    elif name == "decoupling":
-        n = _effective(n, cfgf, "n", int, d["n"])
-        p = _effective(p, cfgf, "p", int, d["p"])
-        kappa = _effective(kappa, cfgf, "kappa", float, d["kappa"])
-        s = _effective(s, cfgf, "s", int, d["s"])
-        grid = _parse_grid(_effective(r_grid, cfgf, "r_grid", str, d["r_grid"]), "--r-grid")
-        config = {"name": name, "n": n, "p": p, "kappa": kappa, "s": s,
-                  "r_grid": ",".join(f"{x:g}" for x in grid), "trials": trials, "seed": seed}
-        report = harness.run_decoupling_audit(n, p, kappa, s, grid, trials, seed)
-    elif name == "theorem":
-        n = _effective(n, cfgf, "n", int, d["n"])
-        p = _effective(p, cfgf, "p", int, d["p"])
-        s = _effective(s, cfgf, "s", int, d["s"])
-        rho = _effective(rho, cfgf, "rho", float, d["rho"])
-        net_eps = _effective(net_eps, cfgf, "net_eps", float, d["net_eps"])
-        probes = _effective(probes, cfgf, "probes", int, d["probes"])
-        kappa = _effective(kappa, cfgf, "kappa", float, analytic.KAPPA_BRANCH_CONSTANT)
-        config = {"name": name, "n": n, "p": p, "s": s, "rho": rho, "net_eps": net_eps,
-                  "probes": probes, "kappa": kappa, "trials": trials, "seed": seed}
-        report = harness.run_theorem_audit(n, p, s, rho, net_eps, trials, seed,
-                                           probe_count=probes, kappa=kappa)
-    else:  # chernoff
-        count = _effective(count, cfgf, "count", int, d["count"])
-        qg = _parse_grid(_effective(q_grid, cfgf, "q_grid", str, d["q_grid"]), "--q-grid")
-        eg = _parse_grid(_effective(eps_grid, cfgf, "eps_grid", str, d["eps_grid"]), "--eps-grid")
-        config = {"name": name, "count": count, "q_grid": ",".join(f"{x:g}" for x in qg),
-                  "eps_grid": ",".join(f"{x:g}" for x in eg), "trials": trials, "seed": seed}
-        report = harness.run_chernoff_audit(qg, eg, trials, seed, count=count)
     base = Path(out)
     base.parent.mkdir(parents=True, exist_ok=True)
     report_path = base.with_name(base.name + ".report.json")

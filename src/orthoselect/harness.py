@@ -1,9 +1,10 @@
 """Seeded Monte Carlo audits of the method's probabilistic claims.
 
 Every audit follows the same protocol: trial i draws all of its randomness
-from the stream (master_seed, i), so reports are bit-identical no matter how
-many workers run the trials.  Empirical frequencies carry Wilson intervals at
-a recorded confidence level, and verdicts are mechanical:
+from the stream (master_seed, i), so a rerun with the same seed reproduces
+the report bit for bit and any trial can be replayed alone.  Trials run in
+index order.  Empirical frequencies carry Wilson intervals at a recorded
+confidence level, and verdicts are mechanical:
 
 * ``supported``   - the interval does not exclude the claim,
 * ``violated``    - the interval excludes the claim on the wrong side,
@@ -17,8 +18,6 @@ exists; importance sampling is out of scope.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -32,7 +31,11 @@ from .sphere import RngStream, build_eps_net, sample_sphere_matrix, sample_unit_
 
 DEFAULT_CONFIDENCE = 0.95
 BOOTSTRAP_RESAMPLES = 2000
-EXPERIMENT_NAMES = ("order-stat", "coherence", "norm", "decoupling", "theorem", "chernoff")
+# Claimed-bound constants the audits evaluate: the sub-Gaussian tail constant
+# c, and the epsilon and C_kappa at which the theorem audit's ledger is built.
+_C_SUBGAUSS = 0.5
+_THEOREM_EPSILON = 0.5
+_THEOREM_C_KAPPA = 1.0
 
 # Reserved stream offsets so trial streams (0..trials-1) never collide with
 # auxiliary consumers.
@@ -105,29 +108,6 @@ def ks_critical(trials: int, confidence: float = DEFAULT_CONFIDENCE) -> float:
     """Asymptotic one-sample KS critical value at the given confidence."""
     alpha = 1.0 - confidence
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(trials)
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else CRI_THREADS (0 = auto), else 1."""
-    if threads is None:
-        raw = os.environ.get("CRI_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise InvalidInput(f"CRI_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 0:
-        raise InvalidInput("thread count must be nonnegative")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
-def run_indexed(fn: Callable[[int], object], count: int, threads: int) -> list:
-    """Evaluate fn(0..count-1), preserving index order regardless of workers."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 @dataclass(frozen=True)
@@ -283,9 +263,7 @@ def _probability_vacuous(claim: float) -> bool:
 # order statistics
 # ---------------------------------------------------------------------------
 
-def run_order_stat_audit(
-    n: int, p: int, r: int, trials: int, seed: int, threads: int | None = None
-) -> ExperimentReport:
+def run_order_stat_audit(n: int, p: int, r: int, trials: int, seed: int) -> ExperimentReport:
     """Empirical law of the r-th smallest |<X_j, v>| against the analytic CDF."""
     if trials < 100:
         raise InvalidInput("order-stat audit needs at least 100 trials")
@@ -300,7 +278,7 @@ def run_order_stat_audit(
         z_r = float(np.partition(vals, r - 1)[r - 1])
         return TrialRecord(i, i, {"n": n, "p": p, "r": r}, {"z_r": z_r})
 
-    records = run_indexed(one_trial, trials, resolve_threads(threads))
+    records = [one_trial(i) for i in range(trials)]
     samples = np.array([rec.measures["z_r"] for rec in records])
     ks = ks_distance(samples, lambda z: analytic.order_stat_cdf(z, spec))
     crit = ks_critical(trials)
@@ -332,9 +310,7 @@ def run_order_stat_audit(
 # coherence
 # ---------------------------------------------------------------------------
 
-def run_coherence_audit(
-    n: int, p: int, trials: int, seed: int, threads: int | None = None
-) -> ExperimentReport:
+def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentReport:
     """Does coherence stay below p^-2/2 with probability 1 - p^-n?
 
     The empirical coherence of sphere-uniform columns concentrates near
@@ -359,7 +335,7 @@ def run_coherence_audit(
             satisfied={"below_threshold": mu <= claim_threshold},
         )
 
-    records = run_indexed(one_trial, trials, resolve_threads(threads))
+    records = [one_trial(i) for i in range(trials)]
     mus = np.array([rec.measures["coherence"] for rec in records])
     hits = int(np.sum(mus <= claim_threshold))
     lo, hi = wilson_interval(hits, trials)
@@ -408,8 +384,6 @@ def run_norm_audit(
     trials: int,
     seed: int,
     c_kappa: float = 2.0,
-    c_subgauss: float = 0.5,
-    threads: int | None = None,
 ) -> ExperimentReport:
     """Tail of |X_outer| against the claimed threshold and 8 p^-n probability."""
     if trials < 100:
@@ -417,7 +391,7 @@ def run_norm_audit(
     if kappa_s > p:
         raise InvalidInput("kappa_s must not exceed p")
     k_eps = analytic.k_epsilon(eps, c_kappa)
-    threshold = analytic.norm_threshold_u(n, kappa_s, eps, c_subgauss, k_eps, p)
+    threshold = analytic.norm_threshold_u(n, kappa_s, eps, _C_SUBGAUSS, k_eps, p)
     claimed_prob = 8.0 * p ** float(-n)
     hypotheses = [
         {
@@ -454,7 +428,7 @@ def run_norm_audit(
             },
         )
 
-    records = run_indexed(one_trial, trials, resolve_threads(threads))
+    records = [one_trial(i) for i in range(trials)]
     norms = np.array([rec.measures["outer_norm"] for rec in records])
     hits = int(np.sum(norms >= threshold))
     lo, hi = wilson_interval(hits, trials)
@@ -513,8 +487,6 @@ def run_decoupling_audit(
     r_grid: Sequence[float],
     trials: int,
     seed: int,
-    bootstrap_resamples: int = BOOTSTRAP_RESAMPLES,
-    threads: int | None = None,
 ) -> ExperimentReport:
     """Audit the two restriction inequalities on H = X_outer^T X_outer - I:
 
@@ -564,13 +536,13 @@ def run_decoupling_audit(
             },
         )
 
-    records = run_indexed(one_trial, trials, resolve_threads(threads))
+    records = [one_trial(i) for i in range(trials)]
     a = np.array([rec.measures["norm_subset"] for rec in records])
     b = np.array([rec.measures["norm_bernoulli"] for rec in records])
     c = np.array([rec.measures["norm_decoupled"] for rec in records])
 
     boot_gen = RngStream(seed, _STREAM_BOOTSTRAP).generator()
-    idx = boot_gen.integers(0, trials, size=(bootstrap_resamples, trials)).astype(np.int32)
+    idx = boot_gen.integers(0, trials, size=(BOOTSTRAP_RESAMPLES, trials)).astype(np.int32)
     alpha = 1.0 - DEFAULT_CONFIDENCE
     cells: list[ReportCell] = []
     for r in r_values:
@@ -620,7 +592,7 @@ def run_decoupling_audit(
         confidence=DEFAULT_CONFIDENCE,
         cells=cells,
         extras={
-            "bootstrap_resamples": bootstrap_resamples,
+            "bootstrap_resamples": BOOTSTRAP_RESAMPLES,
             "mean_norm_h": float(np.mean([rec.measures["norm_h"] for rec in records])),
         },
         records=records,
@@ -641,10 +613,6 @@ def run_theorem_audit(
     seed: int,
     probe_count: int = 50,
     kappa: float | None = None,
-    epsilon: float = 0.5,
-    c_kappa: float = 1.0,
-    c_subgauss: float = 0.5,
-    threads: int | None = None,
 ) -> ExperimentReport:
     """Certificate vs the claimed 80 log(p)/p bound, with the hypothesis ledger.
 
@@ -664,7 +632,9 @@ def run_theorem_audit(
     bound = analytic.claimed_gamma_bound(p)
     lp = math.log(p)
     claimed_prob = 1.0 - 5.0 * n / (p * lp ** (n - 1)) - 9.0 * p ** float(-n)
-    constants = analytic.derive_constants(n, p, s, rho_minus, epsilon, c_kappa, c_subgauss)
+    constants = analytic.derive_constants(
+        n, p, s, rho_minus, _THEOREM_EPSILON, _THEOREM_C_KAPPA, _C_SUBGAUSS
+    )
     ledger = [
         {"constraint": row.constraint, "lhs": _jsonable(row.lhs), "rhs": _jsonable(row.rhs),
          "satisfied": row.satisfied}
@@ -689,7 +659,7 @@ def run_theorem_audit(
             satisfied={"certificate_below_bound": est.certified_upper <= bound},
         )
 
-    records = run_indexed(one_trial, trials, resolve_threads(threads))
+    records = [one_trial(i) for i in range(trials)]
     hits = sum(1 for rec in records if rec.satisfied["certificate_below_bound"])
     lo, hi = wilson_interval(hits, trials)
     certs = [rec.measures["certificate"] for rec in records]
@@ -741,7 +711,6 @@ def run_chernoff_audit(
     trials: int,
     seed: int,
     count: int = 1000,
-    threads: int | None = None,
 ) -> ExperimentReport:
     """Empirical binomial lower tails against exp(-eps^2 mean / 2).
 
@@ -773,7 +742,7 @@ def run_chernoff_audit(
             satisfied={"within_bound": freq <= bound},
         )
 
-    records = run_indexed(one_cell, len(cells_params), resolve_threads(threads))
+    records = [one_cell(i) for i in range(len(cells_params))]
     cells: list[ReportCell] = []
     for rec in records:
         q, eps = rec.params["q"], rec.params["eps"]

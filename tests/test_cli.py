@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from orthoselect.cli import main
+from orthoselect import harness as hn
+from orthoselect.cli import main, records_to_csv, report_to_json
 from orthoselect.harness import REPORT_SCHEMA
 from orthoselect.matrixio import load_config_file, load_matrix, save_matrix
 from orthoselect.errors import FormatError
@@ -289,14 +290,25 @@ def test_experiment_rerun_is_byte_identical(runner, tmp_path):
     assert (tmp_path / "a.trials.csv").read_bytes() == (tmp_path / "b.trials.csv").read_bytes()
 
 
-def test_experiment_threads_do_not_change_bytes(runner, tmp_path):
+def test_experiment_decoupling_rerun_is_byte_identical(runner, tmp_path):
     args = ["experiment", "decoupling", "--n", "5", "--p", "12", "--kappa", "3",
             "--s", "2", "--r-grid", "0.3,0.6", "--trials", "120", "--seed", "9"]
-    a, b = tmp_path / "t1", tmp_path / "t8"
-    assert invoke(runner, args + ["--out", str(a)], env={"CRI_THREADS": "1"}).exit_code == 0
-    assert invoke(runner, args + ["--out", str(b)], env={"CRI_THREADS": "8"}).exit_code == 0
-    assert (tmp_path / "t1.report.json").read_bytes() == (tmp_path / "t8.report.json").read_bytes()
-    assert (tmp_path / "t1.trials.csv").read_bytes() == (tmp_path / "t8.trials.csv").read_bytes()
+    a, b = tmp_path / "t1", tmp_path / "t2"
+    assert invoke(runner, args + ["--out", str(a)]).exit_code == 0
+    assert invoke(runner, args + ["--out", str(b)]).exit_code == 0
+    assert (tmp_path / "t1.report.json").read_bytes() == (tmp_path / "t2.report.json").read_bytes()
+    assert (tmp_path / "t1.trials.csv").read_bytes() == (tmp_path / "t2.trials.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("theorem", ["--trials", "20", "--epsilon", "0.1", "--c-kappa", "9"]),
+    ("coherence", ["--trials", "150", "--s", "7", "--q-grid", "abc"]),
+])
+def test_experiment_rejects_flags_it_does_not_read(runner, tmp_path, name, flags):
+    result = runner.invoke(main, ["experiment", name, *flags, "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2
+    assert f"does not read {', '.join(flags[2::2])}" in result.output
+    assert not (tmp_path / "x.report.json").exists()
 
 
 def test_experiment_unknown_name_lists_choices(runner, tmp_path):
@@ -344,6 +356,71 @@ def test_config_file_defaults_and_flag_override(runner, tmp_path):
                              "--p", "16", "--out", str(base2)])
     report2 = json.loads((tmp_path / "c2.report.json").read_text())
     assert report2["grid"]["p"] == 16  # flag wins over config
+
+
+# name -> (config-file values, expected config echo, the same audit called
+# directly, (overriding flag, its value, its echoed value))
+_TABLE_CASES = {
+    "order-stat": (
+        {"n": "3", "p": "14", "r": "2", "trials": "120", "seed": "8"},
+        {"n": 3, "p": 14, "r": 2, "trials": 120, "seed": 8},
+        lambda: hn.run_order_stat_audit(3, 14, 2, 120, 8),
+        ("--p", "16", 16),
+    ),
+    "coherence": (
+        {"n": "5", "p": "20", "trials": "150", "seed": "3"},
+        {"n": 5, "p": 20, "trials": 150, "seed": 3},
+        lambda: hn.run_coherence_audit(5, 20, 150, 3),
+        ("--n", "4", 4),
+    ),
+    "norm": (
+        {"n": "6", "p": "40", "kappa_s": "8", "epsilon": "0.40", "c_kappa": "3",
+         "trials": "100", "seed": "5"},
+        {"n": 6, "p": 40, "kappa_s": 8, "epsilon": 0.4, "c_kappa": 3.0, "trials": 100, "seed": 5},
+        lambda: hn.run_norm_audit(6, 40, 8, 0.4, 100, 5, c_kappa=3.0),
+        ("--kappa-s", "6", 6),
+    ),
+    "decoupling": (
+        {"n": "5", "p": "12", "kappa": "3", "s": "2", "r_grid": "0.30, .6",
+         "trials": "100", "seed": "9"},
+        {"n": 5, "p": 12, "kappa": 3.0, "s": 2, "r_grid": "0.3,0.6", "trials": 100, "seed": 9},
+        lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.3, 0.6], 100, 9),
+        ("--r-grid", "0.50", "0.5"),
+    ),
+    "theorem": (
+        {"n": "3", "p": "30", "s": "2", "rho": "0.4", "net_eps": "0.6", "probes": "5",
+         "kappa": "3", "trials": "20", "seed": "4"},
+        {"n": 3, "p": 30, "s": 2, "rho": 0.4, "net_eps": 0.6, "probes": 5, "kappa": 3.0,
+         "trials": 20, "seed": 4},
+        lambda: hn.run_theorem_audit(3, 30, 2, 0.4, 0.6, 20, 4, probe_count=5, kappa=3.0),
+        ("--rho", "0.5", 0.5),
+    ),
+    "chernoff": (
+        {"count": "500", "q_grid": "0.10,0.3", "eps_grid": ".5", "trials": "100", "seed": "2"},
+        {"count": 500, "q_grid": "0.1,0.3", "eps_grid": "0.5", "trials": 100, "seed": 2},
+        lambda: hn.run_chernoff_audit([0.1, 0.3], [0.5], 100, 2, count=500),
+        ("--count", "400", 400),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+def test_experiment_config_file_sets_every_key(runner, tmp_path, name):
+    values, echo, direct, (flag, flag_value, flag_echo) = _TABLE_CASES[name]
+    cfg = tmp_path / "run.cfg"
+    # max_attempts belongs to select: unread config keys are ignored
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**values, "max_attempts": "5"}.items()))
+    assert invoke(runner, ["experiment", name, "--config", str(cfg),
+                           "--out", str(tmp_path / "a")]).exit_code == 0
+    config = {"name": name, **echo}
+    report = direct()
+    assert (tmp_path / "a.report.json").read_text() == report_to_json(report, config)
+    assert (tmp_path / "a.trials.csv").read_text() == records_to_csv(report.records, config)
+    assert invoke(runner, ["experiment", name, "--config", str(cfg), flag, flag_value,
+                           "--out", str(tmp_path / "b")]).exit_code == 0
+    key = flag[2:].replace("-", "_")
+    overridden = json.loads((tmp_path / "b.report.json").read_text())["config"]
+    assert overridden == {**config, key: flag_echo}
 
 
 def test_config_file_parser():

@@ -54,19 +54,6 @@ def test_report_cell_validation():
         hn.ReportCell("x", observed=0.5, claim=0.5, direction="sideways", verdict="supported")
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("CRI_THREADS", raising=False)
-    assert hn.resolve_threads(None) == 1
-    monkeypatch.setenv("CRI_THREADS", "4")
-    assert hn.resolve_threads(None) == 4
-    monkeypatch.setenv("CRI_THREADS", "0")
-    assert hn.resolve_threads(None) >= 1
-    assert hn.resolve_threads(2) == 2
-    monkeypatch.setenv("CRI_THREADS", "zebra")
-    with pytest.raises(InvalidInput):
-        hn.resolve_threads(None)
-
-
 def test_order_stat_audit_small():
     rep = hn.run_order_stat_audit(3, 20, 5, 2000, seed=101)
     assert rep.cells[0].verdict == "supported"
@@ -144,12 +131,6 @@ def test_decoupling_audit_moderate_grid():
     rep = hn.run_decoupling_audit(6, 16, 4.0, 2, [0.3, 0.6], 400, seed=32)
     assert all(c.verdict == "supported" for c in rep.cells)
     assert rep.extras["bootstrap_resamples"] == hn.BOOTSTRAP_RESAMPLES
-
-
-def test_decoupling_audit_threads_do_not_change_results():
-    a = hn.run_decoupling_audit(6, 16, 4.0, 2, [0.4], 200, seed=33, threads=1)
-    b = hn.run_decoupling_audit(6, 16, 4.0, 2, [0.4], 200, seed=33, threads=8)
-    assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_theorem_audit_untestable_with_ledger():
