@@ -83,10 +83,10 @@ def _effective(flag_value, cfg: dict[str, str], key: str, cast, default):
 
 
 def _grid(text: str) -> list[float]:
-    """Parse a nonempty comma-separated list of numbers."""
+    """Parse a nonempty comma-separated list of finite numbers."""
     values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    if not values:
-        raise ValueError("empty grid")
+    if not values or not all(math.isfinite(x) for x in values):
+        raise ValueError("empty or non-finite grid")
     return values
 
 
@@ -445,7 +445,8 @@ def experiment(name, out, config_path, **flags):
     report = run(settings)
     config = {"name": name}
     for key, value in settings.items():
-        config[key] = ",".join(f"{x:g}" for x in value) if isinstance(value, list) else value
+        # repr round-trips, so replaying the echoed config runs the same grid
+        config[key] = ",".join(map(repr, value)) if isinstance(value, list) else value
     if out is None:
         out = f"experiment-{name}"
     base = Path(out)

@@ -2,9 +2,11 @@
 
 Every audit follows the same protocol: trial i draws all of its randomness
 from the stream (master_seed, i), so a rerun with the same seed reproduces
-the report bit for bit and any trial can be replayed alone.  Trials run in
-index order.  Empirical frequencies carry Wilson intervals at a recorded
-confidence level, and verdicts are mechanical:
+the report bit for bit and any trial can be replayed alone.  One skeleton
+carries it: an audit states a per-trial ``draw(gen)``, which `_run_trials`
+runs in index order on those streams, and its claims, each of which
+`_frequency_cell` turns into a report cell.  Empirical frequencies carry
+Wilson intervals at a recorded confidence level, and verdicts are mechanical:
 
 * ``supported``   - the interval does not exclude the claim,
 * ``violated``    - the interval excludes the claim on the wrong side,
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,8 +158,8 @@ class ExperimentReport:
     grid: dict
     master_seed: int
     trials: int
-    confidence: float
     cells: list[ReportCell]
+    confidence: float = DEFAULT_CONFIDENCE
     hypotheses: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     records: list[TrialRecord] = field(default_factory=list)
@@ -259,6 +262,33 @@ def _probability_vacuous(claim: float) -> bool:
     return claim <= 0.0 or claim >= 1.0
 
 
+def _run_trials(seed: int, trials: int, params: dict, draw: Callable) -> list[TrialRecord]:
+    """Trial i calls draw(gen) on its own stream (seed, i), in index order.
+
+    draw returns the trial's measures, or (measures, claims, satisfied).
+    """
+    records = []
+    for i in range(trials):
+        out = draw(RngStream(seed, i).generator())
+        measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
+        records.append(TrialRecord(i, i, params, measures, claims, satisfied))
+    return records
+
+
+def _column(records: list[TrialRecord], key: str) -> np.ndarray:
+    return np.array([rec.measures[key] for rec in records])
+
+
+def _frequency_cell(label: str, hits: int, trials: int, claim: float, direction: str,
+                    params: dict, notes: str = "", hypotheses_ok: bool = True) -> ReportCell:
+    """A claimed probability against the observed frequency hits/trials."""
+    lo, hi = wilson_interval(hits, trials)
+    verdict = mechanical_verdict(claim, direction, lo, hi, vacuous=_probability_vacuous(claim),
+                                 hypotheses_ok=hypotheses_ok)
+    return ReportCell(label=label, observed=hits / trials, claim=claim, direction=direction,
+                      verdict=verdict, ci_low=lo, ci_high=hi, params=params, notes=notes)
+
+
 # ---------------------------------------------------------------------------
 # order statistics
 # ---------------------------------------------------------------------------
@@ -270,39 +300,28 @@ def run_order_stat_audit(n: int, p: int, r: int, trials: int, seed: int) -> Expe
     spec = analytic.OrderStatSpec(p=p, r=r, n=n)
     v = np.zeros(n)
     v[0] = 1.0
+    grid = {"n": n, "p": p, "r": r}
 
-    def one_trial(i: int) -> TrialRecord:
-        gen = RngStream(seed, i).generator()
-        x = sample_sphere_matrix(n, p, gen)
-        vals = np.abs(x.data.T @ v)
-        z_r = float(np.partition(vals, r - 1)[r - 1])
-        return TrialRecord(i, i, {"n": n, "p": p, "r": r}, {"z_r": z_r})
+    def draw(gen: np.random.Generator) -> dict:
+        vals = np.abs(sample_sphere_matrix(n, p, gen).data.T @ v)
+        return {"z_r": float(np.partition(vals, r - 1)[r - 1])}
 
-    records = [one_trial(i) for i in range(trials)]
-    samples = np.array([rec.measures["z_r"] for rec in records])
-    ks = ks_distance(samples, lambda z: analytic.order_stat_cdf(z, spec))
+    records = _run_trials(seed, trials, grid, draw)
+    ks = ks_distance(_column(records, "z_r"), lambda z: analytic.order_stat_cdf(z, spec))
     crit = ks_critical(trials)
-    cells = [
-        ReportCell(
-            label="order-statistic law: KS(empirical, analytic CDF)",
-            observed=ks,
-            observed_kind="ks",
-            claim=crit,
-            direction="at_most",
-            verdict=mechanical_verdict(crit, "at_most", None, None, observed=ks),
-            params={"n": n, "p": p, "r": r},
-            notes=f"KS critical value at {DEFAULT_CONFIDENCE:.2f} confidence",
-        )
-    ]
+    cell = ReportCell(
+        label="order-statistic law: KS(empirical, analytic CDF)",
+        observed=ks,
+        observed_kind="ks",
+        claim=crit,
+        direction="at_most",
+        verdict=mechanical_verdict(crit, "at_most", None, None, observed=ks),
+        params=grid,
+        notes=f"KS critical value at {DEFAULT_CONFIDENCE:.2f} confidence",
+    )
     return ExperimentReport(
-        name="order-stat",
-        grid={"n": n, "p": p, "r": r},
-        master_seed=seed,
-        trials=trials,
-        confidence=DEFAULT_CONFIDENCE,
-        cells=cells,
-        extras={"ks": ks, "ks_critical": crit},
-        records=records,
+        name="order-stat", grid=grid, master_seed=seed, trials=trials, cells=[cell],
+        extras={"ks": ks, "ks_critical": crit}, records=records,
     )
 
 
@@ -319,54 +338,33 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
     """
     if trials < 100:
         raise InvalidInput("coherence audit needs at least 100 trials")
+    if n < 1:
+        raise InvalidInput("n must be at least 1")
     claim_threshold = 0.5 * p**-2
     reference_scale = math.sqrt(2.0 * math.log(p) / n)
     claimed_prob = 1.0 - p ** float(-n)
+    grid = {"n": n, "p": p}
 
-    def one_trial(i: int) -> TrialRecord:
-        gen = RngStream(seed, i).generator()
+    def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:
         mu = coherence(sample_sphere_matrix(n, p, gen))
-        return TrialRecord(
-            i,
-            i,
-            {"n": n, "p": p},
-            {"coherence": mu},
-            claims={"threshold": claim_threshold},
-            satisfied={"below_threshold": mu <= claim_threshold},
-        )
+        return ({"coherence": mu}, {"threshold": claim_threshold},
+                {"below_threshold": mu <= claim_threshold})
 
-    records = [one_trial(i) for i in range(trials)]
-    mus = np.array([rec.measures["coherence"] for rec in records])
-    hits = int(np.sum(mus <= claim_threshold))
-    lo, hi = wilson_interval(hits, trials)
+    records = _run_trials(seed, trials, grid, draw)
+    mus = _column(records, "coherence")
     ref_hits = int(np.sum(mus <= reference_scale))
-    ref_lo, ref_hi = wilson_interval(ref_hits, trials)
-    cells = [
-        ReportCell(
-            label="coherence <= p^-2/2 with probability 1 - p^-n",
-            observed=hits / trials,
-            claim=claimed_prob,
-            direction="at_least",
-            verdict=mechanical_verdict(
-                claimed_prob, "at_least", lo, hi, vacuous=_probability_vacuous(claimed_prob)
-            ),
-            ci_low=lo,
-            ci_high=hi,
-            params={"threshold": claim_threshold, "n": n, "p": p},
-        )
-    ]
+    cell = _frequency_cell(
+        "coherence <= p^-2/2 with probability 1 - p^-n",
+        int(np.sum(mus <= claim_threshold)), trials, claimed_prob, "at_least",
+        {"threshold": claim_threshold, "n": n, "p": p},
+    )
     return ExperimentReport(
-        name="coherence",
-        grid={"n": n, "p": p},
-        master_seed=seed,
-        trials=trials,
-        confidence=DEFAULT_CONFIDENCE,
-        cells=cells,
+        name="coherence", grid=grid, master_seed=seed, trials=trials, cells=[cell],
         extras={
             "median_coherence": float(np.median(mus)),
             "freq_below_sqrt_2logp_over_n": ref_hits / trials,
             "sqrt_2logp_over_n": reference_scale,
-            "ci_below_sqrt_scale": [ref_lo, ref_hi],
+            "ci_below_sqrt_scale": list(wilson_interval(ref_hits, trials)),
         },
         records=records,
     )
@@ -376,93 +374,55 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
 # operator norm of the outer matrix
 # ---------------------------------------------------------------------------
 
-def run_norm_audit(
-    n: int,
-    p: int,
-    kappa_s: int,
-    eps: float,
-    trials: int,
-    seed: int,
-    c_kappa: float = 2.0,
-) -> ExperimentReport:
+def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: int,
+                   c_kappa: float = 2.0) -> ExperimentReport:
     """Tail of |X_outer| against the claimed threshold and 8 p^-n probability."""
     if trials < 100:
         raise InvalidInput("norm audit needs at least 100 trials")
     if kappa_s > p:
         raise InvalidInput("kappa_s must not exceed p")
+    if n < 1:
+        raise InvalidInput("n must be at least 1")
     k_eps = analytic.k_epsilon(eps, c_kappa)
     threshold = analytic.norm_threshold_u(n, kappa_s, eps, _C_SUBGAUSS, k_eps, p)
     claimed_prob = 8.0 * p ** float(-n)
     hypotheses = [
-        {
-            "constraint": "p >= ceil(exp(6/sqrt(2*pi)))",
-            "lhs": float(p),
-            "rhs": float(analytic.P_MINIMUM),
-            "satisfied": p >= analytic.P_MINIMUM,
-        },
-        {
-            "constraint": "kappa_s <= c_kappa * n",
-            "lhs": float(kappa_s),
-            "rhs": float(c_kappa * n),
-            "satisfied": kappa_s <= c_kappa * n,
-        },
+        {"constraint": "p >= ceil(exp(6/sqrt(2*pi)))", "lhs": float(p),
+         "rhs": float(analytic.P_MINIMUM), "satisfied": p >= analytic.P_MINIMUM},
+        {"constraint": "kappa_s <= c_kappa * n", "lhs": float(kappa_s),
+         "rhs": float(c_kappa * n), "satisfied": kappa_s <= c_kappa * n},
     ]
-    hypotheses_ok = all(h["satisfied"] for h in hypotheses)
+    grid = {"n": n, "p": p, "kappa_s": kappa_s, "eps": eps}
 
-    def one_trial(i: int) -> TrialRecord:
-        gen = RngStream(seed, i).generator()
+    def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:
         x = sample_sphere_matrix(n, p, gen)
         v = sample_unit_vector(n, gen)
-        outer = greedy_outer(x, v, kappa_s)
-        norm = operator_norm(submatrix(x, outer).data)
-        return TrialRecord(
-            i,
-            i,
-            {"n": n, "p": p, "kappa_s": kappa_s, "eps": eps},
+        norm = operator_norm(submatrix(x, greedy_outer(x, v, kappa_s)).data)
+        return (
             {"outer_norm": norm},
-            claims={"threshold": threshold},
-            satisfied={
+            {"threshold": threshold},
+            {
                 "exceeds_threshold": norm >= threshold,
                 "at_least_one": norm >= 1.0 - 1e-12,
                 "below_frobenius": norm <= math.sqrt(kappa_s) + 1e-12,
             },
         )
 
-    records = [one_trial(i) for i in range(trials)]
-    norms = np.array([rec.measures["outer_norm"] for rec in records])
-    hits = int(np.sum(norms >= threshold))
-    lo, hi = wilson_interval(hits, trials)
+    records = _run_trials(seed, trials, grid, draw)
+    norms = _column(records, "outer_norm")
     max_norm = float(np.max(norms))
-    cells = [
-        ReportCell(
-            label="P(|X_outer| >= threshold) <= 8 p^-n",
-            observed=hits / trials,
-            claim=claimed_prob,
-            direction="at_most",
-            verdict=mechanical_verdict(
-                claimed_prob,
-                "at_most",
-                lo,
-                hi,
-                vacuous=_probability_vacuous(claimed_prob),
-                hypotheses_ok=hypotheses_ok,
-            ),
-            ci_low=lo,
-            ci_high=hi,
-            params={"threshold": threshold},
-            notes=(
-                f"threshold {threshold:.6g} vs max observed norm {max_norm:.6g}; "
-                "a large gap means the claim is supported vacuously at this scale"
-            ),
-        )
-    ]
+    cell = _frequency_cell(
+        "P(|X_outer| >= threshold) <= 8 p^-n",
+        int(np.sum(norms >= threshold)), trials, claimed_prob, "at_most",
+        {"threshold": threshold},
+        notes=(
+            f"threshold {threshold:.6g} vs max observed norm {max_norm:.6g}; "
+            "a large gap means the claim is supported vacuously at this scale"
+        ),
+        hypotheses_ok=all(h["satisfied"] for h in hypotheses),
+    )
     return ExperimentReport(
-        name="norm",
-        grid={"n": n, "p": p, "kappa_s": kappa_s, "eps": eps},
-        master_seed=seed,
-        trials=trials,
-        confidence=DEFAULT_CONFIDENCE,
-        cells=cells,
+        name="norm", grid=grid, master_seed=seed, trials=trials, cells=[cell],
         hypotheses=hypotheses,
         extras={"max_norm": max_norm, "threshold": threshold, "mean_norm": float(np.mean(norms))},
         records=records,
@@ -479,15 +439,8 @@ def _principal_norm(h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     return operator_norm(h[np.ix_(rows, cols)])
 
 
-def run_decoupling_audit(
-    n: int,
-    p: int,
-    kappa: float,
-    s: int,
-    r_grid: Sequence[float],
-    trials: int,
-    seed: int,
-) -> ExperimentReport:
+def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[float],
+                         trials: int, seed: int) -> ExperimentReport:
     """Audit the two restriction inequalities on H = X_outer^T X_outer - I:
 
     P(|R_s H R_s| >= r)  <= 2  P(|R H R| >= r)          (fixed-size -> Bernoulli)
@@ -501,20 +454,19 @@ def run_decoupling_audit(
         raise InvalidInput("decoupling audit needs at least 100 trials")
     if not r_grid:
         raise InvalidInput("r_grid must be nonempty")
+    # kappa >= 1 keeps the Bernoulli rate 1/kappa in (0, 1]
+    if not (math.isfinite(kappa) and kappa >= 1.0):
+        raise InvalidInput("kappa must be finite and at least 1")
     m = math.ceil(kappa * s)
     if m > p:
         raise InvalidInput("kappa*s must not exceed p")
     rate = 1.0 / kappa
-    if not 0.0 < rate <= 1.0:
-        raise InvalidInput("Bernoulli rate 1/kappa must lie in (0, 1]")
     r_values = [float(r) for r in r_grid]
 
-    def one_trial(i: int) -> TrialRecord:
-        gen = RngStream(seed, i).generator()
+    def draw(gen: np.random.Generator) -> dict:
         x = sample_sphere_matrix(n, p, gen)
         v = sample_unit_vector(n, gen)
-        outer = greedy_outer(x, v, m)
-        sub = submatrix(x, outer)
+        sub = submatrix(x, greedy_outer(x, v, m))
         h = sub.data.T @ sub.data - np.eye(m)
         pos = list(range(m))
         for k in range(s):
@@ -524,22 +476,17 @@ def run_decoupling_audit(
         t_same = np.flatnonzero(gen.random(m) < rate)
         t_left = np.flatnonzero(gen.random(m) < rate)
         t_right = np.flatnonzero(gen.random(m) < rate)
-        return TrialRecord(
-            i,
-            i,
-            {"n": n, "p": p, "kappa": kappa, "s": s},
-            {
-                "norm_subset": _principal_norm(h, s_idx, s_idx),
-                "norm_bernoulli": _principal_norm(h, t_same, t_same),
-                "norm_decoupled": _principal_norm(h, t_left, t_right),
-                "norm_h": operator_norm(h),
-            },
-        )
+        return {
+            "norm_subset": _principal_norm(h, s_idx, s_idx),
+            "norm_bernoulli": _principal_norm(h, t_same, t_same),
+            "norm_decoupled": _principal_norm(h, t_left, t_right),
+            "norm_h": operator_norm(h),
+        }
 
-    records = [one_trial(i) for i in range(trials)]
-    a = np.array([rec.measures["norm_subset"] for rec in records])
-    b = np.array([rec.measures["norm_bernoulli"] for rec in records])
-    c = np.array([rec.measures["norm_decoupled"] for rec in records])
+    records = _run_trials(seed, trials, {"n": n, "p": p, "kappa": kappa, "s": s}, draw)
+    a = _column(records, "norm_subset")
+    b = _column(records, "norm_bernoulli")
+    c = _column(records, "norm_decoupled")
 
     boot_gen = RngStream(seed, _STREAM_BOOTSTRAP).generator()
     idx = boot_gen.integers(0, trials, size=(BOOTSTRAP_RESAMPLES, trials)).astype(np.int32)
@@ -550,51 +497,27 @@ def run_decoupling_audit(
         ind_b = (b >= r).astype(float)
         ind_c = (c >= r / 2.0).astype(float)
         f_a, f_b, f_c = float(ind_a.mean()), float(ind_b.mean()), float(ind_c.mean())
+        params = {"r": r, "freq_subset": f_a, "freq_bernoulli": f_b, "freq_decoupled": f_c}
         for label, diff, observed in (
-            (
-                f"P(|R_s H R_s| >= r) <= 2 P(|R H R| >= r), r={r:g}",
-                2.0 * ind_b - ind_a,
-                2.0 * f_b - f_a,
-            ),
-            (
-                f"P(|R H R| >= r) <= 36 P(|R H R'| >= r/2), r={r:g}",
-                36.0 * ind_c - ind_b,
-                36.0 * f_c - f_b,
-            ),
+            (f"P(|R_s H R_s| >= r) <= 2 P(|R H R| >= r), r={r:g}", 2.0 * ind_b - ind_a,
+             2.0 * f_b - f_a),
+            (f"P(|R H R| >= r) <= 36 P(|R H R'| >= r/2), r={r:g}", 36.0 * ind_c - ind_b,
+             36.0 * f_c - f_b),
         ):
             boot = diff[idx].mean(axis=1)
             lo = float(np.quantile(boot, alpha / 2.0))
             hi = float(np.quantile(boot, 1.0 - alpha / 2.0))
-            cells.append(
-                ReportCell(
-                    label=label,
-                    observed=observed,
-                    observed_kind="probability_margin",
-                    claim=0.0,
-                    direction="at_least",
-                    verdict=mechanical_verdict(0.0, "at_least", lo, hi),
-                    ci_low=lo,
-                    ci_high=hi,
-                    params={
-                        "r": r,
-                        "freq_subset": f_a,
-                        "freq_bernoulli": f_b,
-                        "freq_decoupled": f_c,
-                    },
-                    notes="bootstrap percentile interval over paired trials",
-                )
-            )
+            cells.append(ReportCell(
+                label=label, observed=observed, observed_kind="probability_margin", claim=0.0,
+                direction="at_least", verdict=mechanical_verdict(0.0, "at_least", lo, hi),
+                ci_low=lo, ci_high=hi, params=params,
+                notes="bootstrap percentile interval over paired trials",
+            ))
     return ExperimentReport(
-        name="decoupling",
-        grid={"n": n, "p": p, "kappa": kappa, "s": s, "r_grid": r_values},
-        master_seed=seed,
-        trials=trials,
-        confidence=DEFAULT_CONFIDENCE,
-        cells=cells,
-        extras={
-            "bootstrap_resamples": BOOTSTRAP_RESAMPLES,
-            "mean_norm_h": float(np.mean([rec.measures["norm_h"] for rec in records])),
-        },
+        name="decoupling", grid={"n": n, "p": p, "kappa": kappa, "s": s, "r_grid": r_values},
+        master_seed=seed, trials=trials, cells=cells,
+        extras={"bootstrap_resamples": BOOTSTRAP_RESAMPLES,
+                "mean_norm_h": float(np.mean(_column(records, "norm_h")))},
         records=records,
     )
 
@@ -603,17 +526,9 @@ def run_decoupling_audit(
 # headline guarantee
 # ---------------------------------------------------------------------------
 
-def run_theorem_audit(
-    n: int,
-    p: int,
-    s: int,
-    rho_minus: float,
-    net_eps: float,
-    trials: int,
-    seed: int,
-    probe_count: int = 50,
-    kappa: float | None = None,
-) -> ExperimentReport:
+def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, trials: int,
+                      seed: int, probe_count: int = 50,
+                      kappa: float | None = None) -> ExperimentReport:
     """Certificate vs the claimed 80 log(p)/p bound, with the hypothesis ledger.
 
     The headline probability 1 - 5n/(p log(p)^{n-1}) - 9 p^-n is evaluated
@@ -640,62 +555,37 @@ def run_theorem_audit(
          "satisfied": row.satisfied}
         for row in analytic.constraint_check(n, p, s, constants)
     ]
-    hypotheses_ok = all(row["satisfied"] for row in ledger)
+    grid = {"n": n, "p": p, "s": s, "rho_minus": rho_minus, "net_eps": net_eps}
 
-    def one_trial(i: int) -> TrialRecord:
-        gen = RngStream(seed, i).generator()
-        x = sample_sphere_matrix(n, p, gen)
-        est = estimate_gamma(x, cfg, net, probe_count, gen)
-        return TrialRecord(
-            i,
-            i,
-            {"n": n, "p": p, "s": s, "rho_minus": rho_minus, "net_eps": net_eps},
+    def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:
+        est = estimate_gamma(sample_sphere_matrix(n, p, gen), cfg, net, probe_count, gen)
+        return (
             {
                 "certificate": est.certified_upper,
                 "heuristic_lower": est.heuristic_lower,
                 "feasibility_rate": est.feasibility_rate,
             },
-            claims={"gamma_bound": bound},
-            satisfied={"certificate_below_bound": est.certified_upper <= bound},
+            {"gamma_bound": bound},
+            {"certificate_below_bound": est.certified_upper <= bound},
         )
 
-    records = [one_trial(i) for i in range(trials)]
-    hits = sum(1 for rec in records if rec.satisfied["certificate_below_bound"])
-    lo, hi = wilson_interval(hits, trials)
-    certs = [rec.measures["certificate"] for rec in records]
-    finite_certs = [cval for cval in certs if math.isfinite(cval)]
-    cells = [
-        ReportCell(
-            label="P(gamma certificate <= 80 log(p)/p) >= claimed probability",
-            observed=hits / trials,
-            claim=claimed_prob,
-            direction="at_least",
-            verdict=mechanical_verdict(
-                claimed_prob,
-                "at_least",
-                lo,
-                hi,
-                vacuous=_probability_vacuous(claimed_prob),
-                hypotheses_ok=hypotheses_ok,
-            ),
-            ci_low=lo,
-            ci_high=hi,
-            params={"gamma_bound": bound, "net_size": len(net)},
-        )
-    ]
+    records = _run_trials(seed, trials, grid, draw)
+    certs = _column(records, "certificate")
+    finite_certs = certs[np.isfinite(certs)]
+    cell = _frequency_cell(
+        "P(gamma certificate <= 80 log(p)/p) >= claimed probability",
+        sum(rec.satisfied["certificate_below_bound"] for rec in records), trials,
+        claimed_prob, "at_least", {"gamma_bound": bound, "net_size": len(net)},
+        hypotheses_ok=all(row["satisfied"] for row in ledger),
+    )
     return ExperimentReport(
-        name="theorem",
-        grid={"n": n, "p": p, "s": s, "rho_minus": rho_minus, "net_eps": net_eps},
-        master_seed=seed,
-        trials=trials,
-        confidence=DEFAULT_CONFIDENCE,
-        cells=cells,
+        name="theorem", grid=grid, master_seed=seed, trials=trials, cells=[cell],
         hypotheses=ledger,
         extras={
             "claimed_probability": claimed_prob,
             "gamma_bound": bound,
             "net": net.descriptor(),
-            "max_certificate": max(finite_certs) if finite_certs else None,
+            "max_certificate": float(np.max(finite_certs)) if finite_certs.size else None,
         },
         records=records,
     )
@@ -705,52 +595,38 @@ def run_theorem_audit(
 # binomial concentration
 # ---------------------------------------------------------------------------
 
-def run_chernoff_audit(
-    p_success_grid: Sequence[float],
-    eps_grid: Sequence[float],
-    trials: int,
-    seed: int,
-    count: int = 1000,
-) -> ExperimentReport:
+def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float], trials: int,
+                       seed: int, count: int = 1000) -> ExperimentReport:
     """Empirical binomial lower tails against exp(-eps^2 mean / 2).
 
     Cells whose bound is too small for the trial budget are flagged and also
     compared in log space against the exact tail (incomplete-beta identity).
-    One record is emitted per grid cell; the cell's draws are its trials.
+    One record is emitted per grid cell; grid cell i draws its trials from
+    stream (seed, i).
     """
     if trials < 100:
         raise InvalidInput("chernoff audit needs at least 100 trials")
     if not p_success_grid or not eps_grid:
         raise InvalidInput("grids must be nonempty")
-    cells_params = [(float(q), float(e)) for q in p_success_grid for e in eps_grid]
-
-    def one_cell(i: int) -> TrialRecord:
-        q, eps = cells_params[i]
+    if count < 0:
+        raise InvalidInput("count must be nonnegative")
+    q_values = [float(q) for q in p_success_grid]
+    if not all(0.0 <= q <= 1.0 for q in q_values):
+        raise InvalidInput("success probabilities must lie in [0, 1]")
+    eps_values = [float(e) for e in eps_grid]
+    records: list[TrialRecord] = []
+    cells: list[ReportCell] = []
+    for i, (q, eps) in enumerate(product(q_values, eps_values)):
         gen = RngStream(seed, i).generator()
         mean = count * q
         cutoff = (1.0 - eps) * mean
-        draws = gen.binomial(count, q, size=trials)
-        freq = float(np.mean(draws <= cutoff))
+        hits = int(np.sum(gen.binomial(count, q, size=trials) <= cutoff))
         bound = analytic.chernoff_lower(eps, mean)
         exact = analytic.binomial_cdf(math.floor(cutoff), count, q)
-        return TrialRecord(
-            i,
-            i,
-            {"q": q, "eps": eps, "count": count},
-            {"frequency": freq, "exact_tail": exact},
-            claims={"bound": bound},
-            satisfied={"within_bound": freq <= bound},
-        )
-
-    records = [one_cell(i) for i in range(len(cells_params))]
-    cells: list[ReportCell] = []
-    for rec in records:
-        q, eps = rec.params["q"], rec.params["eps"]
-        freq = rec.measures["frequency"]
-        bound = rec.claims["bound"]
-        exact = rec.measures["exact_tail"]
-        hits = round(freq * trials)
-        lo, hi = wilson_interval(int(hits), trials)
+        params = {"q": q, "eps": eps, "count": count}
+        freq = hits / trials
+        records.append(TrialRecord(i, i, params, {"frequency": freq, "exact_tail": exact},
+                                   claims={"bound": bound}, satisfied={"within_bound": freq <= bound}))
         notes = ""
         if bound < 10.0 / trials:
             log_exact = math.log10(exact) if exact > 0.0 else -math.inf
@@ -758,31 +634,15 @@ def run_chernoff_audit(
                 f"rare event: bound below sampling resolution; log10 exact tail "
                 f"{log_exact:.3f} vs log10 bound {math.log10(bound):.3f}"
             )
-        cells.append(
-            ReportCell(
-                label=f"P(B <= (1-eps) E B) <= exp(-eps^2 E B / 2), q={q:g}, eps={eps:g}",
-                observed=freq,
-                claim=bound,
-                direction="at_most",
-                verdict=mechanical_verdict(
-                    bound, "at_most", lo, hi, vacuous=_probability_vacuous(bound)
-                ),
-                ci_low=lo,
-                ci_high=hi,
-                params={"q": q, "eps": eps, "count": count, "exact_tail": exact},
-                notes=notes,
-            )
-        )
+        cells.append(_frequency_cell(
+            f"P(B <= (1-eps) E B) <= exp(-eps^2 E B / 2), q={q:g}, eps={eps:g}",
+            hits, trials, bound, "at_most", {**params, "exact_tail": exact}, notes,
+        ))
     return ExperimentReport(
         name="chernoff",
-        grid={
-            "p_success_grid": [q for q, _ in cells_params[:: len(eps_grid)]],
-            "eps_grid": [float(e) for e in eps_grid],
-            "count": count,
-        },
+        grid={"p_success_grid": q_values, "eps_grid": eps_values, "count": count},
         master_seed=seed,
         trials=trials,
-        confidence=DEFAULT_CONFIDENCE,
         cells=cells,
         records=records,
     )

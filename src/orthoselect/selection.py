@@ -24,6 +24,8 @@ from .sphere import EpsNet, RngStream, _as_generator, sample_unit_vectors
 
 DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
+# Values per exact-oracle gather block (16 MiB of float64).
+_GATHER_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -242,15 +244,19 @@ def exact_inf_profile(
     s: int,
     rho_minus: float,
     limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
-    chunk: int = 20_000,
 ) -> np.ndarray:
-    """Exact selection value for many directions, sharing one feasibility pass."""
+    """Exact selection value for many directions, sharing one feasibility pass.
+
+    Directions run in blocks sized so each (F, s, block) gather holds about
+    _GATHER_ELEMENTS values, whatever the direction count.
+    """
     dirs = _directions(matrix, directions)
     feas = feasible_subsets(matrix, s, rho_minus, limit)
     count = dirs.shape[0]
     if not feas:
         return np.full(count, math.inf)
     fidx = np.asarray(feas)  # (F, s)
+    chunk = max(1, _GATHER_ELEMENTS // fidx.size)
     out = np.empty(count)
     for start in range(0, count, chunk):
         block = dirs[start : start + chunk]

@@ -311,6 +311,39 @@ def test_experiment_rejects_flags_it_does_not_read(runner, tmp_path, name, flags
     assert not (tmp_path / "x.report.json").exists()
 
 
+@pytest.mark.parametrize("name, flags", [
+    ("chernoff", ["--count", "-1"]),
+    ("chernoff", ["--q-grid", "1.5"]),
+    ("chernoff", ["--q-grid", "inf"]),
+    ("coherence", ["--n", "0"]),
+    ("norm", ["--n", "0"]),
+    ("decoupling", ["--kappa", "0"]),
+    ("decoupling", ["--kappa", "inf"]),
+    ("decoupling", ["--kappa", "nan"]),
+    ("decoupling", ["--r-grid", "nan"]),
+])
+def test_experiment_out_of_range_parameters_are_usage_errors(runner, tmp_path, name, flags):
+    result = runner.invoke(main, ["experiment", name, *flags, "--out", str(tmp_path / "x")])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "x.report.json").exists()
+
+
+def test_experiment_echoed_config_replays_the_same_grid(runner, tmp_path):
+    args = ["experiment", "decoupling", "--n", "5", "--p", "12", "--kappa", "3", "--s", "2",
+            "--r-grid", "0.1234567,50", "--trials", "100", "--seed", "9"]
+    assert invoke(runner, args + ["--out", str(tmp_path / "a")]).exit_code == 0
+    first = json.loads((tmp_path / "a.report.json").read_text())
+    assert first["grid"]["r_grid"] == [0.1234567, 50.0]
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in first["config"].items()))
+    assert invoke(runner, ["experiment", "decoupling", "--config", str(cfg),
+                           "--out", str(tmp_path / "b")]).exit_code == 0
+    second = json.loads((tmp_path / "b.report.json").read_text())
+    assert second["grid"] == first["grid"]
+    assert second["config"] == first["config"]
+
+
 def test_experiment_unknown_name_lists_choices(runner, tmp_path):
     result = runner.invoke(main, ["experiment", "bogus", "--out", str(tmp_path / "x")])
     assert result.exit_code == 2

@@ -199,3 +199,28 @@ def test_report_schema_validates_all_audits():
         assert rep.confidence == hn.DEFAULT_CONFIDENCE
         for cell in rep.cells:
             assert cell.verdict in ("supported", "violated", "untestable-at-scale")
+
+
+# name -> (a short run, a longer run with the same seed); trial k must not
+# depend on how many trials (or, for chernoff, grid cells) follow it
+_PREFIX_CASES = {
+    "order-stat": (lambda: hn.run_order_stat_audit(3, 12, 3, 100, seed=71),
+                   lambda: hn.run_order_stat_audit(3, 12, 3, 130, seed=71)),
+    "coherence": (lambda: hn.run_coherence_audit(5, 20, 100, seed=72),
+                  lambda: hn.run_coherence_audit(5, 20, 130, seed=72)),
+    "norm": (lambda: hn.run_norm_audit(6, 32, 8, 0.5, 100, seed=73),
+             lambda: hn.run_norm_audit(6, 32, 8, 0.5, 130, seed=73)),
+    "decoupling": (lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 100, seed=74),
+                   lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=74)),
+    "theorem": (lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 20, seed=75, probe_count=5, kappa=3.0),
+                lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 25, seed=75, probe_count=5, kappa=3.0)),
+    "chernoff": (lambda: hn.run_chernoff_audit([0.1], [0.2, 0.5], 150, seed=76),
+                 lambda: hn.run_chernoff_audit([0.1, 0.3], [0.2, 0.5], 150, seed=76)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PREFIX_CASES))
+def test_trial_records_replay_from_seed_and_index_alone(name):
+    short, long = (run() for run in _PREFIX_CASES[name])
+    assert len(long.records) > len(short.records)
+    assert long.records[: len(short.records)] == short.records

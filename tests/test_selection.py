@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -295,6 +296,27 @@ def test_exact_inf_profile_matches_scalar():
     prof = exact_inf_profile(x, dirs, 2, 0.5)
     for k in range(25):
         assert prof[k] == pytest.approx(brute_inf_second_path(x, dirs[k], 2, 0.5), abs=1e-12)
+
+
+def test_exact_inf_profile_memory_is_bounded_and_matches_pair_closed_form():
+    rho = 0.5
+    x = sample_sphere_matrix(4, 200, RngStream(41, 0))
+    dirs = sample_unit_vectors(4, 500, RngStream(42, 0))
+    tracemalloc.start()
+    try:
+        prof = exact_inf_profile(x, dirs, 2, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an unblocked (F, 2, 500) gather over ~17k feasible pairs is ~130 MiB alone
+    assert peak < 64 * 2**20
+    # s=2: a pair is feasible iff |<X_i, X_j>| <= 1 - rho^2
+    rows, cols = np.triu_indices(200, k=1)
+    keep = np.abs(np.sum(x.data[:, rows] * x.data[:, cols], axis=0)) <= 1.0 - rho * rho
+    rows, cols = rows[keep], cols[keep]
+    b = np.abs(dirs @ x.data)
+    expected = np.array([np.min(np.maximum(bk[rows], bk[cols])) for bk in b])
+    np.testing.assert_allclose(prof, expected, rtol=0, atol=1e-14)
 
 
 def test_estimate_gamma_orthonormal_square_case():
