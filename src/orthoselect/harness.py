@@ -258,10 +258,6 @@ def mechanical_verdict(
     return "violated" if ref is not None and ref < claim else "supported"
 
 
-def _probability_vacuous(claim: float) -> bool:
-    return claim <= 0.0 or claim >= 1.0
-
-
 def _run_trials(seed: int, trials: int, params: dict, draw: Callable) -> list[TrialRecord]:
     """Trial i calls draw(gen) on its own stream (seed, i), in index order.
 
@@ -281,9 +277,10 @@ def _column(records: list[TrialRecord], key: str) -> np.ndarray:
 
 def _frequency_cell(label: str, hits: int, trials: int, claim: float, direction: str,
                     params: dict, notes: str = "", hypotheses_ok: bool = True) -> ReportCell:
-    """A claimed probability against the observed frequency hits/trials."""
+    """A claimed probability against the observed frequency hits/trials; a
+    claim <= 0 or >= 1 is vacuous."""
     lo, hi = wilson_interval(hits, trials)
-    verdict = mechanical_verdict(claim, direction, lo, hi, vacuous=_probability_vacuous(claim),
+    verdict = mechanical_verdict(claim, direction, lo, hi, vacuous=claim <= 0.0 or claim >= 1.0,
                                  hypotheses_ok=hypotheses_ok)
     return ReportCell(label=label, observed=hits / trials, claim=claim, direction=direction,
                       verdict=verdict, ci_low=lo, ci_high=hi, params=params, notes=notes)
