@@ -611,6 +611,8 @@ def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float
     if not all(0.0 <= q <= 1.0 for q in q_values):
         raise InvalidInput("success probabilities must lie in [0, 1]")
     eps_values = [float(e) for e in eps_grid]
+    if not all(0.0 < e < 1.0 for e in eps_values):
+        raise InvalidInput("eps must lie in (0, 1)")
     records: list[TrialRecord] = []
     cells: list[ReportCell] = []
     for i, (q, eps) in enumerate(product(q_values, eps_values)):

@@ -5,9 +5,12 @@ correlated with v (the outer set), then repeatedly draws uniform s-subsets of
 the outer set until one is well conditioned (smallest singular value at least
 rho_minus).  One batched kernel, `_pipeline`, runs this for many directions at
 once; `attained_values` and `constrained_select` (its count=1 view) read its
-results.  Certified estimates of the worst-direction selection value are
-obtained by running the pipeline over an eps-net and adding eps, which lifts
-the net supremum to the whole sphere.
+results.  The outer sets come from `_outer_ranked`, which `greedy_outer`
+shares: it works through the directions in row blocks and partitions each row
+to its m smallest values, so memory is bounded by one block plus the (count, m)
+outer sets, never by the full (p, count) value matrix.  Certified estimates of
+the worst-direction selection value are obtained by running the pipeline over
+an eps-net and adding eps, which lifts the net supremum to the whole sphere.
 """
 from __future__ import annotations
 
@@ -26,6 +29,9 @@ DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
 # Values per exact-oracle gather block (16 MiB of float64).
 _GATHER_ELEMENTS = 1 << 21
+# Values per outer-set ranking block (4 MiB of float64; the last block also
+# takes the remainder, so it holds up to twice that).
+_RANK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,43 @@ def _directions(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
     return dirs
 
 
-def _ranked(matrix: ColumnMatrix, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|<X_j, v>| as a (p, count) array, and its stable argsort per direction
-    (so ties go to the smaller column index)."""
-    b = np.abs(matrix.data.T @ dirs.T)
-    return b, np.argsort(b, axis=0, kind="stable")
+def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The outer set of every direction row: the m columns with smallest
+    |<X_j, v>|, in value order with ties to the smaller column index (the
+    first m of a stable argsort), as (count, m) indices and their values.
+
+    Directions run in row blocks, so no (p, count) array is ever held.  Each
+    row is partitioned to its m smallest, which are sorted by index and then
+    stably by value; a row with more than m values at or below its m-th value
+    (a tie at the partition boundary) is ranked by a full stable argsort.
+    """
+    p, count = matrix.p, dirs.shape[0]
+    block = max(64, _RANK_ELEMENTS // p // 64 * 64)
+    # Every block but the last is a multiple of 64 rows and the last one takes
+    # the remainder, so it is never shorter than `block`.  A short block can
+    # take another BLAS code path, whose entries may differ in the last bit
+    # from those of one unblocked X^T D^T product; these bounds keep every
+    # entry bit-identical to it (checked in the tests).
+    bounds = [i * block for i in range(max(1, count // block))] + [count]
+    outer = np.empty((count, m), dtype=np.intp)
+    values = np.empty((count, m))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # (rows, p), computed in the unblocked product's form
+        b = np.abs((matrix.data.T @ dirs[lo:hi].T).T, order="C")
+        rows = np.arange(hi - lo)[:, None]
+        idx = b.argpartition(m - 1, axis=1)[:, :m]
+        idx.sort(axis=1)
+        by_value = b[rows, idx].argsort(axis=1, kind="stable")
+        idx = idx[rows, by_value]
+        vals = b[rows, idx]
+        tied = np.flatnonzero((b <= vals[:, -1:]).sum(axis=1) > m)
+        if tied.size:
+            idx[tied] = b[tied].argsort(axis=1, kind="stable")[:, :m]
+            vals[tied] = b[tied[:, None], idx[tied]]
+        outer[lo:hi] = idx
+        values[lo:hi] = vals
+        del b  # free this block before the next one is built
+    return outer, values
 
 
 def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
@@ -92,8 +130,8 @@ def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
     """
     if not 1 <= m <= matrix.p:
         raise InvalidInput(f"outer size m={m} must satisfy 1 <= m <= p={matrix.p}")
-    _, order = _ranked(matrix, _directions(matrix, np.reshape(v, (1, -1))))
-    return IndexSet.from_iterable(order[:m, 0])
+    outer, _ = _outer_ranked(matrix, _directions(matrix, np.reshape(v, (1, -1))), m)
+    return IndexSet.from_iterable(outer[0])
 
 
 def _pipeline(
@@ -104,10 +142,13 @@ def _pipeline(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The selection pipeline for every direction row, in batched rounds.
 
-    Each round draws one uniform s-subset (a partial Fisher-Yates shuffle of
-    positions into the direction's value-ranked outer list) for every
-    direction still without a well-conditioned subset, and conditions them
-    all with one batched eigvalsh.  Returns per direction row:
+    The outer sets and their values come from `_outer_ranked`, so only
+    (count, m) arrays are kept.  Each round draws one uniform s-subset (a
+    partial Fisher-Yates shuffle of positions into the direction's
+    value-ranked outer list) for every direction still without a
+    well-conditioned subset, conditions them all with one batched eigvalsh,
+    and reads each accepted subset's attained value from the outer-set
+    values.  Returns per direction row:
 
     - the outer columns (count, m), in value order;
     - the accepted inner columns (count, s), in draw order, -1 if none;
@@ -127,8 +168,7 @@ def _pipeline(
         raise InvalidInput(f"cannot draw s={s} columns from an outer set of size {m}")
     gen = _as_generator(rng)
 
-    b, order = _ranked(matrix, dirs)
-    outer = order[:m, :].T
+    outer, b_outer = _outer_ranked(matrix, dirs, m)
     inner = np.full((count, s), -1)
     smin = np.full(count, math.nan)
     attempts = np.full(count, cfg.max_attempts)
@@ -156,7 +196,7 @@ def _pipeline(
             inner[hit] = chosen_cols[ok]
             smin[hit] = sig[ok]
             attempts[hit] = attempt
-            attained[hit] = np.max(b[chosen_cols[ok], hit[:, None]], axis=1)
+            attained[hit] = np.max(b_outer[hit[:, None], pos[ok, :s]], axis=1)
             active = active[~ok]
     return outer, inner, smin, attempts, attained
 

@@ -315,6 +315,9 @@ def test_experiment_rejects_flags_it_does_not_read(runner, tmp_path, name, flags
     ("chernoff", ["--count", "-1"]),
     ("chernoff", ["--q-grid", "1.5"]),
     ("chernoff", ["--q-grid", "inf"]),
+    ("chernoff", ["--eps-grid", "0"]),
+    ("chernoff", ["--eps-grid", "0.5,0"]),
+    ("chernoff", ["--eps-grid", "1.2"]),
     ("coherence", ["--n", "0"]),
     ("norm", ["--n", "0"]),
     ("decoupling", ["--kappa", "0"]),

@@ -26,6 +26,7 @@ from orthoselect import (
     sample_unit_vectors,
     submatrix,
 )
+from orthoselect import selection
 
 
 def sort_oracle(matrix, v, m):
@@ -110,6 +111,66 @@ def test_greedy_outer_tie_break_smallest_index():
     x = ColumnMatrix(cols)
     v = np.array([1.0, 0.0, 0.0])  # all inner products are 0: pure tie
     assert greedy_outer(x, v, 2).indices == (0, 1)
+
+
+def stable_argsort_oracle(matrix, dirs, m):
+    """The sort_oracle rule for many rows: the first m of a full stable
+    argsort of |X^T v|, and those entries of one unblocked product."""
+    b = np.abs(matrix.data.T @ dirs.T).T
+    order = np.argsort(b, axis=1, kind="stable")[:, :m]
+    return order, np.take_along_axis(b, order, axis=1)
+
+
+def boundary_tied(matrix, dirs, m):
+    """Rows with more than m values at or below their m-th smallest value."""
+    b = np.abs(matrix.data.T @ dirs.T).T
+    kth = np.sort(b, axis=1)[:, m - 1 : m]
+    return np.count_nonzero(b <= kth, axis=1) > m
+
+
+def test_outer_ranked_matches_stable_argsort_across_blocks_and_ties():
+    # duplicate and antipodal copies of 40 columns beside 100 distinct ones:
+    # a row whose m-th value falls on a copied column ties at the boundary
+    y = sample_sphere_matrix(4, 40, RngStream(57, 0)).data
+    z = sample_sphere_matrix(4, 100, RngStream(57, 1)).data
+    x = ColumnMatrix(np.hstack([y, y, -y, z]))
+    count = 10_007  # more than 3 ranking blocks at p = 220, plus a remainder
+    assert count > 3 * selection._RANK_ELEMENTS // x.p
+    dirs = sample_unit_vectors(4, count, RngStream(58, 0))
+    for m in (1, 15, 110, x.p):
+        outer, values = selection._outer_ranked(x, dirs, m)
+        expected, expected_values = stable_argsort_oracle(x, dirs, m)
+        assert np.array_equal(outer, expected)
+        assert np.array_equal(values, expected_values)
+    tied = boundary_tied(x, dirs, 15)
+    assert 0 < np.count_nonzero(tied) < count
+    # eye(8): v = e_8 ties seven zeros, (e_1+e_2)/sqrt(2) ties six zeros and
+    # then the pair
+    eye = ColumnMatrix(np.eye(8))
+    dirs = np.array([np.eye(8)[7], (np.eye(8)[0] + np.eye(8)[1]) / math.sqrt(2.0)])
+    for m in range(1, 9):
+        outer, values = selection._outer_ranked(eye, dirs, m)
+        expected, expected_values = stable_argsort_oracle(eye, dirs, m)
+        assert np.array_equal(outer, expected)
+        assert np.array_equal(values, expected_values)
+        for v in dirs:
+            assert greedy_outer(eye, v, m).indices == sort_oracle(eye, v, m)
+    assert np.all(boundary_tied(eye, dirs, 2))
+
+
+def test_attained_values_memory_is_bounded():
+    x = sample_sphere_matrix(4, 200, RngStream(60, 0))
+    dirs = sample_unit_vectors(4, 50_000, RngStream(61, 0))
+    cfg = SelectionConfig(s=2, rho_minus=0.5)
+    tracemalloc.start()
+    try:
+        vals = attained_values(x, dirs, cfg, RngStream(62, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (p, count) value array and its argsort would take 160 MB alone
+    assert peak < 40 * 2**20
+    assert np.all(np.isfinite(vals))
 
 
 def test_constrained_select_orthonormal_first_attempt():
