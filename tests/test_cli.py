@@ -315,15 +315,15 @@ def test_experiment_rejects_flags_it_does_not_read(runner, tmp_path, name, flags
     ("chernoff", ["--count", "-1"]),
     ("chernoff", ["--q-grid", "1.5"]),
     ("chernoff", ["--q-grid", "inf"]),
-    ("chernoff", ["--eps-grid", "0"]),
-    ("chernoff", ["--eps-grid", "0.5,0"]),
-    ("chernoff", ["--eps-grid", "1.2"]),
     ("coherence", ["--n", "0"]),
     ("norm", ["--n", "0"]),
     ("decoupling", ["--kappa", "0"]),
     ("decoupling", ["--kappa", "inf"]),
     ("decoupling", ["--kappa", "nan"]),
     ("decoupling", ["--r-grid", "nan"]),
+    ("chernoff", ["--eps-grid", "0"]),
+    ("chernoff", ["--eps-grid", "0.5,0"]),
+    ("chernoff", ["--eps-grid", "1.2"]),
 ])
 def test_experiment_out_of_range_parameters_are_usage_errors(runner, tmp_path, name, flags):
     result = runner.invoke(main, ["experiment", name, *flags, "--out", str(tmp_path / "x")])
