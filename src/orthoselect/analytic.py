@@ -4,9 +4,11 @@ Two kinds of functions live here and must not be confused:
 
 * exact numerics (densities, CDFs, quantiles, the regularized incomplete
   beta) that the rest of the package relies on, and
-* ``claimed_*`` / ``*_claimed_*`` transcriptions of the method's analytic
-  bounds, kept verbatim so the experiment harness can audit them.  Nothing
-  in this package ever *trusts* a claimed formula.
+* transcriptions of the method's claimed bounds and constants, kept
+  verbatim so they can be judged.  Every transcription here is read by the
+  ``constants`` command (through `derive_constants` and `constraint_check`)
+  or by an audit in `orthoselect.harness`.  Nothing in this package ever
+  *trusts* a claimed formula.
 
 The regularized incomplete beta is computed by a Lentz continued fraction
 with the usual symmetry reduction, targeting 1e-10 relative error; tests
@@ -15,9 +17,7 @@ cross-check it against quadrature and an independent library implementation.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import DomainError, InvalidInput
 
@@ -107,20 +107,6 @@ def gamma_ratio(n: int) -> float:
     if n < 2:
         raise DomainError("ratio defined for n >= 2")
     return math.exp(math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0))
-
-
-def gamma_ratio_claimed_bounds(n: int) -> tuple[float, float]:
-    """The Stirling-based bracket for gamma_ratio, transcribed verbatim.
-
-    These bounds scale like n while the exact ratio scales like sqrt(n); they
-    are audited, never assumed (see tests for the measured validity range).
-    """
-    if n < 4:
-        raise DomainError("claimed bounds stated for n >= 4")
-    shape = (n - 3.0) ** 1.5 / math.sqrt(n - 2.0)
-    lower = math.exp(2.0 * math.log(2.0)) / 2.0 * shape
-    upper = math.exp(2.0) / 2.0 * shape
-    return lower, upper
 
 
 def inner_density(z: float, n: int) -> float:
@@ -226,21 +212,6 @@ def cap_probability(h: float, n: int) -> float:
     return 0.5 * betainc_reg((n - 1) / 2.0, 0.5, 1.0 - h * h)
 
 
-def cap_probability_claimed(h: float, n: int) -> float:
-    """The claimed cap formula, verbatim: the normalized incomplete integral
-    of t^((n-1)/2) (1-t)^(1/2) up to 2h - h^2.
-
-    This disagrees with `cap_probability` (the exponents match a different
-    Beta law and the limit 2h - h^2 parameterizes caps by height, not by
-    inner-product threshold); both are exposed so the disagreement can be
-    audited instead of silently resolved.
-    """
-    if n < 2:
-        raise DomainError("dimension must be at least 2")
-    _check_z(h)
-    return betainc_reg((n + 1) / 2.0, 1.5, 2.0 * h - h * h)
-
-
 def coherence_threshold_h(p: int, n: int) -> float:
     """The claimed coherence cap threshold h(p, n), for auditing only.
 
@@ -305,13 +276,6 @@ def kappa_branches(
     return KAPPA_BRANCH_CONSTANT, branch2
 
 
-def kappa_theorem(
-    rho_minus: float, eps: float, c_kappa: float, p: int, n: int, c_subgauss: float
-) -> float:
-    """The two-branch kappa formula: max over `kappa_branches`."""
-    return max(kappa_branches(rho_minus, eps, c_kappa, p, n, c_subgauss))
-
-
 def c_s_constant(rho_minus: float, eps: float, c_kappa: float, c_subgauss: float) -> float:
     """C_s = c^2 (1-rho)^2 (1-eps)^8 / (4 e^3) * C_k / ((1+K_eps)^2 (1+C_k)^2)."""
     k_eps = k_epsilon(eps, c_kappa)
@@ -351,96 +315,6 @@ def norm_threshold_u(
     if c_subgauss <= 0.0:
         raise DomainError("c_subgauss must be positive")
     return (1.0 + k_eps) / (c_subgauss * (1.0 - eps) ** 4) * (n + kappa_s) / n * math.log(p)
-
-
-class Z0Window(NamedTuple):
-    z_lower: float
-    z_upper: float
-    compatible: bool
-
-
-def z0_window(n: int, p: int, eps: float, kappa: float, s: int) -> Z0Window:
-    """Verbatim evaluation of the claimed quantile window [z_lower, z_upper].
-
-    The compatibility flag is the claimed sufficient condition
-    kappa >= (4/e^{2(ln2-1)}) (1-eps)/eps^2 (n/s) log(p).  The flag implies
-    z_lower <= z_upper (it is a factor 2 stronger than the exact threshold,
-    so the converse can fail).
-    """
-    if n < 4:
-        raise DomainError("window stated for n >= 4")
-    if p < 2:
-        raise DomainError("p must be at least 2")
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps must lie in (0, 1)")
-    shape = math.sqrt(n - 2.0) / (n - 3.0) ** 1.5
-    z_lower = (
-        2.0
-        * math.sqrt(math.pi)
-        / math.exp(2.0 * math.log(2.0))
-        * shape
-        * (1.0 / (0.5 * eps * eps))
-        * (n / p)
-        * math.log(p)
-    )
-    z_upper = (
-        2.0 * math.sqrt(math.pi) / math.exp(2.0) * shape * (kappa * s / ((1.0 - eps) * p))
-    )
-    compatible = kappa >= KAPPA_BRANCH_CONSTANT * ((1.0 - eps) / eps**2) * (n / s) * math.log(p)
-    return Z0Window(z_lower, z_upper, compatible)
-
-
-@dataclass(frozen=True)
-class VFunctionResult:
-    value: float
-    terms: tuple[float, float, float]
-    precondition_u: bool
-    precondition_v: bool
-
-
-def v_function(
-    s: int,
-    r_prime: float,
-    u_norm: float,
-    v_split: float,
-    kappa: float,
-    norm_m: float,
-    mu_m: float,
-) -> VFunctionResult:
-    """The three-term tail function for randomly restricted Gram deviations.
-
-    V = (e u^2 / (k r'^2))^(r'^2/v^2) + (e |M|^4 / (k u^2))^(u^2/|M|^2)
-        + (e |M|^2 / (k v^2))^(v^2/mu(M)^2)
-
-    `s` is carried for bookkeeping only; the sum itself does not use it.  The
-    claimed applicability preconditions (k r'^2 / e >= u^2 >= |M|^4 / k and
-    v^2 >= |M|^2 / k) are reported as flags, and the value is returned either
-    way so out-of-domain evaluations can still be audited.
-    """
-    for name, val in [
-        ("r_prime", r_prime),
-        ("u_norm", u_norm),
-        ("v_split", v_split),
-        ("kappa", kappa),
-        ("norm_m", norm_m),
-        ("mu_m", mu_m),
-    ]:
-        if val <= 0.0:
-            raise DomainError(f"{name} must be positive")
-
-    def power(base: float, expo: float) -> float:
-        # log-space keeps out-of-domain audits finite-or-inf instead of raising
-        val = expo * math.log(base)
-        return math.inf if val > 709.0 else math.exp(val)
-
-    t1 = power(math.e / kappa * u_norm**2 / r_prime**2, r_prime**2 / v_split**2)
-    t2 = power(math.e / kappa * norm_m**4 / u_norm**2, u_norm**2 / norm_m**2)
-    t3 = power(math.e / kappa * norm_m**2 / v_split**2, v_split**2 / mu_m**2)
-    pre_u = kappa * r_prime**2 / math.e >= u_norm**2 >= norm_m**4 / kappa
-    pre_v = v_split**2 >= norm_m**2 / kappa
-    return VFunctionResult(
-        value=t1 + t2 + t3, terms=(t1, t2, t3), precondition_u=pre_u, precondition_v=pre_v
-    )
 
 
 @dataclass(frozen=True)
@@ -525,59 +399,29 @@ def derive_constants(
     )
 
 
-@dataclass(frozen=True)
-class ConstraintResult:
-    constraint: str
-    lhs: float
-    rhs: float
-    satisfied: bool
-
-
 #: p lower bound of the main guarantee: ceil(e^{6/sqrt(2 pi)}) = 11.
 P_MINIMUM = math.ceil(math.exp(6.0 / math.sqrt(2.0 * math.pi)))
 
 
-def constraint_check(n: int, p: int, s: int, cfg: BoundConstants) -> list[ConstraintResult]:
-    """Evaluate every displayed hypothesis of the main guarantee as a ledger."""
-    rows: list[ConstraintResult] = []
-    rows.append(
-        ConstraintResult("p >= ceil(exp(6/sqrt(2*pi)))", float(p), float(P_MINIMUM), p >= P_MINIMUM)
-    )
-    rows.append(ConstraintResult("n >= 6", float(n), 6.0, n >= 6))
+def constraint_check(n: int, p: int, s: int, cfg: BoundConstants) -> list[dict]:
+    """Evaluate every displayed hypothesis of the main guarantee as a ledger.
+
+    Each row is a ``{"constraint", "lhs", "rhs", "satisfied"}`` dict, the one
+    shape of every hypothesis ledger; an unbounded ``rhs`` is ``inf``.
+    """
     numerator = max(cfg.kappa * s, 2.0 * 36.0 * 3.0 * 3.0, math.exp((1.0 - cfg.rho_minus) / 2.0))
     lower_n = numerator / cfg.c_kappa
-    rows.append(
-        ConstraintResult(
-            "n >= max(kappa*s, 2*36*3*3, exp((1-rho)/2)) / c_kappa", float(n), lower_n, n >= lower_n
-        )
-    )
     upper1 = (p / math.log(p)) ** 2
-    rows.append(ConstraintResult("n <= (p/log(p))^2", float(n), upper1, n <= upper1))
     expo = (1.0 - cfg.rho_minus) / math.sqrt(2.0) * p
     upper2 = math.exp(expo) / cfg.c_kappa if expo < 700 else math.inf
-    rows.append(
-        ConstraintResult("n <= exp((1-rho)/sqrt(2)*p) / c_kappa", float(n), upper2, n <= upper2)
-    )
-    return rows
-
-
-def search_admissible(
-    n_grid: Sequence[int],
-    p_grid: Sequence[int],
-    s_grid: Sequence[int],
-    rho_minus: float = 0.5,
-    epsilon: float = 0.5,
-    c_kappa_grid: Sequence[float] = (0.5, 1.0, 2.0, 10.0, 100.0),
-    c_subgauss: float = 0.5,
-) -> dict | None:
-    """First grid point satisfying every hypothesis, or None if the probed
-    grid contains no admissible point."""
-    for c_kappa in c_kappa_grid:
-        for n in n_grid:
-            for p in p_grid:
-                for s in s_grid:
-                    cfg = derive_constants(n, p, s, rho_minus, epsilon, c_kappa, c_subgauss)
-                    rows = constraint_check(n, p, s, cfg)
-                    if all(r.satisfied for r in rows):
-                        return {"n": n, "p": p, "s": s, "c_kappa": c_kappa}
-    return None
+    rows = [
+        ("p >= ceil(exp(6/sqrt(2*pi)))", p, P_MINIMUM, p >= P_MINIMUM),
+        ("n >= 6", n, 6.0, n >= 6),
+        ("n >= max(kappa*s, 2*36*3*3, exp((1-rho)/2)) / c_kappa", n, lower_n, n >= lower_n),
+        ("n <= (p/log(p))^2", n, upper1, n <= upper1),
+        ("n <= exp((1-rho)/sqrt(2)*p) / c_kappa", n, upper2, n <= upper2),
+    ]
+    return [
+        {"constraint": name, "lhs": float(lhs), "rhs": float(rhs), "satisfied": ok}
+        for name, lhs, rhs, ok in rows
+    ]

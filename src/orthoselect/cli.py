@@ -230,7 +230,7 @@ def select(matrix_path, v_file, v_random, s, rho, kappa, max_attempts, seed, out
         "attempts": outcome.attempts_used,
     }
     if oracle:
-        exact = brute_force_inf(matrix, v, s, rho, cfg.brute_force_limit)
+        exact = brute_force_inf(matrix, v, s, rho)
         payload["oracle_inf"] = exact
         if math.isfinite(exact) and math.isfinite(outcome.attained_value):
             if exact > outcome.attained_value + 1e-12:
@@ -331,7 +331,7 @@ def constants(n, p, s, rho, epsilon, c_kappa, c_subgauss, out, fmt, config_path)
     c_kappa = _effective(c_kappa, cfgf, "c_kappa", float, 1.0)
     c_subgauss = _effective(c_subgauss, cfgf, "c", float, 0.5)
     consts = analytic.derive_constants(n, p, s, rho, epsilon, c_kappa, c_subgauss)
-    rows = analytic.constraint_check(n, p, s, consts)
+    ledger = analytic.constraint_check(n, p, s, consts)
     values = {
         "n": n, "p": p, "s": s, "rho": rho, "epsilon": epsilon,
         "c_kappa": c_kappa, "c": c_subgauss,
@@ -349,10 +349,6 @@ def constants(n, p, s, rho, epsilon, c_kappa, c_subgauss, out, fmt, config_path)
         "h_cap": consts.h_cap,
         "z0": consts.z0,
     }
-    ledger = [
-        {"constraint": r.constraint, "lhs": r.lhs, "rhs": r.rhs, "satisfied": r.satisfied}
-        for r in rows
-    ]
     if fmt == "json":
         _write_text(out, _dump_json({"constants": values, "constraints": ledger}))
     elif fmt == "csv":

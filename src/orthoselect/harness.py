@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,43 +47,13 @@ _STREAM_BOOTSTRAP = 1 << 48
 _STREAM_NET = (1 << 48) + 1
 
 
-def _normal_quantile(prob: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation, ~1e-9)."""
-    if not 0.0 < prob < 1.0:
-        raise InvalidInput("quantile level must lie in (0, 1)")
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low = 0.02425
-    if prob < p_low:
-        q = math.sqrt(-2.0 * math.log(prob))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if prob > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - prob))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = prob - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidInput("trials must be positive")
     if not 0 <= successes <= trials:
         raise InvalidInput("successes must lie in [0, trials]")
-    z = _normal_quantile(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     f = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -186,7 +157,7 @@ class ExperimentReport:
                 }
                 for c in self.cells
             ],
-            "hypotheses": self.hypotheses,
+            "hypotheses": _jsonable(self.hypotheses),
             "extras": {k: _jsonable(v) for k, v in self.extras.items()},
         }
 
@@ -547,11 +518,7 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
     constants = analytic.derive_constants(
         n, p, s, rho_minus, _THEOREM_EPSILON, _THEOREM_C_KAPPA, _C_SUBGAUSS
     )
-    ledger = [
-        {"constraint": row.constraint, "lhs": _jsonable(row.lhs), "rhs": _jsonable(row.rhs),
-         "satisfied": row.satisfied}
-        for row in analytic.constraint_check(n, p, s, constants)
-    ]
+    ledger = analytic.constraint_check(n, p, s, constants)
     grid = {"n": n, "p": p, "s": s, "rho_minus": rho_minus, "net_eps": net_eps}
 
     def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:

@@ -9,7 +9,7 @@ package targets (|S| <= 64, n <= 10^3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

@@ -42,7 +42,6 @@ class SelectionConfig:
     rho_minus: float = 0.5
     kappa: float = KAPPA_BRANCH_CONSTANT
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    brute_force_limit: int = DEFAULT_BRUTE_FORCE_LIMIT
 
     def __post_init__(self) -> None:
         if self.s < 1:
@@ -347,14 +346,12 @@ def estimate_gamma(
     else:
         certified_upper = float(np.max(net_vals, initial=0.0)) + net.epsilon
 
-    oracle_exact = math.comb(matrix.p, cfg.s) <= cfg.brute_force_limit
+    oracle_exact = math.comb(matrix.p, cfg.s) <= DEFAULT_BRUTE_FORCE_LIMIT
     heuristic_lower = 0.0
     if probe_count > 0:
         probes = sample_unit_vectors(matrix.n, probe_count, gen)
         if oracle_exact:
-            vals = exact_inf_profile(
-                matrix, probes, cfg.s, cfg.rho_minus, cfg.brute_force_limit
-            )
+            vals = exact_inf_profile(matrix, probes, cfg.s, cfg.rho_minus)
         else:
             vals = attained_values(matrix, probes, cfg, gen)
         finite += int(np.sum(np.isfinite(vals)))
@@ -390,9 +387,9 @@ def monotonicity_check(
     if extra.n != matrix.n:
         raise InvalidInput("appended columns must have the same row count")
     dirs = np.asarray(directions, dtype=float)
-    base_vals = exact_inf_profile(matrix, dirs, cfg.s, cfg.rho_minus, cfg.brute_force_limit)
+    base_vals = exact_inf_profile(matrix, dirs, cfg.s, cfg.rho_minus)
     combined = ColumnMatrix(np.hstack([matrix.data, extra.data]))
-    concat_vals = exact_inf_profile(combined, dirs, cfg.s, cfg.rho_minus, cfg.brute_force_limit)
+    concat_vals = exact_inf_profile(combined, dirs, cfg.s, cfg.rho_minus)
     gamma_base = float(np.max(base_vals))
     gamma_concat = float(np.max(concat_vals))
     satisfied = gamma_concat <= gamma_base + 1e-12 or math.isinf(gamma_base)

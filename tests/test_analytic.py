@@ -161,75 +161,11 @@ def test_chernoff_bound_holds_against_exact_tails():
             assert exact <= an.chernoff_lower(eps, mean) + 1e-15
 
 
-# --- gamma ratio and its claimed bracket -------------------------------------
+# --- gamma ratio -------------------------------------------------------------
 
 def test_gamma_ratio_known_values():
     assert an.gamma_ratio(4) == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-14)
     assert an.gamma_ratio(2) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-14)
-
-
-def test_gamma_ratio_claimed_bounds_validity_sweep():
-    # The claimed bracket scales like n while the ratio scales like sqrt(n);
-    # the sweep shows the claimed lower bound already fails at n = 4, so the
-    # sandwich holds for no n in [4, 200].  Measured, not assumed.
-    holds = []
-    for n in range(4, 201):
-        lower, upper = an.gamma_ratio_claimed_bounds(n)
-        exact = an.gamma_ratio(n)
-        assert upper > lower
-        if lower <= exact <= upper:
-            holds.append(n)
-    assert holds == []
-    with pytest.raises(DomainError):
-        an.gamma_ratio_claimed_bounds(3)
-
-
-# --- quantile window ---------------------------------------------------------
-
-def test_z0_window_flag_implies_order():
-    gen = np.random.Generator(np.random.PCG64(17))
-    flagged = 0
-    for _ in range(400):
-        n = int(gen.integers(4, 40))
-        p = int(gen.integers(5, 5000))
-        s = int(gen.integers(1, n + 1))
-        eps = float(gen.uniform(0.05, 0.95))
-        kappa = float(gen.uniform(1.0, 5000.0))
-        win = an.z0_window(n, p, eps, kappa, s)
-        if win.compatible:
-            flagged += 1
-            assert win.z_lower <= win.z_upper + 1e-12
-    assert flagged > 10  # the sweep actually exercised the flagged branch
-
-
-def test_z0_window_quoted_parameter_choice_is_audited():
-    # The quoted choice eps = 1 - 1/X with kappa = 4 e^{-2(ln2-1)} never
-    # satisfies the stated flag (it needs kappa >= e^2/(1-1/X)^2 > e^2), and
-    # the window itself only closes once X >= 2 + sqrt(2).  Recorded as
-    # measured behavior.
-    kappa = an.KAPPA_BRANCH_CONSTANT
-    for n, p, s in [(6, 11, 6), (8, 50, 4), (10, 1000, 1)]:
-        x = (n / s) * math.log(p)
-        assert x >= math.sqrt(2.0)
-        eps = 1.0 - 1.0 / x
-        win = an.z0_window(n, p, eps, kappa, s)
-        assert not win.compatible
-        assert (win.z_lower <= win.z_upper) == (x >= 2.0 + math.sqrt(2.0) - 1e-12)
-
-
-def test_z0_window_domain():
-    with pytest.raises(DomainError):
-        an.z0_window(3, 100, 0.5, 8.0, 2)
-
-
-def test_z0_window_spot_values_second_transcription():
-    n, p, eps, kappa, s = 8, 200, 0.4, 12.0, 3
-    win = an.z0_window(n, p, eps, kappa, s)
-    shape2 = math.exp(0.5 * math.log(n - 2.0) - 1.5 * math.log(n - 3.0))
-    lower2 = math.sqrt(math.pi) * shape2 * n * math.log(p) / (eps**2 * p)
-    upper2 = 2.0 * math.sqrt(math.pi) * math.exp(-2.0) * shape2 * kappa * s / ((1.0 - eps) * p)
-    assert win.z_lower == pytest.approx(lower2, rel=1e-12)
-    assert win.z_upper == pytest.approx(upper2, rel=1e-12)
 
 
 # --- headline bound ----------------------------------------------------------
@@ -259,14 +195,6 @@ def test_cap_identity_with_inner_cdf():
             assert 2.0 * an.cap_probability(h, n) == pytest.approx(
                 1.0 - an.inner_cdf(h, n), abs=1e-10
             )
-
-
-def test_cap_probability_claimed_formula_disagrees():
-    # the transcribed display parameterizes caps by height, so it contradicts
-    # the true inner-product cap probability; both are exposed for auditing
-    assert an.cap_probability_claimed(0.0, 5) == 0.0
-    assert an.cap_probability_claimed(1.0, 5) == 1.0
-    assert abs(an.cap_probability_claimed(0.0, 5) - an.cap_probability(0.0, 5)) > 0.4
 
 
 def test_cap_probability_monte_carlo():
@@ -308,7 +236,7 @@ def test_kappa_branches_and_max_semantics():
     assert an.KAPPA_BRANCH_CONSTANT == pytest.approx(math.exp(2.0), abs=1e-12)
     for p, n in [(11, 6), (100, 10), (10_000, 50)]:
         b1, b2 = an.kappa_branches(0.5, 0.5, 1.0, p, n, 0.5)
-        assert an.kappa_theorem(0.5, 0.5, 1.0, p, n, 0.5) == max(b1, b2)
+        assert an.derive_constants(n, p, 1).kappa == max(b1, b2)
     # the log^2(p) branch grows with p
     b2s = [an.kappa_branches(0.5, 0.5, 1.0, p, 10, 0.5)[1] for p in (11, 100, 1000)]
     assert b2s[0] < b2s[1] < b2s[2]
@@ -333,59 +261,6 @@ def test_norm_threshold_u_scaling():
     assert u2 == pytest.approx(u1 * 2.0, rel=1e-12)  # log(p^2) = 2 log(p)
 
 
-def test_v_function_term_by_term_second_transcription():
-    s, r_prime, u, v, kappa, norm_m, mu_m = 3, 0.25, 1.7, 0.4, 50.0, 1.9, 0.3
-    res = an.v_function(s, r_prime, u, v, kappa, norm_m, mu_m)
-    t1 = math.exp((r_prime**2 / v**2) * (1.0 + math.log(u**2) - math.log(kappa) - math.log(r_prime**2)))
-    t2 = math.exp((u**2 / norm_m**2) * (1.0 + 4.0 * math.log(norm_m) - math.log(kappa) - 2.0 * math.log(u)))
-    t3 = math.exp((v**2 / mu_m**2) * (1.0 + 2.0 * math.log(norm_m) - math.log(kappa) - 2.0 * math.log(v)))
-    assert res.terms[0] == pytest.approx(t1, rel=1e-12)
-    assert res.terms[1] == pytest.approx(t2, rel=1e-12)
-    assert res.terms[2] == pytest.approx(t3, rel=1e-12)
-    assert res.value == pytest.approx(t1 + t2 + t3, rel=1e-12)
-
-
-def test_v_function_vanishes_as_kappa_grows():
-    vals = [
-        an.v_function(2, 0.5, 1.0, 0.25, kappa, 0.7, 0.1).value
-        for kappa in (10.0, 100.0, 10_000.0)
-    ]
-    assert vals[0] > vals[1] > vals[2]
-    assert vals[2] < 1e-8
-
-
-def test_v_function_substitution_replay():
-    # With v^2 = r'^2 / log(Ck n), u^2 = Cv W^2, kappa = e^3 (Cv/r'^2) W^2,
-    # |M| = W and mu^2 = p^-2/2, the three terms reduce to the displayed
-    # simplified forms.
-    n, p, s = 50, 3, 2
-    c_kappa, c_sub, eps, rho = 1.0, 0.5, 0.5, 0.5
-    r_prime = (1.0 - rho) / 2.0
-    c_v = math.log(c_kappa * n)
-    k_eps = an.k_epsilon(eps, c_kappa)
-    kappa_for_w = 12.0
-    w = an.norm_threshold_u(n, kappa_for_w * s, eps, c_sub, k_eps, p)
-    u = math.sqrt(c_v) * w
-    v = r_prime / math.sqrt(c_v)
-    kappa = math.exp(3.0) * c_v / r_prime**2 * w**2
-    res = an.v_function(s, r_prime, u, v, kappa, w, math.sqrt(0.5 * p**-2))
-    expected1 = (1.0 / math.exp(2.0)) ** c_v
-    expected2 = (r_prime**2 / (math.exp(2.0) * c_v**2)) ** c_v
-    expected3 = (1.0 / math.exp(2.0)) ** (2.0 * r_prime**2 * p**2 / c_v)
-    assert res.terms[0] == pytest.approx(expected1, rel=1e-10)
-    assert res.terms[1] == pytest.approx(expected2, rel=1e-10)
-    assert res.terms[2] == pytest.approx(expected3, rel=1e-10)
-
-
-def test_v_function_precondition_flags():
-    good = an.v_function(2, 0.5, 1.0, 0.9, 100.0, 1.1, 0.4)
-    assert good.precondition_u and good.precondition_v
-    bad = an.v_function(2, 0.5, 5.0, 0.4, 2.0, 3.0, 0.4)
-    assert not bad.precondition_u
-    assert not bad.precondition_v
-    assert math.isfinite(bad.value)  # still evaluated for auditing
-
-
 def test_derive_constants_recomputes_consistently():
     c = an.derive_constants(100, 1000, 1)
     assert c.k_epsilon == pytest.approx(an.k_epsilon(0.5, 1.0), rel=1e-15)
@@ -399,19 +274,21 @@ def test_derive_constants_recomputes_consistently():
 
 def test_constraint_check_rows():
     cfg = an.derive_constants(5, 10, 1)
-    rows = {r.constraint: r for r in an.constraint_check(5, 10, 1, cfg)}
-    assert not rows["p >= ceil(exp(6/sqrt(2*pi)))"].satisfied  # 10 < 11
-    assert not rows["n >= 6"].satisfied
+    rows = {r["constraint"]: r for r in an.constraint_check(5, 10, 1, cfg)}
+    assert not rows["p >= ceil(exp(6/sqrt(2*pi)))"]["satisfied"]  # 10 < 11
+    assert not rows["n >= 6"]["satisfied"]
     cfg2 = an.derive_constants(700, 10_000, 1, c_kappa=1.0)
-    rows2 = {r.constraint: r for r in an.constraint_check(700, 10_000, 1, cfg2)}
-    assert rows2["n >= 6"].satisfied
-    assert rows2["p >= ceil(exp(6/sqrt(2*pi)))"].satisfied
+    rows2 = {r["constraint"]: r for r in an.constraint_check(700, 10_000, 1, cfg2)}
+    assert rows2["n >= 6"]["satisfied"]
+    assert rows2["p >= ceil(exp(6/sqrt(2*pi)))"]["satisfied"]
 
 
 def test_admissible_search_unattainable_at_desk_scale():
-    found = an.search_admissible(
-        n_grid=[6, 10, 50, 200, 700, 1000],
-        p_grid=[11, 100, 1000, 10_000],
-        s_grid=[1, 2],
-    )
-    assert found is None
+    # no probed grid point satisfies every hypothesis of the main guarantee
+    for c_kappa in (0.5, 1.0, 2.0, 10.0, 100.0):
+        for n in (6, 10, 50, 200, 700, 1000):
+            for p in (11, 100, 1000, 10_000):
+                for s in (1, 2):
+                    cfg = an.derive_constants(n, p, s, 0.5, 0.5, c_kappa, 0.5)
+                    rows = an.constraint_check(n, p, s, cfg)
+                    assert not all(r["satisfied"] for r in rows), (n, p, s, c_kappa)

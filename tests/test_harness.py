@@ -1,3 +1,4 @@
+import json
 import math
 
 import jsonschema
@@ -11,11 +12,17 @@ from orthoselect import harness as hn
 from orthoselect.errors import InvalidInput
 
 
-def test_normal_quantile_against_library():
-    for q in (0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999):
-        assert hn._normal_quantile(q) == pytest.approx(
-            float(scipy.stats.norm.ppf(q)), abs=1e-8
-        )
+def test_wilson_interval_matches_formula_with_library_quantile():
+    for successes, trials in ((1, 10), (8, 10), (37, 200), (999, 1000)):
+        for confidence in (0.8, 0.95, 0.99, 0.999):
+            z = float(scipy.stats.norm.ppf(0.5 + confidence / 2.0))
+            f = successes / trials
+            denom = 1.0 + z * z / trials
+            center = (f + z * z / (2.0 * trials)) / denom
+            half = z * math.sqrt(f * (1.0 - f) / trials + z * z / (4.0 * trials**2)) / denom
+            lo, hi = hn.wilson_interval(successes, trials, confidence)
+            assert lo == pytest.approx(center - half, rel=0, abs=1e-12)
+            assert hi == pytest.approx(center + half, rel=0, abs=1e-12)
 
 
 def test_wilson_interval_reference_value():
@@ -27,6 +34,16 @@ def test_wilson_interval_reference_value():
     assert hn.wilson_interval(50, 50)[1] == 1.0
     with pytest.raises(InvalidInput):
         hn.wilson_interval(5, 0)
+
+
+def test_report_hypotheses_serialise_infinite_bounds_as_null():
+    row = {"constraint": "n <= exp((1-rho)/sqrt(2)*p) / c_kappa", "lhs": 50.0,
+           "rhs": math.inf, "satisfied": True}
+    rep = hn.ExperimentReport(name="ledger", grid={}, master_seed=0, trials=0, cells=[],
+                              hypotheses=[row])
+    out = rep.to_json_dict()
+    assert out["hypotheses"] == [{**row, "rhs": None}]
+    json.dumps(out, allow_nan=False)
 
 
 def test_ks_distance_handmade():
