@@ -403,25 +403,31 @@ def derive_constants(
 P_MINIMUM = math.ceil(math.exp(6.0 / math.sqrt(2.0 * math.pi)))
 
 
+def ledger_row(constraint: str, lhs: float, rhs: float, satisfied: bool) -> dict:
+    """One hypothesis-ledger row, the ``{"constraint", "lhs", "rhs",
+    "satisfied"}`` dict every ledger is made of."""
+    return {"constraint": constraint, "lhs": float(lhs), "rhs": float(rhs), "satisfied": satisfied}
+
+
+def p_minimum_row(p: int) -> dict:
+    """The ledger row of the main guarantee's hypothesis p >= P_MINIMUM."""
+    return ledger_row("p >= ceil(exp(6/sqrt(2*pi)))", p, P_MINIMUM, p >= P_MINIMUM)
+
+
 def constraint_check(n: int, p: int, s: int, cfg: BoundConstants) -> list[dict]:
     """Evaluate every displayed hypothesis of the main guarantee as a ledger.
 
-    Each row is a ``{"constraint", "lhs", "rhs", "satisfied"}`` dict, the one
-    shape of every hypothesis ledger; an unbounded ``rhs`` is ``inf``.
+    Each row is a `ledger_row`; an unbounded ``rhs`` is ``inf``.
     """
     numerator = max(cfg.kappa * s, 2.0 * 36.0 * 3.0 * 3.0, math.exp((1.0 - cfg.rho_minus) / 2.0))
     lower_n = numerator / cfg.c_kappa
     upper1 = (p / math.log(p)) ** 2
     expo = (1.0 - cfg.rho_minus) / math.sqrt(2.0) * p
     upper2 = math.exp(expo) / cfg.c_kappa if expo < 700 else math.inf
-    rows = [
-        ("p >= ceil(exp(6/sqrt(2*pi)))", p, P_MINIMUM, p >= P_MINIMUM),
-        ("n >= 6", n, 6.0, n >= 6),
-        ("n >= max(kappa*s, 2*36*3*3, exp((1-rho)/2)) / c_kappa", n, lower_n, n >= lower_n),
-        ("n <= (p/log(p))^2", n, upper1, n <= upper1),
-        ("n <= exp((1-rho)/sqrt(2)*p) / c_kappa", n, upper2, n <= upper2),
-    ]
     return [
-        {"constraint": name, "lhs": float(lhs), "rhs": float(rhs), "satisfied": ok}
-        for name, lhs, rhs, ok in rows
+        p_minimum_row(p),
+        ledger_row("n >= 6", n, 6.0, n >= 6),
+        ledger_row("n >= max(kappa*s, 2*36*3*3, exp((1-rho)/2)) / c_kappa", n, lower_n, n >= lower_n),
+        ledger_row("n <= (p/log(p))^2", n, upper1, n <= upper1),
+        ledger_row("n <= exp((1-rho)/sqrt(2)*p) / c_kappa", n, upper2, n <= upper2),
     ]

@@ -5,8 +5,14 @@ from the stream (master_seed, i), so a rerun with the same seed reproduces
 the report bit for bit and any trial can be replayed alone.  One skeleton
 carries it: an audit states a per-trial ``draw(gen)``, which `_run_trials`
 runs in index order on those streams, and its claims, each of which
-`_frequency_cell` turns into a report cell.  Empirical frequencies carry
-Wilson intervals at a recorded confidence level, and verdicts are mechanical:
+`_frequency_cell` turns into a report cell.  The order-stat and decoupling
+audits run their trials in two stages: ``draw`` only consumes the trial's
+random numbers, and a ``measure`` turns a bounded block of stacked draws into
+measure columns in one batched pass whose values do not depend on the block
+size.  The decoupling bootstrap draws its resample indices in replicate
+blocks and sums each block through one count matrix.  Empirical frequencies
+carry Wilson intervals at a recorded confidence level, and verdicts are
+mechanical:
 
 * ``supported``   - the interval does not exclude the claim,
 * ``violated``    - the interval excludes the claim on the wrong side,
@@ -31,10 +37,15 @@ from . import analytic
 from .errors import InvalidInput
 from .linalg import coherence, operator_norm, submatrix
 from .selection import SelectionConfig, estimate_gamma, greedy_outer
-from .sphere import RngStream, build_eps_net, sample_sphere_matrix, sample_unit_vector
+from .sphere import (RngStream, build_eps_net, sample_sphere_matrix, sample_unit_vector,
+                     sample_unit_vectors)
 
 DEFAULT_CONFIDENCE = 0.95
 BOOTSTRAP_RESAMPLES = 2000
+# Float64 values per trial block of a two-stage audit (2 MiB), and bootstrap
+# indices per replicate block.
+_BATCH_ELEMENTS = 1 << 18
+_BOOTSTRAP_ELEMENTS = 1 << 19
 # Claimed-bound constants the audits evaluate: the sub-Gaussian tail constant
 # c, and the epsilon and C_kappa at which the theorem audit's ledger is built.
 _C_SUBGAUSS = 0.5
@@ -53,6 +64,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
         raise InvalidInput("trials must be positive")
     if not 0 <= successes <= trials:
         raise InvalidInput("successes must lie in [0, trials]")
+    if not 0.0 < confidence < 1.0:
+        raise InvalidInput("confidence must lie in (0, 1)")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     f = successes / trials
     z2 = z * z
@@ -229,17 +242,40 @@ def mechanical_verdict(
     return "violated" if ref is not None and ref < claim else "supported"
 
 
-def _run_trials(seed: int, trials: int, params: dict, draw: Callable) -> list[TrialRecord]:
+def _run_trials(seed: int, trials: int, params: dict, draw: Callable,
+                measure: Callable | None = None, width: int = 1) -> list[TrialRecord]:
     """Trial i calls draw(gen) on its own stream (seed, i), in index order.
 
-    draw returns the trial's measures, or (measures, claims, satisfied).
+    Without `measure`, draw returns the trial's measures, or (measures,
+    claims, satisfied).  With it, draw returns a tuple of arrays holding only
+    the trial's random numbers; the draws of a block of trials are stacked
+    along a new first axis, and measure(*stacked) returns a dict of measure
+    columns, one entry per trial of the block.  `width` is the number of
+    float64 values the measure holds per trial, so that a block holds about
+    `_BATCH_ELEMENTS` of them.
     """
+    block = max(1, _BATCH_ELEMENTS // width) if measure is not None else 1
     records = []
-    for i in range(trials):
-        out = draw(RngStream(seed, i).generator())
-        measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
-        records.append(TrialRecord(i, i, params, measures, claims, satisfied))
+    for lo in range(0, trials, block):
+        outs = [draw(RngStream(seed, i).generator()) for i in range(lo, min(lo + block, trials))]
+        if measure is not None:
+            columns = measure(*map(np.stack, zip(*outs)))
+            rows = np.column_stack(list(columns.values())).tolist()
+            outs = [dict(zip(columns, row)) for row in rows]
+        for i, out in enumerate(outs, lo):
+            measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
+            records.append(TrialRecord(i, i, params, measures, claims, satisfied))
     return records
+
+
+def _fixed_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., i, k] * b[..., j, k] as (..., i, j), accumulated in the
+    order k = 0, 1, ... so every entry is the same for any batch shape, BLAS
+    build or thread count."""
+    acc = a[..., :, None, 0] * b[..., None, :, 0]
+    for k in range(1, a.shape[-1]):
+        acc += a[..., :, None, k] * b[..., None, :, k]
+    return acc
 
 
 def _column(records: list[TrialRecord], key: str) -> np.ndarray:
@@ -266,15 +302,16 @@ def run_order_stat_audit(n: int, p: int, r: int, trials: int, seed: int) -> Expe
     if trials < 100:
         raise InvalidInput("order-stat audit needs at least 100 trials")
     spec = analytic.OrderStatSpec(p=p, r=r, n=n)
-    v = np.zeros(n)
-    v[0] = 1.0
     grid = {"n": n, "p": p, "r": r}
 
-    def draw(gen: np.random.Generator) -> dict:
-        vals = np.abs(sample_sphere_matrix(n, p, gen).data.T @ v)
-        return {"z_r": float(np.partition(vals, r - 1)[r - 1])}
+    def draw(gen: np.random.Generator) -> tuple[np.ndarray]:
+        return (sample_unit_vectors(n, p, gen),)
 
-    records = _run_trials(seed, trials, grid, draw)
+    def measure(x: np.ndarray) -> dict:
+        # rows of x are the columns X_j; with v = e_1, |<X_j, v>| is |X[0, j]|
+        return {"z_r": np.partition(np.abs(x[:, :, 0]), r - 1, axis=1)[:, r - 1]}
+
+    records = _run_trials(seed, trials, grid, draw, measure, width=n * p)
     ks = ks_distance(_column(records, "z_r"), lambda z: analytic.order_stat_cdf(z, spec))
     crit = ks_critical(trials)
     cell = ReportCell(
@@ -355,10 +392,8 @@ def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: 
     threshold = analytic.norm_threshold_u(n, kappa_s, eps, _C_SUBGAUSS, k_eps, p)
     claimed_prob = 8.0 * p ** float(-n)
     hypotheses = [
-        {"constraint": "p >= ceil(exp(6/sqrt(2*pi)))", "lhs": float(p),
-         "rhs": float(analytic.P_MINIMUM), "satisfied": p >= analytic.P_MINIMUM},
-        {"constraint": "kappa_s <= c_kappa * n", "lhs": float(kappa_s),
-         "rhs": float(c_kappa * n), "satisfied": kappa_s <= c_kappa * n},
+        analytic.p_minimum_row(p),
+        analytic.ledger_row("kappa_s <= c_kappa * n", kappa_s, c_kappa * n, kappa_s <= c_kappa * n),
     ]
     grid = {"n": n, "p": p, "kappa_s": kappa_s, "eps": eps}
 
@@ -401,10 +436,27 @@ def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: 
 # Poissonization / decoupling
 # ---------------------------------------------------------------------------
 
-def _principal_norm(h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    if rows.size == 0 or cols.size == 0:
-        return 0.0
-    return operator_norm(h[np.ix_(rows, cols)])
+def _bootstrap_sums(hits: np.ndarray, seed: int) -> np.ndarray:
+    """Row sums of `hits` (k, trials) over BOOTSTRAP_RESAMPLES resamples of
+    its columns, as (BOOTSTRAP_RESAMPLES, k).
+
+    The resample indices are drawn from stream (seed, _STREAM_BOOTSTRAP) in
+    replicate blocks, which consume it exactly as one (resamples, trials)
+    draw would.  Each block counts its indices into a (replicates, trials)
+    matrix and takes one product with `hits`; with 0/1 hits the sums are
+    integers, so they are exact in any summation order.
+    """
+    trials = hits.shape[1]
+    gen = RngStream(seed, _STREAM_BOOTSTRAP).generator()
+    block = max(1, _BOOTSTRAP_ELEMENTS // trials)
+    sums = np.empty((BOOTSTRAP_RESAMPLES, hits.shape[0]))
+    for lo in range(0, BOOTSTRAP_RESAMPLES, block):
+        count = min(block, BOOTSTRAP_RESAMPLES - lo)
+        idx = gen.integers(0, trials, size=(count, trials), dtype=np.int32)
+        idx += np.arange(0, count * trials, trials, dtype=np.int32)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=count * trials).reshape(count, trials)
+        sums[lo:lo + count] = counts @ hits.T
+    return sums
 
 
 def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[float],
@@ -422,6 +474,8 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
         raise InvalidInput("decoupling audit needs at least 100 trials")
     if not r_grid:
         raise InvalidInput("r_grid must be nonempty")
+    if s < 1:
+        raise InvalidInput("s must be at least 1")
     # kappa >= 1 keeps the Bernoulli rate 1/kappa in (0, 1]
     if not (math.isfinite(kappa) and kappa >= 1.0):
         raise InvalidInput("kappa must be finite and at least 1")
@@ -431,48 +485,69 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
     rate = 1.0 / kappa
     r_values = [float(r) for r in r_grid]
 
-    def draw(gen: np.random.Generator) -> dict:
-        x = sample_sphere_matrix(n, p, gen)
-        v = sample_unit_vector(n, gen)
-        sub = submatrix(x, greedy_outer(x, v, m))
-        h = sub.data.T @ sub.data - np.eye(m)
-        pos = list(range(m))
-        for k in range(s):
-            j = int(gen.integers(k, m))
-            pos[k], pos[j] = pos[j], pos[k]
-        s_idx = np.array(sorted(pos[:s]))
-        t_same = np.flatnonzero(gen.random(m) < rate)
-        t_left = np.flatnonzero(gen.random(m) < rate)
-        t_right = np.flatnonzero(gen.random(m) < rate)
+    def draw(gen: np.random.Generator) -> tuple[np.ndarray, ...]:
+        # the matrix, the direction, the s Fisher-Yates swap targets and the
+        # three Bernoulli uniforms, in the order the trial consumes them
+        return (sample_unit_vectors(n, p, gen), sample_unit_vector(n, gen),
+                gen.integers(np.arange(s), m), gen.random((3, m)))
+
+    def measure(x: np.ndarray, v: np.ndarray, swaps: np.ndarray, u: np.ndarray) -> dict:
+        trial = np.arange(x.shape[0])
+        # greedy_outer's set (the m smallest |<X_j, v>|, ties to the smaller
+        # index), listed by index; the rows of x are the columns X_j
+        values = np.abs(_fixed_dot(x, v[:, None, :])[..., 0])
+        outer = np.sort(values.argsort(axis=1, kind="stable")[:, :m], axis=1)
+        x_outer = x[trial[:, None], outer]
+        h = _fixed_dot(x_outer, x_outer) - np.eye(m)
+
+        def masked(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            return h * (rows[:, :, None] & cols[:, None, :])
+
+        # the s-subset is positions 0..s-1 after the Fisher-Yates swaps
+        pos = np.tile(np.arange(m), (x.shape[0], 1))
+        for k, j in enumerate(swaps.T):
+            pos[trial, k], pos[trial, j] = pos[trial, j], pos[trial, k]
+        subset = np.zeros((x.shape[0], m), dtype=bool)
+        subset[trial[:, None], pos[:, :s]] = True
+        same, left, right = (u < rate).transpose(1, 0, 2)
+        cross_t = masked(left, right).transpose(0, 2, 1)
+        # |D H D| is the largest |eigenvalue| of the masked D H D, and
+        # |D_L H D_R| the root of the largest eigenvalue of its Gram matrix
+        lam = np.linalg.eigvalsh(np.stack(
+            [h, masked(subset, subset), masked(same, same), _fixed_dot(cross_t, cross_t)], axis=1))
+        principal = np.maximum(np.abs(lam[:, :3, 0]), np.abs(lam[:, :3, -1]))
         return {
-            "norm_subset": _principal_norm(h, s_idx, s_idx),
-            "norm_bernoulli": _principal_norm(h, t_same, t_same),
-            "norm_decoupled": _principal_norm(h, t_left, t_right),
-            "norm_h": operator_norm(h),
+            "norm_subset": principal[:, 1],
+            "norm_bernoulli": principal[:, 2],
+            "norm_decoupled": np.sqrt(np.maximum(lam[:, 3, -1], 0.0)),
+            "norm_h": principal[:, 0],
         }
 
-    records = _run_trials(seed, trials, {"n": n, "p": p, "kappa": kappa, "s": s}, draw)
+    records = _run_trials(seed, trials, {"n": n, "p": p, "kappa": kappa, "s": s}, draw, measure,
+                          width=n * p + 4 * m * m)
     a = _column(records, "norm_subset")
     b = _column(records, "norm_bernoulli")
     c = _column(records, "norm_decoupled")
 
-    boot_gen = RngStream(seed, _STREAM_BOOTSTRAP).generator()
-    idx = boot_gen.integers(0, trials, size=(BOOTSTRAP_RESAMPLES, trials)).astype(np.int32)
+    # one 0/1 row per (r, inequality side): |R_s H R_s| >= r, |R H R| >= r,
+    # |R H R'| >= r/2
+    hits = np.array([col >= t for r in r_values for col, t in ((a, r), (b, r), (c, r / 2.0))],
+                    dtype=float)
+    freqs = hits.mean(axis=1).tolist()
+    sums = _bootstrap_sums(hits, seed)
     alpha = 1.0 - DEFAULT_CONFIDENCE
     cells: list[ReportCell] = []
-    for r in r_values:
-        ind_a = (a >= r).astype(float)
-        ind_b = (b >= r).astype(float)
-        ind_c = (c >= r / 2.0).astype(float)
-        f_a, f_b, f_c = float(ind_a.mean()), float(ind_b.mean()), float(ind_c.mean())
+    for i, r in enumerate(r_values):
+        f_a, f_b, f_c = freqs[3 * i:3 * i + 3]
+        sum_a, sum_b, sum_c = sums[:, 3 * i:3 * i + 3].T
         params = {"r": r, "freq_subset": f_a, "freq_bernoulli": f_b, "freq_decoupled": f_c}
-        for label, diff, observed in (
-            (f"P(|R_s H R_s| >= r) <= 2 P(|R H R| >= r), r={r:g}", 2.0 * ind_b - ind_a,
+        for label, boot_sum, observed in (
+            (f"P(|R_s H R_s| >= r) <= 2 P(|R H R| >= r), r={r:g}", 2.0 * sum_b - sum_a,
              2.0 * f_b - f_a),
-            (f"P(|R H R| >= r) <= 36 P(|R H R'| >= r/2), r={r:g}", 36.0 * ind_c - ind_b,
+            (f"P(|R H R| >= r) <= 36 P(|R H R'| >= r/2), r={r:g}", 36.0 * sum_c - sum_b,
              36.0 * f_c - f_b),
         ):
-            boot = diff[idx].mean(axis=1)
+            boot = boot_sum / trials
             lo = float(np.quantile(boot, alpha / 2.0))
             hi = float(np.quantile(boot, 1.0 - alpha / 2.0))
             cells.append(ReportCell(

@@ -2,13 +2,18 @@
 
 These deliberately avoid the code paths they check: power iteration instead
 of eigendecomposition, Gauss-Legendre quadrature instead of the continued
-fraction, direct enumeration instead of the pipeline.
+fraction, direct enumeration instead of the pipeline, one trial at a time
+instead of the batched audit kernels.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from orthoselect.linalg import operator_norm, submatrix
+from orthoselect.selection import greedy_outer
+from orthoselect.sphere import sample_sphere_matrix, sample_unit_vector
 
 
 def power_iteration_norm(a: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
@@ -57,3 +62,35 @@ def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
 def sorted_ks(samples: np.ndarray, cdf) -> float:
     xs = np.sort(np.asarray(samples, dtype=float))
     return ks_statistic(xs, np.array([cdf(float(x)) for x in xs]))
+
+
+def _principal_norm(h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    if rows.size == 0 or cols.size == 0:
+        return 0.0
+    return operator_norm(h[np.ix_(rows, cols)])
+
+
+def decoupling_trial_norms(gen: np.random.Generator, n: int, p: int, kappa: float, s: int) -> dict:
+    """One decoupling-audit trial measured on its own: the outer set from
+    `greedy_outer`, then each restriction's norm by `operator_norm` on the
+    `np.ix_` slice of H = X_outer^T X_outer - I."""
+    m = math.ceil(kappa * s)
+    rate = 1.0 / kappa
+    x = sample_sphere_matrix(n, p, gen)
+    v = sample_unit_vector(n, gen)
+    sub = submatrix(x, greedy_outer(x, v, m))
+    h = sub.data.T @ sub.data - np.eye(m)
+    pos = list(range(m))
+    for k in range(s):
+        j = int(gen.integers(k, m))
+        pos[k], pos[j] = pos[j], pos[k]
+    s_idx = np.array(sorted(pos[:s]))
+    t_same = np.flatnonzero(gen.random(m) < rate)
+    t_left = np.flatnonzero(gen.random(m) < rate)
+    t_right = np.flatnonzero(gen.random(m) < rate)
+    return {
+        "norm_subset": _principal_norm(h, s_idx, s_idx),
+        "norm_bernoulli": _principal_norm(h, t_same, t_same),
+        "norm_decoupled": _principal_norm(h, t_left, t_right),
+        "norm_h": operator_norm(h),
+    }

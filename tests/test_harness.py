@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -10,6 +11,8 @@ from orthoselect import RngStream, sample_unit_vectors
 from orthoselect import analytic as an
 from orthoselect import harness as hn
 from orthoselect.errors import InvalidInput
+
+from oracles import decoupling_trial_norms
 
 
 def test_wilson_interval_matches_formula_with_library_quantile():
@@ -34,6 +37,12 @@ def test_wilson_interval_reference_value():
     assert hn.wilson_interval(50, 50)[1] == 1.0
     with pytest.raises(InvalidInput):
         hn.wilson_interval(5, 0)
+
+
+def test_wilson_interval_rejects_confidence_outside_unit_interval():
+    for confidence in (1.0, -0.5, 0.0):
+        with pytest.raises(InvalidInput):
+            hn.wilson_interval(1, 10, confidence)
 
 
 def test_report_hypotheses_serialise_infinite_bounds_as_null():
@@ -148,6 +157,84 @@ def test_decoupling_audit_moderate_grid():
     rep = hn.run_decoupling_audit(6, 16, 4.0, 2, [0.3, 0.6], 400, seed=32)
     assert all(c.verdict == "supported" for c in rep.cells)
     assert rep.extras["bootstrap_resamples"] == hn.BOOTSTRAP_RESAMPLES
+
+
+# (n, p, kappa, s): for kappa > 1 some Bernoulli sets are empty (at kappa 6,
+# m = 12, about one in nine), which gives 0.0; kappa 1 makes every Bernoulli
+# set full, and with s = p also s == m; at n = 1 every |<X_j, v>| ties, so
+# the outer set is the first m indices
+@pytest.mark.parametrize("n, p, kappa, s", [
+    (5, 12, 6.0, 2), (4, 9, 1.0, 9), (6, 16, 1.0, 3), (3, 10, 2.5, 3), (1, 6, 2.0, 2),
+])
+def test_decoupling_norms_match_the_per_trial_oracle(n, p, kappa, s):
+    rep = hn.run_decoupling_audit(n, p, kappa, s, [0.4], 100, seed=81)
+    zeros = 0
+    for rec in rep.records:
+        want = decoupling_trial_norms(RngStream(81, rec.stream_index).generator(), n, p, kappa, s)
+        assert rec.measures.keys() == want.keys()
+        for key, value in want.items():
+            assert rec.measures[key] == pytest.approx(value, rel=0, abs=1e-12), (rec.trial_index, key)
+            if value == 0.0:
+                assert rec.measures[key] == 0.0
+                zeros += 1
+    assert (zeros > 0) == (kappa > 1.0)
+
+
+def test_decoupling_rejects_an_empty_subset_size():
+    with pytest.raises(InvalidInput):
+        hn.run_decoupling_audit(5, 12, 2.0, 0, [0.4], 100, seed=82)
+
+
+_BLOCK_CASES = {
+    "order-stat": lambda: hn.run_order_stat_audit(3, 12, 3, 130, seed=91),
+    "decoupling": lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=92),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_batched_measures_do_not_depend_on_the_block_size(monkeypatch, name):
+    default = _BLOCK_CASES[name]()
+    for elements in (1, 1500):  # blocks of one trial, and of a few with a short last block
+        monkeypatch.setattr(hn, "_BATCH_ELEMENTS", elements)
+        rep = _BLOCK_CASES[name]()
+        assert rep.records == default.records
+        assert rep.to_json_dict() == default.to_json_dict()
+
+
+@pytest.mark.parametrize("elements", [None, 7 * 150 + 3])
+def test_decoupling_bootstrap_matches_the_gather_reference(monkeypatch, elements):
+    if elements is not None:  # blocks of 7 replicates, the last one shorter
+        monkeypatch.setattr(hn, "_BOOTSTRAP_ELEMENTS", elements)
+    trials, seed, grid = 150, 93, [0.2, 0.5, 0.8]
+    rep = hn.run_decoupling_audit(6, 16, 4.0, 2, grid, trials, seed=seed)
+    a, b, c = (np.array([rec.measures[key] for rec in rep.records])
+               for key in ("norm_subset", "norm_bernoulli", "norm_decoupled"))
+    gen = RngStream(seed, hn._STREAM_BOOTSTRAP).generator()
+    idx = gen.integers(0, trials, size=(hn.BOOTSTRAP_RESAMPLES, trials))
+    alpha = 1.0 - hn.DEFAULT_CONFIDENCE
+    want = []
+    for r in grid:
+        ind_a, ind_b, ind_c = (a >= r).astype(float), (b >= r).astype(float), (c >= r / 2.0).astype(float)
+        for diff in (2.0 * ind_b - ind_a, 36.0 * ind_c - ind_b):
+            boot = diff[idx].mean(axis=1)
+            want.append((float(np.quantile(boot, alpha / 2.0)),
+                         float(np.quantile(boot, 1.0 - alpha / 2.0))))
+    assert [(cell.ci_low, cell.ci_high) for cell in rep.cells] == want
+    assert len(set(want)) > 2  # the intervals are not all alike
+
+
+def test_decoupling_audit_memory_is_bounded():
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    tracemalloc.start()
+    try:
+        rep = hn.run_decoupling_audit(8, 24, 4.0, 3, grid, 5000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (2000, 5000) resample index array and one gather through it would
+    # take 114 MiB at once
+    assert peak < 40 * 2**20
+    assert len(rep.cells) == 18
 
 
 def test_theorem_audit_untestable_with_ledger():
