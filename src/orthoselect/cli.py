@@ -19,7 +19,8 @@ from . import analytic, harness, matrixio
 from .errors import BudgetExceeded, DomainError, FormatError, InvalidInput
 from .harness import ExperimentReport, TrialRecord, _jsonable
 from .selection import SelectionConfig, brute_force_inf, constrained_select, estimate_gamma
-from .sphere import RngStream, build_eps_net, sample_sphere_matrix, sample_unit_vector
+from .sphere import (DEFAULT_NET_DIMENSION_CAP, RngStream, build_eps_net, sample_sphere_matrix,
+                     sample_unit_vector)
 
 _STREAM_DIRECTION = 1 << 32
 _STREAM_NET = harness._STREAM_NET
@@ -50,6 +51,13 @@ def _guard(fn):
             raise click.UsageError(str(exc)) from exc
 
     return wrapper
+
+
+def _check_net_dimension(n: int, source: str) -> None:
+    """Reject, before any net work, a dimension the certificate net refuses."""
+    if n > DEFAULT_NET_DIMENSION_CAP:
+        raise click.UsageError(f"the certificate's eps-net supports n <= "
+                               f"{DEFAULT_NET_DIMENSION_CAP}, but {source} gives n={n}")
 
 
 def _dump_json(obj: dict) -> str:
@@ -272,6 +280,7 @@ def gamma(matrix_path, s, rho, kappa, net_eps, probes, seed, out, fmt, config_pa
     if not 0.0 < net_eps < 1.0:
         raise click.UsageError("--net-eps must lie in (0, 1)")
     matrix, _ = matrixio.load_matrix(matrix_path)
+    _check_net_dimension(matrix.n, f"matrix {matrix_path}")
     cfg = SelectionConfig(s=s, rho_minus=rho, kappa=kappa)
     net = build_eps_net(matrix.n, net_eps, RngStream(seed, _STREAM_NET), stall_budget=2000)
     est = estimate_gamma(matrix, cfg, net, probes, RngStream(seed, 0))
@@ -365,6 +374,12 @@ def constants(n, p, s, rho, epsilon, c_kappa, c_subgauss, out, fmt, config_path)
         _write_text(out, "\n".join(lines) + "\n")
 
 
+def _run_theorem(c: dict) -> ExperimentReport:
+    _check_net_dimension(c["n"], "--n (or config key n)")
+    return harness.run_theorem_audit(c["n"], c["p"], c["s"], c["rho"], c["net_eps"], c["trials"],
+                                     c["seed"], probe_count=c["probes"], kappa=c["kappa"])
+
+
 # name -> (config keys as (key, cast, default), runner over the effective
 # config).  Every experiment also reads seed.  Runners look each audit up on
 # the harness module when they run, so a wrapper installed on it sees the call.
@@ -392,8 +407,7 @@ _EXPERIMENTS = {
     "theorem": (
         (("n", int, 4), ("p", int, 120), ("s", int, 2), ("rho", float, 0.5), ("net_eps", float, 0.5),
          ("probes", int, 50), ("kappa", float, analytic.KAPPA_BRANCH_CONSTANT), ("trials", int, 20)),
-        lambda c: harness.run_theorem_audit(c["n"], c["p"], c["s"], c["rho"], c["net_eps"], c["trials"],
-                                            c["seed"], probe_count=c["probes"], kappa=c["kappa"]),
+        _run_theorem,
     ),
     "chernoff": (
         (("count", int, 1000), ("q_grid", _grid, [0.05, 0.1, 0.3]),

@@ -6,11 +6,20 @@ the outer set until one is well conditioned (smallest singular value at least
 rho_minus).  One batched kernel, `_pipeline`, runs this for many directions at
 once; `attained_values` and `constrained_select` (its count=1 view) read its
 results.  The outer sets come from `_outer_ranked`, which `greedy_outer`
-shares: it works through the directions in row blocks and partitions each row
-to its m smallest values, so memory is bounded by one block plus the (count, m)
-outer sets, never by the full (p, count) value matrix.  Certified estimates of
-the worst-direction selection value are obtained by running the pipeline over
-an eps-net and adding eps, which lifts the net supremum to the whole sphere.
+shares: it works through the directions in row blocks and ranks each row to
+its m smallest values (`_rank_rows`), so memory is bounded by one block plus
+the (count, m) outer sets, never by the full (p, count) value matrix.
+
+The exact oracle, `exact_inf_profile`, takes the min over every feasible
+s-subset of max_{j in S} |<X_j, v>|.  For s = 2 at scale it reads the answer
+from the shortest feasible prefix of each direction's value order and
+gathers over the feasible pairs only for the rare direction that a short
+prefix does not resolve.
+
+`estimate_gamma` runs the pipeline over an eps-net and adds eps.  That lifts
+the net supremum to the whole sphere only if the net covers it to radius
+eps, which the stall-budget construction does not guarantee, so
+`certified_upper` is a heuristic bound, not yet a proof.
 """
 from __future__ import annotations
 
@@ -29,6 +38,10 @@ DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
 # Values per exact-oracle gather block (16 MiB of float64).
 _GATHER_ELEMENTS = 1 << 21
+# s = 2 exact oracle: columns ranked by the shortest-feasible-prefix stage,
+# which runs when a direction has at least this many gathered values (F*s).
+_PREFIX_COLUMNS = 16
+_PREFIX_MIN_VALUES = 1000
 # Values per outer-set ranking block (4 MiB of float64; the last block also
 # takes the remainder, so it holds up to twice that).
 _RANK_ELEMENTS = 1 << 19
@@ -88,10 +101,8 @@ def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.nd
     |<X_j, v>|, in value order with ties to the smaller column index (the
     first m of a stable argsort), as (count, m) indices and their values.
 
-    Directions run in row blocks, so no (p, count) array is ever held.  Each
-    row is partitioned to its m smallest, which are sorted by index and then
-    stably by value; a row with more than m values at or below its m-th value
-    (a tie at the partition boundary) is ranked by a full stable argsort.
+    Directions run in row blocks, so no (p, count) array is ever held; each
+    block is ranked by `_rank_rows`.
     """
     p, count = matrix.p, dirs.shape[0]
     block = max(64, _RANK_ELEMENTS // p // 64 * 64)
@@ -106,20 +117,31 @@ def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.nd
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         # (rows, p), computed in the unblocked product's form
         b = np.abs((matrix.data.T @ dirs[lo:hi].T).T, order="C")
-        rows = np.arange(hi - lo)[:, None]
-        idx = b.argpartition(m - 1, axis=1)[:, :m]
-        idx.sort(axis=1)
-        by_value = b[rows, idx].argsort(axis=1, kind="stable")
-        idx = idx[rows, by_value]
-        vals = b[rows, idx]
-        tied = np.flatnonzero((b <= vals[:, -1:]).sum(axis=1) > m)
-        if tied.size:
-            idx[tied] = b[tied].argsort(axis=1, kind="stable")[:, :m]
-            vals[tied] = b[tied[:, None], idx[tied]]
-        outer[lo:hi] = idx
-        values[lo:hi] = vals
+        outer[lo:hi], values[lo:hi] = _rank_rows(b, m)
         del b  # free this block before the next one is built
     return outer, values
+
+
+def _rank_rows(b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first m of a stable argsort of each row of `b` (rows, p), and
+    their values.
+
+    Each row is partitioned to its m smallest, which are sorted by index and
+    then stably by value; a row with more than m values at or below its m-th
+    value (a tie at the partition boundary) is ranked by a full stable
+    argsort.
+    """
+    rows = np.arange(b.shape[0])[:, None]
+    idx = b.argpartition(m - 1, axis=1)[:, :m]
+    idx.sort(axis=1)
+    by_value = b[rows, idx].argsort(axis=1, kind="stable")
+    idx = idx[rows, by_value]
+    vals = b[rows, idx]
+    tied = np.flatnonzero((b <= vals[:, -1:]).sum(axis=1) > m)
+    if tied.size:
+        idx[tied] = b[tied].argsort(axis=1, kind="stable")[:, :m]
+        vals[tied] = b[tied[:, None], idx[tied]]
+    return idx, vals
 
 
 def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
@@ -233,6 +255,14 @@ def attained_values(
     return _pipeline(matrix, directions, cfg, rng)[-1]
 
 
+def _pair_table(matrix: ColumnMatrix, rho_minus: float) -> np.ndarray:
+    """(p, p) table of the feasible column pairs: 2-column Gram eigenvalues
+    are 1 +- |<X_i, X_j>| in closed form, so a pair is feasible iff
+    |<X_i, X_j>| <= 1 - rho_minus^2."""
+    gram = matrix.data.T @ matrix.data
+    return np.abs(gram) <= 1.0 - rho_minus * rho_minus
+
+
 def feasible_subsets(
     matrix: ColumnMatrix, s: int, rho_minus: float, limit: int = DEFAULT_BRUTE_FORCE_LIMIT
 ) -> list[tuple[int, ...]]:
@@ -246,13 +276,11 @@ def feasible_subsets(
         return []
     if s == 1:
         return [(j,) for j in range(matrix.p)]
-    gram = matrix.data.T @ matrix.data
     if s == 2:
-        # 2-column Gram eigenvalues are 1 +- |<X_i, X_j>| in closed form
-        cutoff = 1.0 - rho_minus * rho_minus
         rows, cols = np.triu_indices(matrix.p, k=1)
-        keep = np.abs(gram[rows, cols]) <= cutoff
-        return [(int(i), int(j)) for i, j in zip(rows[keep], cols[keep])]
+        keep = _pair_table(matrix, rho_minus)[rows, cols]
+        return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    gram = matrix.data.T @ matrix.data
     out: list[tuple[int, ...]] = []
     for subset in combinations(range(matrix.p), s):
         sub = gram[np.ix_(subset, subset)]
@@ -277,6 +305,30 @@ def brute_force_inf(
     return float(exact_inf_profile(matrix, check_unit_vector(v)[None], s, rho_minus, limit)[0])
 
 
+def _prefix_values(
+    b: np.ndarray, table: np.ndarray, k_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The s = 2 exact value of each row of `b` (rows, p) from its shortest
+    feasible prefix, and the rows that no prefix of `k_cols` columns resolves.
+
+    In a row's value order (ties to the smaller index) the exact value is
+    b_(k*), where column k* is the first to close a feasible pair with an
+    earlier column: every feasible pair has its larger value at or after
+    b_(k*).  Unresolved rows are left at +inf.
+    """
+    idx, vals = _rank_rows(b, k_cols)
+    value = np.full(b.shape[0], math.inf)
+    open_rows = np.arange(b.shape[0])
+    for k in range(1, k_cols):
+        closes = table[idx[open_rows, :k], idx[open_rows, k : k + 1]].any(axis=1)
+        hit = open_rows[closes]
+        value[hit] = vals[hit, k]
+        open_rows = open_rows[~closes]
+        if not open_rows.size:
+            break
+    return value, open_rows
+
+
 def exact_inf_profile(
     matrix: ColumnMatrix,
     directions: np.ndarray,
@@ -286,8 +338,15 @@ def exact_inf_profile(
 ) -> np.ndarray:
     """Exact selection value for many directions, sharing one feasibility pass.
 
-    Directions run in blocks sized so each (F, s, block) gather holds about
-    _GATHER_ELEMENTS values, whatever the direction count.
+    The value at v is the min over the F feasible s-subsets of
+    max_{j in S} |<X_j, v>|.  Directions run in blocks sized so each
+    (F, s, block) gather holds about _GATHER_ELEMENTS values, whatever the
+    direction count.  For s = 2 with F*s >= _PREFIX_MIN_VALUES gathered
+    values per direction, each block first reads the shortest feasible prefix
+    of its _PREFIX_COLUMNS smallest values (`_prefix_values`) and gathers only
+    the rows that prefix leaves open; below that size the gather is cheaper
+    than ranking.  Both stages read one |X^T v| product per block, so they
+    return the same values.
     """
     dirs = _directions(matrix, directions)
     feas = feasible_subsets(matrix, s, rho_minus, limit)
@@ -295,13 +354,22 @@ def exact_inf_profile(
     if not feas:
         return np.full(count, math.inf)
     fidx = np.asarray(feas)  # (F, s)
+    prefix = s == 2 and fidx.size >= _PREFIX_MIN_VALUES
+    if prefix:
+        table = _pair_table(matrix, rho_minus)
+        k_cols = min(_PREFIX_COLUMNS, matrix.p)
     chunk = max(1, _GATHER_ELEMENTS // fidx.size)
     out = np.empty(count)
     for start in range(0, count, chunk):
         block = dirs[start : start + chunk]
         b = np.abs(matrix.data.T @ block.T)  # (p, k)
-        vals = b[fidx]  # (F, s, k)
-        out[start : start + chunk] = np.min(np.max(vals, axis=1), axis=0)
+        if prefix:
+            value, rest = _prefix_values(np.ascontiguousarray(b.T), table, k_cols)
+            if rest.size:
+                value[rest] = np.min(np.max(b[:, rest][fidx], axis=1), axis=0)
+        else:
+            value = np.min(np.max(b[fidx], axis=1), axis=0)  # (F, s, k) gather
+        out[start : start + chunk] = value
     return out
 
 
@@ -310,7 +378,8 @@ class GammaEstimate:
     """Two-sided view of the worst-direction selection value.
 
     certified_upper is sup over the net of pipeline values plus the net
-    radius, valid for the whole sphere whenever the net covers it;
+    radius, valid for the whole sphere whenever the net covers it to that
+    radius (a heuristic net is not proven to);
     heuristic_lower is the max over random probe directions of the exact
     per-direction inf (when the enumeration budget allows) or of pipeline
     values otherwise.

@@ -3,6 +3,11 @@
 Randomness is drawn from counter-based Philox streams keyed by a
 (master seed, stream index) pair, so any consumer can be replayed exactly and
 distinct stream indices can be consumed concurrently without coordination.
+
+`build_eps_net` judges uniform candidates in chunks: one product per chunk
+finds the few candidates far from every earlier point, and only those are
+visited one at a time.  The net stops growing after a run of rejections, so
+it is not proven to cover the sphere to radius eps.
 """
 from __future__ import annotations
 
@@ -148,6 +153,11 @@ def build_eps_net(
     result is flagged heuristic except for the exact d = 1 net {-1, +1}.
     Cardinality explodes with d; dimensions above `dimension_cap` are refused
     unless the caller raises the cap.
+
+    Candidates come in chunks of _CANDIDATE_CHUNK.  One product per chunk
+    against the points accepted before it marks the candidates far from all
+    of them; the others are rejections, counted by position, and each far
+    one is then checked against the points accepted earlier in its chunk.
     """
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
@@ -163,34 +173,41 @@ def build_eps_net(
         return EpsNet(1, eps, np.array([[-1.0], [1.0]]), mode="exact")
 
     gen = _as_generator(rng)
-    accepted: list[np.ndarray] = []
-    pts = np.zeros((0, d))
+    # The accepted points are the first `top` rows of a C-contiguous buffer;
+    # the first `size` of them were accepted before the current chunk.
+    buf = np.empty((_CANDIDATE_CHUNK, d))
+    size = top = 0
     rejections = 0
     threshold = eps * eps
     while rejections < stall_budget:
         chunk = sample_unit_vectors(d, _CANDIDATE_CHUNK, gen)
-        if len(accepted):
-            pts = np.asarray(accepted)
-            d2_old = 2.0 - 2.0 * (chunk @ pts.T)
-            far_old = np.min(d2_old, axis=1) > threshold
+        if size:
+            # 2x is exact and 2 - y rounds monotonically, so this is
+            # min(2 - 2 * dots) > threshold, bit for bit
+            far = np.flatnonzero(2.0 - 2.0 * np.max(chunk @ buf[:size].T, axis=1) > threshold)
         else:
-            far_old = np.ones(_CANDIDATE_CHUNK, dtype=bool)
-        fresh: list[np.ndarray] = []
-        for i in range(_CANDIDATE_CHUNK):
+            far = np.arange(_CANDIDATE_CHUNK)
+        # Candidates near the old points are rejections, so only the far
+        # ones are visited; `last` is the chunk position of the last one.
+        last = -1
+        for i in far.tolist():
+            rejections += i - last - 1
             if rejections >= stall_budget:
                 break
+            last = i
             cand = chunk[i]
-            ok = bool(far_old[i])
-            if ok and fresh:
-                d2_new = 2.0 - 2.0 * (np.asarray(fresh) @ cand)
-                ok = bool(np.min(d2_new) > threshold)
-            if ok:
-                fresh.append(cand)
-                rejections = 0
-            else:
+            if top > size and np.min(2.0 - 2.0 * (buf[size:top] @ cand)) <= threshold:
                 rejections += 1
-        accepted.extend(fresh)
-    return EpsNet(d, eps, np.asarray(accepted), mode="heuristic")
+                continue
+            if top == buf.shape[0]:
+                buf = np.concatenate([buf, np.empty_like(buf)])
+            buf[top] = cand
+            top += 1
+            rejections = 0
+        else:
+            rejections += _CANDIDATE_CHUNK - last - 1
+        size = top
+    return EpsNet(d, eps, buf[:size], mode="heuristic")
 
 
 def net_norm_estimate(a: np.ndarray, left_net: EpsNet, right_net: EpsNet) -> float:

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: power iteration instead
 of eigendecomposition, Gauss-Legendre quadrature instead of the continued
 fraction, direct enumeration instead of the pipeline, one trial at a time
-instead of the batched audit kernels.
+instead of the batched audit kernels, a per-candidate loop instead of the
+far-candidate net construction, the full gather instead of the shortest
+feasible prefix.
 """
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ import math
 import numpy as np
 
 from orthoselect.linalg import operator_norm, submatrix
-from orthoselect.selection import greedy_outer
-from orthoselect.sphere import sample_sphere_matrix, sample_unit_vector
+from orthoselect.selection import feasible_subsets, greedy_outer
+from orthoselect.sphere import (_CANDIDATE_CHUNK, sample_sphere_matrix, sample_unit_vector,
+                                sample_unit_vectors)
 
 
 def power_iteration_norm(a: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
@@ -94,3 +97,53 @@ def decoupling_trial_norms(gen: np.random.Generator, n: int, p: int, kappa: floa
         "norm_decoupled": _principal_norm(h, t_left, t_right),
         "norm_h": operator_norm(h),
     }
+
+
+def eps_net_points(d: int, eps: float, gen: np.random.Generator, stall_budget: int) -> np.ndarray:
+    """The eps-net construction judged one candidate at a time: each chunk of
+    candidates is compared with a fresh copy of the accepted points, then
+    every candidate is visited in turn until `stall_budget` consecutive
+    rejections.  `build_eps_net` must return exactly these points (d >= 2)."""
+    accepted: list[np.ndarray] = []
+    rejections = 0
+    threshold = eps * eps
+    while rejections < stall_budget:
+        chunk = sample_unit_vectors(d, _CANDIDATE_CHUNK, gen)
+        if accepted:
+            d2_old = 2.0 - 2.0 * (chunk @ np.asarray(accepted).T)
+            far_old = np.min(d2_old, axis=1) > threshold
+        else:
+            far_old = np.ones(_CANDIDATE_CHUNK, dtype=bool)
+        fresh: list[np.ndarray] = []
+        for i in range(_CANDIDATE_CHUNK):
+            if rejections >= stall_budget:
+                break
+            cand = chunk[i]
+            ok = bool(far_old[i])
+            if ok and fresh:
+                d2_new = 2.0 - 2.0 * (np.asarray(fresh) @ cand)
+                ok = bool(np.min(d2_new) > threshold)
+            if ok:
+                fresh.append(cand)
+                rejections = 0
+            else:
+                rejections += 1
+        accepted.extend(fresh)
+    return np.asarray(accepted)
+
+
+def exact_inf_gather(matrix, directions: np.ndarray, s: int, rho_minus: float) -> np.ndarray:
+    """The exact selection value by the full gather: max |<X_j, v>| over each
+    feasible s-subset, then the min over subsets.  Directions run in blocks of
+    about 2^21 gathered values, the blocks of `exact_inf_profile`, so both
+    read the same |X^T v| products and must agree bit for bit."""
+    fidx = np.asarray(feasible_subsets(matrix, s, rho_minus))
+    count = directions.shape[0]
+    if not fidx.size:
+        return np.full(count, math.inf)
+    chunk = max(1, (1 << 21) // fidx.size)
+    out = np.empty(count)
+    for start in range(0, count, chunk):
+        b = np.abs(matrix.data.T @ directions[start : start + chunk].T)
+        out[start : start + chunk] = np.min(np.max(b[fidx], axis=1), axis=0)
+    return out

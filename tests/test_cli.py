@@ -468,3 +468,24 @@ def test_config_file_parser():
         path.write_text("broken line\n")
         with pytest.raises(FormatError):
             load_config_file(path)
+
+
+def test_net_dimension_limit_is_a_usage_error_naming_its_source(runner, tmp_path):
+    # the certificate net is refused above n = 8; the message names the limit
+    # and the matrix file or flag, not a library parameter
+    matrix_path = write_matrix(tmp_path, n=9, p=20, name="wide.csv")
+    gam = runner.invoke(main, ["gamma", "--matrix", str(matrix_path), "--probes", "10",
+                               "--out", str(tmp_path / "g.json")])
+    assert gam.exit_code == 2, gam.output
+    assert "n <= 8" in gam.output and "wide.csv" in gam.output and "n=9" in gam.output
+    assert "dimension_cap" not in gam.output
+    assert not (tmp_path / "g.json").exists()
+    thm = runner.invoke(main, ["experiment", "theorem", "--n", "9", "--trials", "20",
+                               "--out", str(tmp_path / "t")])
+    assert thm.exit_code == 2, thm.output
+    assert "n <= 8" in thm.output and "--n" in thm.output and "n=9" in thm.output
+    assert "dimension_cap" not in thm.output
+    assert not (tmp_path / "t.report.json").exists()
+    ok = invoke(runner, ["gamma", "--matrix", str(write_matrix(tmp_path, n=8, p=20)),
+                         "--s", "2", "--kappa", "3", "--net-eps", "0.9", "--probes", "5"])
+    assert ok.exit_code == 0

@@ -28,6 +28,8 @@ from orthoselect import (
 )
 from orthoselect import selection
 
+from oracles import exact_inf_gather
+
 
 def sort_oracle(matrix, v, m):
     vals = np.abs(matrix.data.T @ v)
@@ -378,6 +380,94 @@ def test_exact_inf_profile_memory_is_bounded_and_matches_pair_closed_form():
     b = np.abs(dirs @ x.data)
     expected = np.array([np.min(np.maximum(bk[rows], bk[cols])) for bk in b])
     np.testing.assert_allclose(prof, expected, rtol=0, atol=1e-14)
+
+
+@pytest.fixture(params=["prefix", "gather"])
+def oracle_stage(request, monkeypatch):
+    """Force the s = 2 exact oracle onto one stage, whatever the size."""
+    cutoff = 0 if request.param == "prefix" else math.inf
+    monkeypatch.setattr(selection, "_PREFIX_MIN_VALUES", cutoff)
+    return request.param
+
+
+def duplicated_columns():
+    """Exact and antipodal copies of 40 columns beside 100 distinct ones."""
+    y = sample_sphere_matrix(4, 40, RngStream(57, 0)).data
+    z = sample_sphere_matrix(4, 100, RngStream(57, 1)).data
+    return ColumnMatrix(np.hstack([y, y, -y, z]))
+
+
+def test_exact_inf_profile_stages_match_the_gather_reference(oracle_stage):
+    cases = [
+        (sample_sphere_matrix(4, 12, RngStream(64, 0)), 2_000),
+        (sample_sphere_matrix(4, 40, RngStream(64, 1)), 2_000),
+        # p = 200 runs 61-row blocks; this count ends on a partial one
+        (sample_sphere_matrix(4, 200, RngStream(64, 2)), 10_007),
+        (duplicated_columns(), 3_000),
+    ]
+    for x, count in cases:
+        dirs = sample_unit_vectors(4, count, RngStream(65, x.p))
+        for s in (1, 2, 3):
+            if math.comb(x.p, s) > selection.DEFAULT_BRUTE_FORCE_LIMIT:
+                continue
+            got = exact_inf_profile(x, dirs, s, 0.5)
+            assert np.array_equal(got, exact_inf_gather(x, dirs, s, 0.5))
+            assert np.all(np.isfinite(got))
+        for count in (0, 1):
+            got = exact_inf_profile(x, dirs[:count], 2, 0.5)
+            assert got.shape == (count,)
+            assert np.array_equal(got, exact_inf_gather(x, dirs[:count], 2, 0.5))
+
+
+def test_exact_inf_profile_prefix_falls_back_to_the_gather(monkeypatch):
+    monkeypatch.setattr(selection, "_PREFIX_MIN_VALUES", 0)
+    x = duplicated_columns()
+    dirs = sample_unit_vectors(4, 3_000, RngStream(66, 0))
+    expected = exact_inf_gather(x, dirs, 2, 0.5)
+    table = selection._pair_table(x, 0.5)
+    b = np.abs(dirs @ x.data)
+    for k_cols in (2, 3, 5):
+        monkeypatch.setattr(selection, "_PREFIX_COLUMNS", k_cols)
+        _, rest = selection._prefix_values(b, table, k_cols)
+        assert 0 < rest.size < len(dirs)
+        assert np.array_equal(exact_inf_profile(x, dirs, 2, 0.5), expected)
+
+
+def test_exact_inf_profile_ties_and_axis_directions(oracle_stage):
+    # eye(8): every pair is feasible and an axis direction ties seven zeros
+    eye = ColumnMatrix(np.eye(8))
+    dirs = np.vstack([np.eye(8), -np.eye(8), np.full((1, 8), 1.0 / math.sqrt(8.0))])
+    got = exact_inf_profile(eye, dirs, 2, 0.5)
+    assert np.array_equal(got, exact_inf_gather(eye, dirs, 2, 0.5))
+    assert np.array_equal(got[:16], np.zeros(16))
+    assert got[16] == 1.0 / math.sqrt(8.0)
+
+
+def test_exact_inf_profile_infeasible_families_are_infinite(oracle_stage):
+    col = sample_unit_vector(4, RngStream(67, 0))
+    copies = ColumnMatrix(np.column_stack([col, -col] * 20))
+    dirs = sample_unit_vectors(4, 50, RngStream(67, 1))
+    assert np.all(exact_inf_profile(copies, dirs, 2, 0.5) == math.inf)
+    # s > n: no s columns of R^1 are independent
+    line = ColumnMatrix(np.ones((1, 30)))
+    assert np.all(exact_inf_profile(line, np.ones((3, 1)), 2, 0.5) == math.inf)
+
+
+def test_exact_inf_profile_memory_at_scale():
+    # p = 200, 1e5 directions: the full gather's 16 MiB blocks peak above
+    # 30 MiB; the prefix stage holds one 61-row block and the output
+    x = sample_sphere_matrix(4, 200, RngStream(63, 0))
+    dirs = sample_unit_vectors(4, 100_000, RngStream(64, 0))
+    tracemalloc.start()
+    try:
+        vals = exact_inf_profile(x, dirs, 2, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    # the first 20 blocks, which the reference runs as the same products
+    head = 20 * ((1 << 21) // (2 * len(feasible_subsets(x, 2, 0.5))))
+    assert np.array_equal(vals[:head], exact_inf_gather(x, dirs[:head], 2, 0.5))
 
 
 def test_estimate_gamma_orthonormal_square_case():

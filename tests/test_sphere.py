@@ -16,7 +16,7 @@ from orthoselect import (
     sample_unit_vectors,
 )
 
-from oracles import sorted_ks
+from oracles import eps_net_points, sorted_ks
 
 
 def test_rng_stream_reproducible_and_independent():
@@ -94,6 +94,28 @@ def test_net_separation_and_coverage_probe():
         assert net.separation_ok()
         probes = sample_unit_vectors(d, 10_000, RngStream(43, d))
         assert net.covering_radius_of(probes) <= eps
+
+
+@pytest.mark.parametrize("d, eps_grid", [
+    (2, (0.1, 0.5, 1.2)), (3, (0.3, 0.8)), (4, (0.5, 1.0)), (5, (0.8, 1.3)), (6, (1.0, 1.5)),
+])
+def test_net_points_match_the_per_candidate_reference(d, eps_grid):
+    # stall budgets below, at and above the 512-candidate chunk, so runs
+    # stop at the start, in the middle and at the end of a chunk
+    for eps in eps_grid:
+        for k, stall in enumerate((1, 2, 511, 512, 513, 1024, 10_000)):
+            stream = RngStream(71, 100 * d + k)
+            net = build_eps_net(d, eps, stream, stall_budget=stall)
+            expected = eps_net_points(d, eps, stream.generator(), stall)
+            assert net.points.shape == expected.shape
+            assert np.array_equal(net.points, expected)
+
+
+def test_acceptance_net_matches_the_per_candidate_reference():
+    net = build_eps_net(4, 0.25, RngStream(1000, 0), stall_budget=10_000)
+    expected = eps_net_points(4, 0.25, RngStream(1000, 0).generator(), 10_000)
+    assert len(net) == 798
+    assert np.array_equal(net.points, expected)
 
 
 def test_net_rejects_large_dimension_unless_cap_raised():
