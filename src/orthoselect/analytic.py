@@ -414,11 +414,13 @@ def p_minimum_row(p: int) -> dict:
     return ledger_row("p >= ceil(exp(6/sqrt(2*pi)))", p, P_MINIMUM, p >= P_MINIMUM)
 
 
-def constraint_check(n: int, p: int, s: int, cfg: BoundConstants) -> list[dict]:
-    """Evaluate every displayed hypothesis of the main guarantee as a ledger.
+def constraint_check(cfg: BoundConstants) -> list[dict]:
+    """Evaluate every displayed hypothesis of the main guarantee as a ledger,
+    at the (n, p, s) context `cfg` was derived for.
 
     Each row is a `ledger_row`; an unbounded ``rhs`` is ``inf``.
     """
+    n, p, s = cfg.n, cfg.p, cfg.s
     numerator = max(cfg.kappa * s, 2.0 * 36.0 * 3.0 * 3.0, math.exp((1.0 - cfg.rho_minus) / 2.0))
     lower_n = numerator / cfg.c_kappa
     upper1 = (p / math.log(p)) ** 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -18,12 +19,12 @@ import numpy as np
 from . import analytic, harness, matrixio
 from .errors import BudgetExceeded, DomainError, FormatError, InvalidInput
 from .harness import ExperimentReport, TrialRecord, _jsonable
-from .selection import SelectionConfig, brute_force_inf, constrained_select, estimate_gamma
-from .sphere import (DEFAULT_NET_DIMENSION_CAP, RngStream, build_eps_net, sample_sphere_matrix,
+from .selection import (DEFAULT_MAX_ATTEMPTS, SelectionConfig, brute_force_inf,
+                        constrained_select, estimate_gamma)
+from .sphere import (NET_DIMENSION_CAP, RngStream, build_eps_net, sample_sphere_matrix,
                      sample_unit_vector)
 
 _STREAM_DIRECTION = 1 << 32
-_STREAM_NET = harness._STREAM_NET
 
 
 class _ExitError(click.ClickException):
@@ -55,9 +56,9 @@ def _guard(fn):
 
 def _check_net_dimension(n: int, source: str) -> None:
     """Reject, before any net work, a dimension the certificate net refuses."""
-    if n > DEFAULT_NET_DIMENSION_CAP:
+    if n > NET_DIMENSION_CAP:
         raise click.UsageError(f"the certificate's eps-net supports n <= "
-                               f"{DEFAULT_NET_DIMENSION_CAP}, but {source} gives n={n}")
+                               f"{NET_DIMENSION_CAP}, but {source} gives n={n}")
 
 
 def _dump_json(obj: dict) -> str:
@@ -71,23 +72,77 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load_config(config: str | None) -> dict[str, str]:
-    return matrixio.load_config_file(config) if config else {}
+def _emit(out: str | None, fmt: str, payload: dict, text: list[str]) -> None:
+    """Write `payload` as sorted JSON or key,value CSV, or `text` as lines."""
+    if fmt == "text":
+        _write_text(out, "\n".join(text) + "\n")
+    elif fmt == "csv":
+        _write_text(out, _kv_csv(payload))
+    else:
+        _write_text(out, _dump_json(payload))
 
 
-def _effective(flag_value, cfg: dict[str, str], key: str, cast, default):
-    """CLI flag wins, then the config file, then the built-in default.
+# The help of every setting key, whichever commands read it; `experiment`
+# lists its flags in this order.
+_HELP = {
+    "n": "Row count (ambient dimension).",
+    "p": "Column count.",
+    "r": "Order-statistic index.",
+    "s": "Target subset cardinality.",
+    "rho": "Smallest-singular-value floor.",
+    "kappa": "Outer-set inflation factor.",
+    "kappa_s": "Outer-set size.",
+    "max_attempts": "Extraction retry budget.",
+    "epsilon": "Concentration epsilon of the constants.",
+    "c_kappa": "The constant C_kappa.",
+    "c": "Sub-Gaussian tail constant.",
+    "net_eps": "Net radius for the certificate.",
+    "probes": "Random probe directions for the lower estimate.",
+    "count": "Binomial sample size.",
+    "q_grid": "Success probabilities, comma-separated.",
+    "eps_grid": "Deviation fractions, comma-separated.",
+    "r_grid": "Threshold grid, comma-separated.",
+    "trials": "Trial count.",
+    "seed": "Master seed.",
+}
+
+
+def _flags(rows, read_by: dict | None = None):
+    """Declare `--key` for each (key, cast, default) row, then --config.
+
+    The help is the key's `_HELP`, followed by the names in read_by[key]
+    when given.  The options default to None, so `_settings` can tell a given
+    flag from an omitted one; a cast other than int or float takes text.
+    """
+
+    def decorate(fn):
+        fn = click.option("--config", "config_path", default=None,
+                          type=click.Path(exists=True, dir_okay=False))(fn)
+        for key, cast, _ in reversed(rows):
+            readers = f" Read by {', '.join(read_by[key])}." if read_by else ""
+            fn = click.option(f"--{key.replace('_', '-')}", key, default=None,
+                              help=_HELP[key] + readers,
+                              type=cast if cast in (int, float) else str)(fn)
+        return fn
+
+    return decorate
+
+
+def _settings(rows, flags: dict, config_path: str | None) -> dict:
+    """Each row's value: its flag wins, then the config file, then the default.
 
     Flag values pass through cast too, so a text flag parses like its config
     value.
     """
-    if flag_value is None and key not in cfg:
-        return default
-    raw = cfg[key] if flag_value is None else flag_value
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise click.UsageError(f"{key}: cannot parse {raw!r}") from exc
+    cfg = matrixio.load_config_file(config_path) if config_path else {}
+    settings = {}
+    for key, cast, default in rows:
+        raw = cfg.get(key) if flags[key] is None else flags[key]
+        try:
+            settings[key] = default if raw is None else cast(raw)
+        except ValueError as exc:
+            raise click.UsageError(f"{key}: cannot parse {raw!r}") from exc
+    return settings
 
 
 def _grid(text: str) -> list[float]:
@@ -132,32 +187,25 @@ def _csv_cell_text(value) -> str:
 
 
 def records_to_csv(records: list[TrialRecord], metadata: dict) -> str:
-    """TrialRecord table: one provenance comment line, then flat columns."""
-    param_keys = sorted({k for r in records for k in r.params})
-    measure_keys = sorted({k for r in records for k in r.measures})
-    claim_keys = sorted({k for r in records for k in r.claims})
-    flag_keys = sorted({k for r in records for k in r.satisfied})
+    """TrialRecord table: one provenance comment line, then flat columns.
+
+    Trial i draws from stream (seed, i), so its stream_index column is i.
+    """
+    groups = [(prefix, name, sorted({k for r in records for k in getattr(r, name)}))
+              for prefix, name in (("param", "params"), ("measure", "measures"),
+                                   ("claim", "claims"), ("satisfied", "satisfied"))]
     header = ["trial_index", "stream_index"]
-    header += [f"param.{k}" for k in param_keys]
-    header += [f"measure.{k}" for k in measure_keys]
-    header += [f"claim.{k}" for k in claim_keys]
-    header += [f"satisfied.{k}" for k in flag_keys]
-    lines = ["# " + " ".join(f"{k}={metadata[k]}" for k in sorted(metadata))]
-    lines.append(",".join(header))
+    header += [f"{prefix}.{k}" for prefix, _, keys in groups for k in keys]
+    lines = ["# " + " ".join(f"{k}={metadata[k]}" for k in sorted(metadata)), ",".join(header)]
     for rec in records:
-        row = [str(rec.trial_index), str(rec.stream_index)]
-        row += [_csv_cell(rec.params.get(k)) for k in param_keys]
-        row += [_csv_cell(rec.measures.get(k)) for k in measure_keys]
-        row += [_csv_cell(rec.claims.get(k)) for k in claim_keys]
-        row += [_csv_cell(rec.satisfied.get(k)) for k in flag_keys]
+        row = [str(rec.trial_index)] * 2
+        row += [_csv_cell(getattr(rec, name).get(k)) for _, name, keys in groups for k in keys]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(report: ExperimentReport, config: dict) -> str:
-    payload = report.to_json_dict()
-    payload["config"] = config
-    return _dump_json(payload)
+    return _dump_json({**report.to_json_dict(), "config": config})
 
 
 @click.group()
@@ -165,49 +213,47 @@ def main():
     """Almost-orthogonal column selection and bound-audit experiments."""
 
 
+_OUT = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                    help="Output path (stdout if omitted).")
+_MATRIX = click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False),
+                       required=True)
+# Each command's settings as (key, cast, default) rows.
+_SEED = ("seed", int, 0)
+_SELECTION = (("s", int, 2), ("rho", float, 0.5), ("kappa", float, analytic.KAPPA_BRANCH_CONSTANT))
+_GEN = (("n", int, None), ("p", int, None), _SEED)
+_SELECT = (*_SELECTION, ("max_attempts", int, DEFAULT_MAX_ATTEMPTS), _SEED)
+_GAMMA = (*_SELECTION, ("net_eps", float, 0.25), ("probes", int, 200), _SEED)
+_CONSTANTS = (("n", int, 100), ("p", int, 1000), ("s", int, 1), ("rho", float, 0.5),
+              ("epsilon", float, 0.5), ("c_kappa", float, 1.0), ("c", float, 0.5))
+
+
 @main.command()
-@click.option("--n", type=int, default=None, help="Row count (ambient dimension).")
-@click.option("--p", type=int, default=None, help="Column count.")
-@click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output CSV path (stdout if omitted).")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@_flags(_GEN)
+@_OUT
 @_guard
-def gen(n, p, seed, out, config_path):
+def gen(out, config_path, **flags):
     """Generate a matrix with i.i.d. uniform unit-sphere columns."""
-    cfg = _load_config(config_path)
-    n = _effective(n, cfg, "n", int, None)
-    p = _effective(p, cfg, "p", int, None)
-    seed = _effective(seed, cfg, "seed", int, 0)
-    if n is None or p is None:
+    c = _settings(_GEN, flags, config_path)
+    if c["n"] is None or c["p"] is None:
         raise click.UsageError("--n and --p are required")
-    if n < 1 or p < 1:
+    if c["n"] < 1 or c["p"] < 1:
         raise click.UsageError("--n and --p must be positive")
-    matrix = sample_sphere_matrix(n, p, RngStream(seed, 0))
-    _write_text(out, matrixio.matrix_to_csv(matrix, {"n": n, "p": p, "seed": seed}))
+    matrix = sample_sphere_matrix(c["n"], c["p"], RngStream(c["seed"], 0))
+    _write_text(out, matrixio.matrix_to_csv(matrix, c))
 
 
 @main.command()
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@_MATRIX
 @click.option("--v-file", type=click.Path(exists=True, dir_okay=False), default=None, help="Direction vector file.")
 @click.option("--v-random", is_flag=True, help="Draw the direction uniformly from the sphere.")
-@click.option("--s", type=int, default=None, help="Target subset cardinality.")
-@click.option("--rho", type=float, default=None, help="Smallest-singular-value floor.")
-@click.option("--kappa", type=float, default=None, help="Outer-set inflation factor.")
-@click.option("--max-attempts", type=int, default=None, help="Extraction retry budget.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_flags(_SELECT)
+@_OUT
 @click.option("--oracle", is_flag=True, help="Also compute the exact brute-force value (small instances).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_guard
-def select(matrix_path, v_file, v_random, s, rho, kappa, max_attempts, seed, out, oracle, fmt, config_path):
+def select(matrix_path, v_file, v_random, out, oracle, fmt, config_path, **flags):
     """Run the selection pipeline for one direction."""
-    cfgf = _load_config(config_path)
-    s = _effective(s, cfgf, "s", int, 2)
-    rho = _effective(rho, cfgf, "rho", float, 0.5)
-    kappa = _effective(kappa, cfgf, "kappa", float, analytic.KAPPA_BRANCH_CONSTANT)
-    max_attempts = _effective(max_attempts, cfgf, "max_attempts", int, 1000)
-    seed = _effective(seed, cfgf, "seed", int, 0)
+    c = _settings(_SELECT, flags, config_path)
     matrix, _ = matrixio.load_matrix(matrix_path)
     if v_file is None and not v_random:
         raise click.UsageError("provide --v-file or --v-random")
@@ -222,15 +268,12 @@ def select(matrix_path, v_file, v_random, s, rho, kappa, max_attempts, seed, out
         if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
             raise FormatError("direction vector must have unit norm (within 1e-9)")
     else:
-        v = sample_unit_vector(matrix.n, RngStream(seed, _STREAM_DIRECTION))
-    cfg = SelectionConfig(s=s, rho_minus=rho, kappa=kappa, max_attempts=max_attempts)
-    outcome = constrained_select(matrix, v, cfg, RngStream(seed, 0))
-    effective = {
-        "s": s, "rho": rho, "kappa": kappa, "max_attempts": max_attempts,
-        "seed": seed, "matrix": str(matrix_path), "v_random": bool(v_random),
-    }
+        v = sample_unit_vector(matrix.n, RngStream(c["seed"], _STREAM_DIRECTION))
+    cfg = SelectionConfig(s=c["s"], rho_minus=c["rho"], kappa=c["kappa"],
+                          max_attempts=c["max_attempts"])
+    outcome = constrained_select(matrix, v, cfg, RngStream(c["seed"], 0))
     payload = {
-        "config": effective,
+        "config": {**c, "matrix": str(matrix_path), "v_random": bool(v_random)},
         "outer": list(outcome.outer_set.indices),
         "inner": list(outcome.inner_set.indices) if outcome.inner_set else None,
         "sigma_min": outcome.sigma_min_achieved,
@@ -238,52 +281,31 @@ def select(matrix_path, v_file, v_random, s, rho, kappa, max_attempts, seed, out
         "attempts": outcome.attempts_used,
     }
     if oracle:
-        exact = brute_force_inf(matrix, v, s, rho)
+        exact = brute_force_inf(matrix, v, c["s"], c["rho"])
         payload["oracle_inf"] = exact
-        if math.isfinite(exact) and math.isfinite(outcome.attained_value):
-            if exact > outcome.attained_value + 1e-12:
-                raise RuntimeError("oracle exceeded the pipeline value; internal error")
-    if fmt == "text":
-        lines = [f"outer: {payload['outer']}", f"inner: {payload['inner']}",
-                 f"sigma_min: {payload['sigma_min']}", f"attained: {payload['attained']}",
-                 f"attempts: {payload['attempts']}"]
-        if oracle:
-            lines.append(f"oracle_inf: {payload['oracle_inf']}")
-        _write_text(out, "\n".join(lines) + "\n")
-    elif fmt == "csv":
-        _write_text(out, _kv_csv(payload))
-    else:
-        _write_text(out, _dump_json(payload))
+        if math.isfinite(exact) and exact > outcome.attained_value + 1e-12:
+            raise RuntimeError("oracle exceeded the pipeline value; internal error")
+    shown = ["outer", "inner", "sigma_min", "attained", "attempts"] + ["oracle_inf"] * oracle
+    _emit(out, fmt, payload, [f"{key}: {payload[key]}" for key in shown])
 
 
 @main.command()
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--s", type=int, default=None)
-@click.option("--rho", type=float, default=None)
-@click.option("--kappa", type=float, default=None)
-@click.option("--net-eps", type=float, default=None, help="Net radius for the certificate.")
-@click.option("--probes", type=int, default=None, help="Random probe directions for the lower estimate.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_MATRIX
+@_flags(_GAMMA)
+@_OUT
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_guard
-def gamma(matrix_path, s, rho, kappa, net_eps, probes, seed, out, fmt, config_path):
+def gamma(matrix_path, out, fmt, config_path, **flags):
     """Certified upper / heuristic lower estimates of the selection value."""
-    cfgf = _load_config(config_path)
-    s = _effective(s, cfgf, "s", int, 2)
-    rho = _effective(rho, cfgf, "rho", float, 0.5)
-    kappa = _effective(kappa, cfgf, "kappa", float, analytic.KAPPA_BRANCH_CONSTANT)
-    net_eps = _effective(net_eps, cfgf, "net_eps", float, 0.25)
-    probes = _effective(probes, cfgf, "probes", int, 200)
-    seed = _effective(seed, cfgf, "seed", int, 0)
-    if not 0.0 < net_eps < 1.0:
+    c = _settings(_GAMMA, flags, config_path)
+    if not 0.0 < c["net_eps"] < 1.0:
         raise click.UsageError("--net-eps must lie in (0, 1)")
     matrix, _ = matrixio.load_matrix(matrix_path)
     _check_net_dimension(matrix.n, f"matrix {matrix_path}")
-    cfg = SelectionConfig(s=s, rho_minus=rho, kappa=kappa)
-    net = build_eps_net(matrix.n, net_eps, RngStream(seed, _STREAM_NET), stall_budget=2000)
-    est = estimate_gamma(matrix, cfg, net, probes, RngStream(seed, 0))
+    cfg = SelectionConfig(s=c["s"], rho_minus=c["rho"], kappa=c["kappa"])
+    net = build_eps_net(matrix.n, c["net_eps"], RngStream(c["seed"], harness._STREAM_NET),
+                        stall_budget=2000)
+    est = estimate_gamma(matrix, cfg, net, c["probes"], RngStream(c["seed"], 0))
     if (
         est.oracle_exact
         and math.isfinite(est.certified_upper)
@@ -292,8 +314,7 @@ def gamma(matrix_path, s, rho, kappa, net_eps, probes, seed, out, fmt, config_pa
     ):
         raise RuntimeError("lower estimate exceeded the certificate; internal error")
     payload = {
-        "config": {"s": s, "rho": rho, "kappa": kappa, "net_eps": net_eps,
-                   "probes": probes, "seed": seed, "matrix": str(matrix_path)},
+        "config": {**c, "matrix": str(matrix_path)},
         "certified_upper": est.certified_upper,
         "heuristic_lower": est.heuristic_lower,
         "feasibility_rate": est.feasibility_rate,
@@ -301,63 +322,27 @@ def gamma(matrix_path, s, rho, kappa, net_eps, probes, seed, out, fmt, config_pa
         "oracle_exact": est.oracle_exact,
         "net": est.net,
     }
-    if fmt == "text":
-        text = (
-            f"certified_upper: {est.certified_upper}\n"
-            f"heuristic_lower: {est.heuristic_lower}\n"
-            f"feasibility_rate: {est.feasibility_rate}\n"
-            f"net size: {est.net['size']}\n"
-        )
-        _write_text(out, text)
-    elif fmt == "csv":
-        _write_text(out, _kv_csv(payload))
-    else:
-        _write_text(out, _dump_json(payload))
+    shown = ("certified_upper", "heuristic_lower", "feasibility_rate")
+    _emit(out, fmt, payload,
+          [f"{key}: {payload[key]}" for key in shown] + [f"net size: {est.net['size']}"])
     if est.feasibility_rate == 0.0:
         raise _ExitError("degenerate instance: no direction had a feasible subset", 4)
 
 
 @main.command()
-@click.option("--n", type=int, default=None)
-@click.option("--p", type=int, default=None)
-@click.option("--s", type=int, default=None)
-@click.option("--rho", type=float, default=None)
-@click.option("--epsilon", type=float, default=None, help="Concentration epsilon of the constants.")
-@click.option("--c-kappa", type=float, default=None)
-@click.option("--c", "c_subgauss", type=float, default=None, help="Sub-Gaussian tail constant.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_flags(_CONSTANTS)
+@_OUT
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_guard
-def constants(n, p, s, rho, epsilon, c_kappa, c_subgauss, out, fmt, config_path):
+def constants(out, fmt, config_path, **flags):
     """Evaluate every derived constant and the hypothesis ledger."""
-    cfgf = _load_config(config_path)
-    n = _effective(n, cfgf, "n", int, 100)
-    p = _effective(p, cfgf, "p", int, 1000)
-    s = _effective(s, cfgf, "s", int, 1)
-    rho = _effective(rho, cfgf, "rho", float, 0.5)
-    epsilon = _effective(epsilon, cfgf, "epsilon", float, 0.5)
-    c_kappa = _effective(c_kappa, cfgf, "c_kappa", float, 1.0)
-    c_subgauss = _effective(c_subgauss, cfgf, "c", float, 0.5)
-    consts = analytic.derive_constants(n, p, s, rho, epsilon, c_kappa, c_subgauss)
-    ledger = analytic.constraint_check(n, p, s, consts)
-    values = {
-        "n": n, "p": p, "s": s, "rho": rho, "epsilon": epsilon,
-        "c_kappa": c_kappa, "c": c_subgauss,
-        "k_epsilon": consts.k_epsilon,
-        "kappa": consts.kappa,
-        "kappa_branch1": consts.kappa_branch1,
-        "kappa_branch2": consts.kappa_branch2,
-        "c_s": consts.c_s,
-        "c_v": consts.c_v,
-        "s_max": consts.s_max,
-        "gamma_bound": consts.gamma_bound,
-        "u_norm": consts.u_norm,
-        "v_split": consts.v_split,
-        "r_prime": consts.r_prime,
-        "h_cap": consts.h_cap,
-        "z0": consts.z0,
-    }
+    c = _settings(_CONSTANTS, flags, config_path)
+    consts = analytic.derive_constants(c["n"], c["p"], c["s"], c["rho"], c["epsilon"],
+                                       c["c_kappa"], c["c"])
+    ledger = analytic.constraint_check(consts)
+    derived = ("k_epsilon", "kappa", "kappa_branch1", "kappa_branch2", "c_s", "c_v", "s_max",
+               "gamma_bound", "u_norm", "v_split", "r_prime", "h_cap", "z0")
+    values = {**c, **{key: getattr(consts, key) for key in derived}}
     if fmt == "json":
         _write_text(out, _dump_json({"constants": values, "constraints": ledger}))
     elif fmt == "csv":
@@ -380,9 +365,9 @@ def _run_theorem(c: dict) -> ExperimentReport:
                                      c["seed"], probe_count=c["probes"], kappa=c["kappa"])
 
 
-# name -> (config keys as (key, cast, default), runner over the effective
-# config).  Every experiment also reads seed.  Runners look each audit up on
-# the harness module when they run, so a wrapper installed on it sees the call.
+# name -> ((key, cast, default) rows, runner over the effective config).
+# Every experiment also reads seed.  Runners look each audit up on the harness
+# module when they run, so a wrapper installed on it sees the call.
 _EXPERIMENTS = {
     "order-stat": (
         (("n", int, 3), ("p", int, 20), ("r", int, 5), ("trials", int, 10000)),
@@ -418,56 +403,44 @@ _EXPERIMENTS = {
 }
 
 
+def _experiment_flags() -> tuple[tuple, dict]:
+    """One row per key any audit reads, in `_HELP` order, and the audits that
+    read each key."""
+    rows, read_by = {}, {}
+    for name, (keys, _) in _EXPERIMENTS.items():
+        for row in keys + (_SEED,):
+            rows.setdefault(row[0], row)
+            read_by.setdefault(row[0], []).append(name)
+    return tuple(rows[key] for key in _HELP if key in rows), read_by
+
+
 @main.command()
 @click.argument("name", type=click.Choice(list(_EXPERIMENTS)))
-@click.option("--n", type=int, default=None)
-@click.option("--p", type=int, default=None)
-@click.option("--r", type=int, default=None, help="Order-statistic index (order-stat).")
-@click.option("--s", type=int, default=None)
-@click.option("--rho", type=float, default=None)
-@click.option("--kappa", type=float, default=None, help="Inflation factor (decoupling, theorem).")
-@click.option("--kappa-s", type=int, default=None, help="Outer-set size (norm).")
-@click.option("--epsilon", type=float, default=None)
-@click.option("--c-kappa", type=float, default=None)
-@click.option("--net-eps", type=float, default=None)
-@click.option("--probes", type=int, default=None)
-@click.option("--count", type=int, default=None, help="Binomial sample size (chernoff).")
-@click.option("--q-grid", type=str, default=None, help="Success probabilities, comma-separated (chernoff).")
-@click.option("--eps-grid", type=str, default=None, help="Deviation fractions, comma-separated (chernoff).")
-@click.option("--r-grid", type=str, default=None, help="Threshold grid, comma-separated (decoupling).")
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@_flags(*_experiment_flags())
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Base path; writes <out>.report.json and <out>.trials.csv "
                    "(default: experiment-<name> in the working directory).")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_guard
 def experiment(name, out, config_path, **flags):
     """Run one named audit and write its report JSON and trial CSV."""
-    keys, run = _EXPERIMENTS[name]
-    keys += (("seed", int, 0),)
-    read = {key for key, _, _ in keys}
+    rows, run = _EXPERIMENTS[name]
+    rows += (_SEED,)
+    read = {row[0] for row in rows}
     unread = [f"--{k.replace('_', '-')}" for k, v in flags.items() if v is not None and k not in read]
     if unread:
         raise click.UsageError(f"experiment {name} does not read {', '.join(unread)}")
-    cfgf = _load_config(config_path)
-    settings = {key: _effective(flags[key], cfgf, key, cast, default) for key, cast, default in keys}
+    settings = _settings(rows, flags, config_path)
     report = run(settings)
-    config = {"name": name}
-    for key, value in settings.items():
-        # repr round-trips, so replaying the echoed config runs the same grid
-        config[key] = ",".join(map(repr, value)) if isinstance(value, list) else value
-    if out is None:
-        out = f"experiment-{name}"
-    base = Path(out)
+    # repr round-trips, so replaying the echoed config runs the same grid
+    config = {"name": name, **{key: ",".join(map(repr, value)) if isinstance(value, list) else value
+                               for key, value in settings.items()}}
+    base = Path(f"experiment-{name}" if out is None else out)
     base.parent.mkdir(parents=True, exist_ok=True)
     report_path = base.with_name(base.name + ".report.json")
     trials_path = base.with_name(base.name + ".trials.csv")
     report_path.write_text(report_to_json(report, config), encoding="utf-8")
     trials_path.write_text(records_to_csv(report.records, config), encoding="utf-8")
-    counts = {"supported": 0, "violated": 0, "untestable-at-scale": 0}
-    for cell in report.cells:
-        counts[cell.verdict] += 1
+    counts = Counter(cell.verdict for cell in report.cells)
     click.echo(
         f"{name}: {len(report.cells)} cells "
         f"(supported={counts['supported']}, violated={counts['violated']}, "

@@ -26,7 +26,7 @@ exists; importance sampling is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from statistics import NormalDist
 from typing import Callable, Sequence
@@ -36,7 +36,7 @@ import numpy as np
 from . import analytic
 from .errors import InvalidInput
 from .linalg import coherence, operator_norm, submatrix
-from .selection import SelectionConfig, estimate_gamma, greedy_outer
+from .selection import SelectionConfig, _subset_positions, estimate_gamma, greedy_outer
 from .sphere import (RngStream, build_eps_net, sample_sphere_matrix, sample_unit_vector,
                      sample_unit_vectors)
 
@@ -91,9 +91,9 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[float], float]) -> float:
     return float(max(np.max(np.abs(upper - fvals)), np.max(np.abs(lower - fvals))))
 
 
-def ks_critical(trials: int, confidence: float = DEFAULT_CONFIDENCE) -> float:
-    """Asymptotic one-sample KS critical value at the given confidence."""
-    alpha = 1.0 - confidence
+def ks_critical(trials: int) -> float:
+    """Asymptotic one-sample KS critical value at DEFAULT_CONFIDENCE."""
+    alpha = 1.0 - DEFAULT_CONFIDENCE
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(trials)
 
 
@@ -102,7 +102,6 @@ class TrialRecord:
     """One trial's inputs and measurements, replayable from (seed, index)."""
 
     trial_index: int
-    stream_index: int
     params: dict
     measures: dict
     claims: dict = field(default_factory=dict)
@@ -149,30 +148,9 @@ class ExperimentReport:
     records: list[TrialRecord] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": self.grid,
-            "master_seed": self.master_seed,
-            "trials": self.trials,
-            "confidence": self.confidence,
-            "cells": [
-                {
-                    "label": c.label,
-                    "observed": _jsonable(c.observed),
-                    "observed_kind": c.observed_kind,
-                    "ci_low": _jsonable(c.ci_low),
-                    "ci_high": _jsonable(c.ci_high),
-                    "claim": _jsonable(c.claim),
-                    "direction": c.direction,
-                    "verdict": c.verdict,
-                    "params": {k: _jsonable(v) for k, v in c.params.items()},
-                    "notes": c.notes,
-                }
-                for c in self.cells
-            ],
-            "hypotheses": _jsonable(self.hypotheses),
-            "extras": {k: _jsonable(v) for k, v in self.extras.items()},
-        }
+        """Every field but the trial records, which go to the trials CSV."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        return _jsonable({**out, "cells": [asdict(c) for c in self.cells]})
 
 
 def _jsonable(value):
@@ -264,7 +242,7 @@ def _run_trials(seed: int, trials: int, params: dict, draw: Callable,
             outs = [dict(zip(columns, row)) for row in rows]
         for i, out in enumerate(outs, lo):
             measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
-            records.append(TrialRecord(i, i, params, measures, claims, satisfied))
+            records.append(TrialRecord(i, params, measures, claims, satisfied))
     return records
 
 
@@ -503,12 +481,8 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
         def masked(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             return h * (rows[:, :, None] & cols[:, None, :])
 
-        # the s-subset is positions 0..s-1 after the Fisher-Yates swaps
-        pos = np.tile(np.arange(m), (x.shape[0], 1))
-        for k, j in enumerate(swaps.T):
-            pos[trial, k], pos[trial, j] = pos[trial, j], pos[trial, k]
         subset = np.zeros((x.shape[0], m), dtype=bool)
-        subset[trial[:, None], pos[:, :s]] = True
+        subset[trial[:, None], _subset_positions(m, swaps)[:, :s]] = True
         same, left, right = (u < rate).transpose(1, 0, 2)
         cross_t = masked(left, right).transpose(0, 2, 1)
         # |D H D| is the largest |eigenvalue| of the masked D H D, and
@@ -571,7 +545,7 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
 
 def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, trials: int,
                       seed: int, probe_count: int = 50,
-                      kappa: float | None = None) -> ExperimentReport:
+                      kappa: float = analytic.KAPPA_BRANCH_CONSTANT) -> ExperimentReport:
     """Certificate vs the claimed 80 log(p)/p bound, with the hypothesis ledger.
 
     The headline probability 1 - 5n/(p log(p)^{n-1}) - 9 p^-n is evaluated
@@ -581,8 +555,6 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
     """
     if trials < 20:
         raise InvalidInput("theorem audit needs at least 20 trials")
-    if kappa is None:
-        kappa = analytic.KAPPA_BRANCH_CONSTANT
     if not 0.0 < net_eps < 1.0:
         raise InvalidInput("net_eps must lie in (0, 1)")
     cfg = SelectionConfig(s=s, rho_minus=rho_minus, kappa=kappa)
@@ -593,7 +565,7 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
     constants = analytic.derive_constants(
         n, p, s, rho_minus, _THEOREM_EPSILON, _THEOREM_C_KAPPA, _C_SUBGAUSS
     )
-    ledger = analytic.constraint_check(n, p, s, constants)
+    ledger = analytic.constraint_check(constants)
     grid = {"n": n, "p": p, "s": s, "rho_minus": rho_minus, "net_eps": net_eps}
 
     def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:
@@ -666,7 +638,7 @@ def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float
         exact = analytic.binomial_cdf(math.floor(cutoff), count, q)
         params = {"q": q, "eps": eps, "count": count}
         freq = hits / trials
-        records.append(TrialRecord(i, i, params, {"frequency": freq, "exact_tail": exact},
+        records.append(TrialRecord(i, params, {"frequency": freq, "exact_tail": exact},
                                    claims={"bound": bound}, satisfied={"within_bound": freq <= bound}))
         notes = ""
         if bound < 10.0 / trials:

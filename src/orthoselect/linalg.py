@@ -153,9 +153,9 @@ def gram_deviation(matrix: ColumnMatrix) -> float:
     return float(max(abs(float(lam[0])), abs(float(lam[-1]))))
 
 
-def check_unit_vector(v: np.ndarray, tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def check_unit_vector(v: np.ndarray) -> np.ndarray:
     vec = np.asarray(v, dtype=float).reshape(-1)
-    if not abs(float(np.linalg.norm(vec)) - 1.0) <= tol:
+    if not abs(float(np.linalg.norm(vec)) - 1.0) <= UNIT_NORM_TOL:
         raise InvalidInput("direction vector must be finite with unit norm")
     return vec
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -42,6 +42,8 @@ _GATHER_ELEMENTS = 1 << 21
 # which runs when a direction has at least this many gathered values (F*s).
 _PREFIX_COLUMNS = 16
 _PREFIX_MIN_VALUES = 1000
+# Subsets per batched-eigvalsh block of the s >= 3 feasibility enumeration.
+_SUBSET_BLOCK = 1 << 12
 # Values per outer-set ranking block (4 MiB of float64; the last block also
 # takes the remainder, so it holds up to twice that).
 _RANK_ELEMENTS = 1 << 19
@@ -155,6 +157,17 @@ def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
     return IndexSet.from_iterable(outer[0])
 
 
+def _subset_positions(m: int, swaps: np.ndarray) -> np.ndarray:
+    """Positions 0..m-1 of each row of `swaps` (rows, k) after the partial
+    Fisher-Yates swaps i <-> swaps[row, i] for i = 0..k-1.  With swaps[:, i]
+    uniform on [i, m), the first k positions are a uniform k-subset."""
+    rows = np.arange(swaps.shape[0])
+    pos = np.tile(np.arange(m), (swaps.shape[0], 1))
+    for i, j in enumerate(swaps.T):
+        pos[rows, i], pos[rows, j] = pos[rows, j], pos[rows, i]
+    return pos
+
+
 def _pipeline(
     matrix: ColumnMatrix,
     directions: np.ndarray,
@@ -201,11 +214,7 @@ def _pipeline(
         if active.size == 0:
             break
         a = active.size
-        pos = np.tile(np.arange(m), (a, 1))
-        for i in range(s):
-            j = gen.integers(i, m, size=a)
-            rows = np.arange(a)
-            pos[rows, i], pos[rows, j] = pos[rows, j], pos[rows, i]
+        pos = _subset_positions(m, np.column_stack([gen.integers(i, m, size=a) for i in range(s)]))
         chosen_cols = outer[active[:, None], pos[:, :s]]  # (a, s)
         vecs = cols_t[chosen_cols]  # (a, s, n)
         gram = vecs @ vecs.transpose(0, 2, 1)
@@ -263,15 +272,17 @@ def _pair_table(matrix: ColumnMatrix, rho_minus: float) -> np.ndarray:
     return np.abs(gram) <= 1.0 - rho_minus * rho_minus
 
 
-def feasible_subsets(
-    matrix: ColumnMatrix, s: int, rho_minus: float, limit: int = DEFAULT_BRUTE_FORCE_LIMIT
-) -> list[tuple[int, ...]]:
-    """All s-subsets with sigma_min >= rho_minus, by exhaustive enumeration."""
+def feasible_subsets(matrix: ColumnMatrix, s: int, rho_minus: float) -> list[tuple[int, ...]]:
+    """All s-subsets with sigma_min >= rho_minus, in lexicographic order, by
+    exhaustive enumeration of at most DEFAULT_BRUTE_FORCE_LIMIT subsets; for
+    s >= 3, one batched eigvalsh per block of _SUBSET_BLOCK subsets."""
     if s < 1 or s > matrix.p:
         raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")
     total = math.comb(matrix.p, s)
-    if total > limit:
-        raise BudgetExceeded(f"C({matrix.p},{s})={total} exceeds the budget {limit}")
+    if total > DEFAULT_BRUTE_FORCE_LIMIT:
+        raise BudgetExceeded(
+            f"C({matrix.p},{s})={total} exceeds the budget {DEFAULT_BRUTE_FORCE_LIMIT}"
+        )
     if s > matrix.n:
         return []
     if s == 1:
@@ -281,28 +292,22 @@ def feasible_subsets(
         keep = _pair_table(matrix, rho_minus)[rows, cols]
         return list(zip(rows[keep].tolist(), cols[keep].tolist()))
     gram = matrix.data.T @ matrix.data
+    subsets = combinations(range(matrix.p), s)
     out: list[tuple[int, ...]] = []
-    for subset in combinations(range(matrix.p), s):
-        sub = gram[np.ix_(subset, subset)]
-        lam_min = float(np.linalg.eigvalsh(sub)[0])
-        if math.sqrt(max(lam_min, 0.0)) >= rho_minus:
-            out.append(subset)
+    while block := list(islice(subsets, _SUBSET_BLOCK)):
+        subs = np.fromiter(chain.from_iterable(block), dtype=np.intp).reshape(-1, s)
+        lam_min = np.linalg.eigvalsh(gram[subs[:, :, None], subs[:, None, :]])[:, 0]
+        out += [block[k] for k in np.flatnonzero(np.sqrt(np.maximum(lam_min, 0.0)) >= rho_minus)]
     return out
 
 
-def brute_force_inf(
-    matrix: ColumnMatrix,
-    v: np.ndarray,
-    s: int,
-    rho_minus: float,
-    limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
-) -> float:
+def brute_force_inf(matrix: ColumnMatrix, v: np.ndarray, s: int, rho_minus: float) -> float:
     """Exact inf over well-conditioned s-subsets of max_j |<X_j, v>|.
 
     The one-direction view of `exact_inf_profile`; +inf when the feasible
     family is empty.
     """
-    return float(exact_inf_profile(matrix, check_unit_vector(v)[None], s, rho_minus, limit)[0])
+    return float(exact_inf_profile(matrix, check_unit_vector(v)[None], s, rho_minus)[0])
 
 
 def _prefix_values(
@@ -330,11 +335,7 @@ def _prefix_values(
 
 
 def exact_inf_profile(
-    matrix: ColumnMatrix,
-    directions: np.ndarray,
-    s: int,
-    rho_minus: float,
-    limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
+    matrix: ColumnMatrix, directions: np.ndarray, s: int, rho_minus: float
 ) -> np.ndarray:
     """Exact selection value for many directions, sharing one feasibility pass.
 
@@ -349,7 +350,7 @@ def exact_inf_profile(
     return the same values.
     """
     dirs = _directions(matrix, directions)
-    feas = feasible_subsets(matrix, s, rho_minus, limit)
+    feas = feasible_subsets(matrix, s, rho_minus)
     count = dirs.shape[0]
     if not feas:
         return np.full(count, math.inf)

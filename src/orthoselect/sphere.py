@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidInput
 from .linalg import ColumnMatrix
 
-DEFAULT_NET_DIMENSION_CAP = 8
+NET_DIMENSION_CAP = 8
 _CANDIDATE_CHUNK = 512
 
 
@@ -35,9 +35,6 @@ class RngStream:
             dtype=np.uint64,
         )
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, offset: int) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_index + offset)
 
 
 def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
@@ -139,11 +136,7 @@ def net_cardinality_bound(d: int, eps: float) -> float:
 
 
 def build_eps_net(
-    d: int,
-    eps: float,
-    rng: RngStream | np.random.Generator,
-    stall_budget: int = 1000,
-    dimension_cap: int = DEFAULT_NET_DIMENSION_CAP,
+    d: int, eps: float, rng: RngStream | np.random.Generator, stall_budget: int = 1000
 ) -> EpsNet:
     """Grow a maximal-by-construction eps-separated set on S^{d-1}.
 
@@ -151,8 +144,8 @@ def build_eps_net(
     accepted point; construction stops after `stall_budget` consecutive
     rejections.  Maximality (hence covering) is therefore approximate, so the
     result is flagged heuristic except for the exact d = 1 net {-1, +1}.
-    Cardinality explodes with d; dimensions above `dimension_cap` are refused
-    unless the caller raises the cap.
+    Cardinality explodes with d, so dimensions above NET_DIMENSION_CAP are
+    refused.
 
     Candidates come in chunks of _CANDIDATE_CHUNK.  One product per chunk
     against the points accepted before it marks the candidates far from all
@@ -165,10 +158,8 @@ def build_eps_net(
         raise InvalidInput("epsilon must lie in (0, 2), the sphere's diameter")
     if stall_budget < 1:
         raise InvalidInput("stall budget must be at least 1")
-    if d > dimension_cap:
-        raise InvalidInput(
-            f"net construction capped at d={dimension_cap}; pass dimension_cap to raise"
-        )
+    if d > NET_DIMENSION_CAP:
+        raise InvalidInput(f"net construction is capped at d={NET_DIMENSION_CAP}")
     if d == 1:
         return EpsNet(1, eps, np.array([[-1.0], [1.0]]), mode="exact")
 

@@ -5,11 +5,12 @@ of eigendecomposition, Gauss-Legendre quadrature instead of the continued
 fraction, direct enumeration instead of the pipeline, one trial at a time
 instead of the batched audit kernels, a per-candidate loop instead of the
 far-candidate net construction, the full gather instead of the shortest
-feasible prefix.
+feasible prefix, one eigvalsh per subset instead of a batched block.
 """
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -130,6 +131,18 @@ def eps_net_points(d: int, eps: float, gen: np.random.Generator, stall_budget: i
                 rejections += 1
         accepted.extend(fresh)
     return np.asarray(accepted)
+
+
+def feasible_subsets_loop(matrix, s: int, rho_minus: float) -> list[tuple[int, ...]]:
+    """The s >= 3 feasible subsets one at a time: the smallest eigenvalue of
+    each Gram submatrix by its own eigvalsh call, in lexicographic order."""
+    gram = matrix.data.T @ matrix.data
+    out = []
+    for subset in combinations(range(matrix.p), s):
+        lam_min = float(np.linalg.eigvalsh(gram[np.ix_(subset, subset)])[0])
+        if math.sqrt(max(lam_min, 0.0)) >= rho_minus:
+            out.append(subset)
+    return out
 
 
 def exact_inf_gather(matrix, directions: np.ndarray, s: int, rho_minus: float) -> np.ndarray:

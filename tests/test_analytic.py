@@ -274,11 +274,11 @@ def test_derive_constants_recomputes_consistently():
 
 def test_constraint_check_rows():
     cfg = an.derive_constants(5, 10, 1)
-    rows = {r["constraint"]: r for r in an.constraint_check(5, 10, 1, cfg)}
+    rows = {r["constraint"]: r for r in an.constraint_check(cfg)}
     assert not rows["p >= ceil(exp(6/sqrt(2*pi)))"]["satisfied"]  # 10 < 11
     assert not rows["n >= 6"]["satisfied"]
     cfg2 = an.derive_constants(700, 10_000, 1, c_kappa=1.0)
-    rows2 = {r["constraint"]: r for r in an.constraint_check(700, 10_000, 1, cfg2)}
+    rows2 = {r["constraint"]: r for r in an.constraint_check(cfg2)}
     assert rows2["n >= 6"]["satisfied"]
     assert rows2["p >= ceil(exp(6/sqrt(2*pi)))"]["satisfied"]
 
@@ -290,5 +290,5 @@ def test_admissible_search_unattainable_at_desk_scale():
             for p in (11, 100, 1000, 10_000):
                 for s in (1, 2):
                     cfg = an.derive_constants(n, p, s, 0.5, 0.5, c_kappa, 0.5)
-                    rows = an.constraint_check(n, p, s, cfg)
+                    rows = an.constraint_check(cfg)
                     assert not all(r["satisfied"] for r in rows), (n, p, s, c_kappa)

@@ -1,11 +1,14 @@
+import csv
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from orthoselect import cli
 from orthoselect import harness as hn
 from orthoselect.cli import main, records_to_csv, report_to_json
 from orthoselect.harness import REPORT_SCHEMA
@@ -452,11 +455,84 @@ def test_experiment_config_file_sets_every_key(runner, tmp_path, name):
     report = direct()
     assert (tmp_path / "a.report.json").read_text() == report_to_json(report, config)
     assert (tmp_path / "a.trials.csv").read_text() == records_to_csv(report.records, config)
+    # trial i draws from stream (seed, i)
+    rows = list(csv.DictReader((tmp_path / "a.trials.csv").read_text().splitlines()[1:]))
+    assert [(r["trial_index"], r["stream_index"]) for r in rows] == [(str(i), str(i))
+                                                                   for i in range(len(rows))]
     assert invoke(runner, ["experiment", name, "--config", str(cfg), flag, flag_value,
                            "--out", str(tmp_path / "b")]).exit_code == 0
     key = flag[2:].replace("-", "_")
     overridden = json.loads((tmp_path / "b.report.json").read_text())["config"]
     assert overridden == {**config, key: flag_echo}
+
+
+def _gen_echo(out: str) -> dict:
+    """The settings `gen` echoes in its `# n=.. p=.. seed=..` line."""
+    return {k: int(v) for k, v in (kv.split("=") for kv in out.splitlines()[0][2:].split())}
+
+
+# command -> (its settings table, config-file values, the flag that overrides
+# one of them, and the echoed settings read from a run's output)
+_COMMAND_CASES = {
+    "gen": (cli._GEN, {"n": "3", "p": "5", "seed": "4"}, ("--p", "6"), _gen_echo),
+    "select": (cli._SELECT,
+               {"s": "3", "rho": "0.4", "kappa": "2.5", "max_attempts": "7", "seed": "5"},
+               ("--kappa", "3"), lambda out: json.loads(out)["config"]),
+    "gamma": (cli._GAMMA,
+              {"s": "1", "rho": "0.6", "kappa": "3", "net_eps": "0.5", "probes": "10", "seed": "3"},
+              ("--probes", "12"), lambda out: json.loads(out)["config"]),
+    "constants": (cli._CONSTANTS,
+                  {"n": "50", "p": "500", "s": "2", "rho": "0.3", "epsilon": "0.4", "c_kappa": "2",
+                   "c": "0.7"},
+                  ("--c", "0.6"), lambda out: json.loads(out)["constants"]),
+}
+_COMMAND_ARGS = {"select": ["--v-random", "--format", "json"], "constants": ["--format", "json"]}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_CASES))
+def test_command_config_file_sets_every_key(runner, tmp_path, name):
+    table, values, (flag, flag_value), echoed = _COMMAND_CASES[name]
+    assert set(values) == {key for key, _, _ in table}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    args = [name, "--config", str(cfg), *_COMMAND_ARGS.get(name, [])]
+    if name in ("select", "gamma"):
+        args += ["--matrix", str(write_matrix(tmp_path, n=4, p=12))]
+    want = {key: cast(values[key]) for key, cast, _ in table}
+    got = echoed(invoke(runner, args).output)
+    assert {key: got[key] for key in want} == want
+    key = flag[2:].replace("-", "_")
+    got = echoed(invoke(runner, args + [flag, flag_value]).output)
+    assert {k: got[k] for k in want} == {**want, key: type(want[key])(flag_value)}
+
+
+def _help_flags(runner, args) -> set:
+    out = invoke(runner, [*args, "--help"]).output
+    return set(re.findall(r"^\s+(--[a-z-]+)", out, flags=re.M))
+
+
+@pytest.mark.parametrize("name, others", [
+    ("gen", {"--out"}),
+    ("select", {"--matrix", "--v-file", "--v-random", "--out", "--oracle", "--format"}),
+    ("gamma", {"--matrix", "--out", "--format"}),
+    ("constants", {"--out", "--format"}),
+])
+def test_command_help_lists_exactly_its_table(runner, name, others):
+    table = _COMMAND_CASES[name][0]
+    flags = {f"--{key.replace('_', '-')}" for key, _, _ in table}
+    assert _help_flags(runner, [name]) == flags | others | {"--config", "--help"}
+
+
+def test_experiment_help_names_the_audits_that_read_each_flag(runner):
+    read_by = {}
+    for name, (rows, _) in cli._EXPERIMENTS.items():
+        for key, _, _ in rows + (cli._SEED,):
+            read_by.setdefault(key, []).append(name)
+    flags = {f"--{key.replace('_', '-')}": names for key, names in read_by.items()}
+    assert _help_flags(runner, ["experiment"]) == set(flags) | {"--out", "--config", "--help"}
+    params = {f"--{p.name.replace('_', '-')}": p for p in main.commands["experiment"].params}
+    for flag, names in flags.items():
+        assert params[flag].help.endswith(f" Read by {', '.join(names)}.")
 
 
 def test_config_file_parser():

@@ -170,7 +170,7 @@ def test_decoupling_norms_match_the_per_trial_oracle(n, p, kappa, s):
     rep = hn.run_decoupling_audit(n, p, kappa, s, [0.4], 100, seed=81)
     zeros = 0
     for rec in rep.records:
-        want = decoupling_trial_norms(RngStream(81, rec.stream_index).generator(), n, p, kappa, s)
+        want = decoupling_trial_norms(RngStream(81, rec.trial_index).generator(), n, p, kappa, s)
         assert rec.measures.keys() == want.keys()
         for key, value in want.items():
             assert rec.measures[key] == pytest.approx(value, rel=0, abs=1e-12), (rec.trial_index, key)

@@ -28,7 +28,7 @@ from orthoselect import (
 )
 from orthoselect import selection
 
-from oracles import exact_inf_gather
+from oracles import exact_inf_gather, feasible_subsets_loop
 
 
 def sort_oracle(matrix, v, m):
@@ -308,10 +308,12 @@ def test_brute_force_inf_matches_independent_enumeration():
 
 
 def test_brute_force_budget():
+    # C(40, 5) = 658 008 subsets exceed the DEFAULT_BRUTE_FORCE_LIMIT budget
     x = sample_sphere_matrix(6, 40, RngStream(30, 0))
     v = sample_unit_vector(6, RngStream(31, 0))
+    assert math.comb(40, 5) > selection.DEFAULT_BRUTE_FORCE_LIMIT
     with pytest.raises(BudgetExceeded):
-        brute_force_inf(x, v, 5, 0.5, limit=1000)
+        brute_force_inf(x, v, 5, 0.5)
 
 
 def test_feasible_subsets_general_path_matches_pair_shortcut():
@@ -326,6 +328,21 @@ def test_feasible_subsets_general_path_matches_pair_shortcut():
     triples = feasible_subsets(x, 3, 0.6)
     for t in triples:
         assert np.linalg.svd(x.data[:, list(t)], compute_uv=False)[-1] >= 0.6
+
+
+@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("block", [7, selection._SUBSET_BLOCK])
+def test_feasible_subsets_blocks_match_the_per_subset_loop(monkeypatch, s, block):
+    # duplicate and antipodal columns make singular subsets; blocks of 7 end
+    # mid-enumeration at both s, the default block at s = 4 (C(20, 4) = 4845)
+    x = sample_sphere_matrix(5, 17, RngStream(34, s))
+    cols = x.data[:, [0, 1, 2]]
+    x = ColumnMatrix(np.column_stack([x.data, cols[:, 0], -cols[:, 1], -cols[:, 2]]))
+    monkeypatch.setattr(selection, "_SUBSET_BLOCK", block)
+    for rho in (0.3, 0.6):
+        got = feasible_subsets(x, s, rho)
+        assert got == feasible_subsets_loop(x, s, rho)
+        assert got and len(got) < math.comb(20, s)
 
 
 def test_brute_force_below_pipeline_value():
