@@ -13,11 +13,15 @@ Two kinds of functions live here and must not be confused:
 The regularized incomplete beta is computed by a Lentz continued fraction
 with the usual symmetry reduction, targeting 1e-10 relative error; tests
 cross-check it against quadrature and an independent library implementation.
+It runs over arrays, one masked loop for all entries, and on floats when
+there is one entry; `inner_cdf` and `order_stat_cdf` pass arrays through.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, InvalidInput
 
@@ -26,64 +30,99 @@ _BETACF_EPS = 3e-16
 _FPMIN = 1e-300
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Modified-Lentz evaluation of the incomplete-beta continued fraction."""
+def _floored(v):
+    """v with every entry of magnitude below _FPMIN replaced by _FPMIN."""
+    if isinstance(v, np.ndarray):
+        return np.where(np.abs(v) < _FPMIN, _FPMIN, v)
+    return _FPMIN if abs(v) < _FPMIN else v
+
+
+def _betacf(a, b, x):
+    """Modified-Lentz evaluation of the incomplete-beta continued fraction at
+    floats a, b and x, or at each entry of equal-shape 1-d arrays.
+
+    Each array entry goes through the float recurrence's IEEE operations in
+    the same order and leaves the loop at its own convergence, so its value
+    does not depend on the other entries.
+    """
+    arrays = isinstance(x, np.ndarray)
+    if arrays:
+        out = np.empty_like(x)
+        live = np.arange(x.size)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    c = np.ones_like(x) if arrays else 1.0
+    d = 1.0 / _floored(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETACF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        d = _floored(1.0 + aa * d)
+        c = _floored(1.0 + aa / c)
         d = 1.0 / d
-        h *= d * c
+        h = h * (d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        d = _floored(1.0 + aa * d)
+        c = _floored(1.0 + aa / c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
-            return h
+        h = h * delta
+        done = abs(delta - 1.0) < _BETACF_EPS
+        if not arrays:
+            if done:
+                return h
+        elif done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                return out
+            a, b, x, qab, qap, qam, c, d, h = (v[keep] for v in (a, b, x, qab, qap, qam, c, d, h))
     raise DomainError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
 
 
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+def _unit_interval_entries(name: str, x) -> tuple[list[float], bool]:
+    """The entries of a float or 1-d array x as a list, each checked to lie
+    in [0, 1], and whether x is a float."""
+    values = np.asarray(x, dtype=float).tolist()
+    scalar = isinstance(values, float)
+    values = [values] if scalar else values
+    if not all(0.0 <= v <= 1.0 for v in values):
+        bad = next(v for v in values if not 0.0 <= v <= 1.0)
+        raise DomainError(f"{name}={bad} outside [0, 1]")
+    return values, scalar
+
+
+def betainc_reg(a: float, b: float, x):
+    """Regularized incomplete beta I_x(a, b) at a float x, or at each entry
+    of a 1-d array x.
+
+    Each entry's prefactor x^a (1-x)^b / B(a, b) is taken with `math`,
+    because numpy's exp and log may round differently from the C library's;
+    the continued fraction then runs once over all entries inside (0, 1),
+    on floats when there is one.  A float x is the one-entry case.
+    """
     if a <= 0.0 or b <= 0.0:
         raise DomainError("beta parameters must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x={x} outside [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
+    values, scalar = _unit_interval_entries("x", x)
+    out = [0.0 if v < 1.0 else 1.0 for v in values]
+    inner = [i for i, v in enumerate(values) if 0.0 < v < 1.0]
+    xi = [values[i] for i in inner]
+    ln_b = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    bt = [math.exp(ln_b + a * math.log(v) + b * math.log1p(-v)) for v in xi]
+    # the fraction at (a, b, x) below the switch point, at (b, a, 1-x) above
+    switch = (a + 1.0) / (a + b + 2.0)
+    low = [v < switch for v in xi]
+    if len(xi) > 1:
+        below, xa = np.array(low), np.array(xi)
+        cf = _betacf(np.where(below, a, b), np.where(below, b, a),
+                     np.where(below, xa, 1.0 - xa)).tolist()
+    else:
+        cf = [_betacf(a, b, v) if lo else _betacf(b, a, 1.0 - v) for v, lo in zip(xi, low)]
+    for i, t, f, lo in zip(inner, bt, cf, low):
+        out[i] = t * f / a if lo else 1.0 - t * f / b
+    return out[0] if scalar else np.array(out)
 
 
 def binomial_cdf(k: int, count: int, q: float) -> float:
@@ -97,9 +136,8 @@ def binomial_cdf(k: int, count: int, q: float) -> float:
     return betainc_reg(count - k, k + 1.0, 1.0 - q)
 
 
-def _check_z(z: float) -> None:
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z={z} outside [0, 1]")
+def _check_z(z) -> None:
+    _unit_interval_entries("z", z)
 
 
 def gamma_ratio(n: int) -> float:
@@ -130,8 +168,9 @@ def inner_density(z: float, n: int) -> float:
     return coeff * base**expo
 
 
-def inner_cdf(z: float, n: int) -> float:
-    """G(z) = P(|<X_j, v>| <= z) = I_{z^2}(1/2, (n-1)/2)."""
+def inner_cdf(z, n: int):
+    """G(z) = P(|<X_j, v>| <= z) = I_{z^2}(1/2, (n-1)/2), at a float z or at
+    each entry of an array z."""
     if n < 2:
         raise DomainError("dimension must be at least 2")
     _check_z(z)
@@ -153,8 +192,9 @@ class OrderStatSpec:
             raise InvalidInput("ambient dimension must be at least 2")
 
 
-def order_stat_cdf(z: float, spec: OrderStatSpec) -> float:
-    """F_{Z_(r)}(z) = P(Bin(p, G(z)) >= r) = I_{G(z)}(r, p - r + 1)."""
+def order_stat_cdf(z, spec: OrderStatSpec):
+    """F_{Z_(r)}(z) = P(Bin(p, G(z)) >= r) = I_{G(z)}(r, p - r + 1), at a
+    float z or at each entry of an array z."""
     _check_z(z)
     g = inner_cdf(z, spec.n)
     return betainc_reg(float(spec.r), float(spec.p - spec.r + 1), g)
@@ -339,7 +379,7 @@ class BoundConstants:
     c_s: float
     c_v: float
     u_norm: float
-    v_split: float
+    v_split: float | None
     r_prime: float
     h_cap: float
     z0: float | None
@@ -363,9 +403,8 @@ def derive_constants(
     r_prime = (1.0 - rho_minus) / 2.0
     u_norm = norm_threshold_u(n, kappa * s, epsilon, c_subgauss, k_eps, p)
     c_v = math.log(c_kappa * n) if c_kappa * n > 0 else math.nan
-    v_split = (
-        math.sqrt(r_prime**2 / c_v) if c_v > 0.0 else math.nan
-    )
+    # undefined, like s_max and z0, where log(C_k n) <= 0
+    v_split = math.sqrt(r_prime**2 / c_v) if c_v > 0.0 else None
     try:
         smax = s_max(n, p, rho_minus, epsilon, c_kappa, c_subgauss)
     except DomainError:

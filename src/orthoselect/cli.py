@@ -19,6 +19,7 @@ import numpy as np
 from . import analytic, harness, matrixio
 from .errors import BudgetExceeded, DomainError, FormatError, InvalidInput
 from .harness import ExperimentReport, TrialRecord, _jsonable
+from .linalg import UNIT_NORM_TOL
 from .selection import (DEFAULT_MAX_ATTEMPTS, SelectionConfig, brute_force_inf,
                         constrained_select, estimate_gamma)
 from .sphere import (NET_DIMENSION_CAP, RngStream, build_eps_net, sample_sphere_matrix,
@@ -153,13 +154,15 @@ def _grid(text: str) -> list[float]:
     return values
 
 
-def _csv_cell(value) -> str:
+def _csv_cell(value, key: str) -> str:
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if math.isnan(value):
+        raise DomainError(f"{key} is NaN")
     return matrixio.format_float(float(value))
 
 
@@ -170,20 +173,35 @@ def _kv_csv(payload: dict) -> str:
         value = payload[key]
         if isinstance(value, dict):
             for sub in sorted(value):
-                lines.append(f"{key}.{sub},{_csv_cell_text(value[sub])}")
+                lines.append(f"{key}.{sub},{_csv_cell_text(value[sub], f'{key}.{sub}')}")
         else:
-            lines.append(f"{key},{_csv_cell_text(value)}")
+            lines.append(f"{key},{_csv_cell_text(value, key)}")
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell_text(value) -> str:
+def _csv_cell_text(value, key: str) -> str:
     if isinstance(value, (list, tuple)):
-        return " ".join(_csv_cell_text(v) for v in value)
+        return " ".join(_csv_cell_text(v, key) for v in value)
     if isinstance(value, float):
-        return "" if math.isinf(value) or math.isnan(value) else matrixio.format_float(value)
+        if math.isnan(value):
+            raise DomainError(f"{key} is NaN")
+        return "" if math.isinf(value) else matrixio.format_float(value)
     if value is None:
         return ""
     return str(value)
+
+
+def _csv_column(key: str, values: list) -> list[str]:
+    """The cells of one trial-table column: a column of Python floats or of
+    Python ints in one pass, any other cell by cell."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if any(v != v for v in values):
+            raise DomainError(f"{key} is NaN")
+        return list(map(matrixio.format_float, values))
+    if kinds == {int}:
+        return list(map(str, values))
+    return [_csv_cell(v, key) for v in values]
 
 
 def records_to_csv(records: list[TrialRecord], metadata: dict) -> str:
@@ -196,11 +214,12 @@ def records_to_csv(records: list[TrialRecord], metadata: dict) -> str:
                                    ("claim", "claims"), ("satisfied", "satisfied"))]
     header = ["trial_index", "stream_index"]
     header += [f"{prefix}.{k}" for prefix, _, keys in groups for k in keys]
+    index = [str(rec.trial_index) for rec in records]
+    columns = [index, index] + [
+        _csv_column(f"{prefix}.{k}", [getattr(rec, name).get(k) for rec in records])
+        for prefix, name, keys in groups for k in keys]
     lines = ["# " + " ".join(f"{k}={metadata[k]}" for k in sorted(metadata)), ",".join(header)]
-    for rec in records:
-        row = [str(rec.trial_index)] * 2
-        row += [_csv_cell(getattr(rec, name).get(k)) for _, name, keys in groups for k in keys]
-        lines.append(",".join(row))
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -219,7 +238,9 @@ _MATRIX = click.option("--matrix", "matrix_path", type=click.Path(exists=True, d
                        required=True)
 # Each command's settings as (key, cast, default) rows.
 _SEED = ("seed", int, 0)
-_SELECTION = (("s", int, 2), ("rho", float, 0.5), ("kappa", float, analytic.KAPPA_BRANCH_CONSTANT))
+# SelectionConfig's class attributes are its field defaults
+_SELECTION = (("s", int, 2), ("rho", float, SelectionConfig.rho_minus),
+              ("kappa", float, SelectionConfig.kappa))
 _GEN = (("n", int, None), ("p", int, None), _SEED)
 _SELECT = (*_SELECTION, ("max_attempts", int, DEFAULT_MAX_ATTEMPTS), _SEED)
 _GAMMA = (*_SELECTION, ("net_eps", float, 0.25), ("probes", int, 200), _SEED)
@@ -265,8 +286,8 @@ def select(matrix_path, v_file, v_random, out, oracle, fmt, config_path, **flags
             raise FormatError(f"direction has {v.shape[0]} entries, matrix has n={matrix.n}")
         if not np.all(np.isfinite(v)):
             raise FormatError("direction vector entries must be finite")
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
-            raise FormatError("direction vector must have unit norm (within 1e-9)")
+        if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
+            raise FormatError(f"direction vector must have unit norm (within {UNIT_NORM_TOL})")
     else:
         v = sample_unit_vector(matrix.n, RngStream(c["seed"], _STREAM_DIRECTION))
     cfg = SelectionConfig(s=c["s"], rho_minus=c["rho"], kappa=c["kappa"],
@@ -346,7 +367,7 @@ def constants(out, fmt, config_path, **flags):
     if fmt == "json":
         _write_text(out, _dump_json({"constants": values, "constraints": ledger}))
     elif fmt == "csv":
-        lines = ["key,value"] + [f"{k},{_csv_cell(v)}" for k, v in values.items()]
+        lines = ["key,value"] + [f"{k},{_csv_cell(v, k)}" for k, v in values.items()]
         lines += [f"constraint: {r['constraint']},{int(r['satisfied'])}" for r in ledger]
         _write_text(out, "\n".join(lines) + "\n")
     else:
@@ -390,8 +411,9 @@ _EXPERIMENTS = {
                                                c["trials"], c["seed"]),
     ),
     "theorem": (
-        (("n", int, 4), ("p", int, 120), ("s", int, 2), ("rho", float, 0.5), ("net_eps", float, 0.5),
-         ("probes", int, 50), ("kappa", float, analytic.KAPPA_BRANCH_CONSTANT), ("trials", int, 20)),
+        (("n", int, 4), ("p", int, 120), ("s", int, 2), ("rho", float, SelectionConfig.rho_minus),
+         ("net_eps", float, 0.5), ("probes", int, 50), ("kappa", float, SelectionConfig.kappa),
+         ("trials", int, 20)),
         _run_theorem,
     ),
     "chernoff": (
@@ -438,8 +460,11 @@ def experiment(name, out, config_path, **flags):
     base.parent.mkdir(parents=True, exist_ok=True)
     report_path = base.with_name(base.name + ".report.json")
     trials_path = base.with_name(base.name + ".trials.csv")
-    report_path.write_text(report_to_json(report, config), encoding="utf-8")
-    trials_path.write_text(records_to_csv(report.records, config), encoding="utf-8")
+    # both texts first, so a refused NaN leaves neither file behind
+    report_text = report_to_json(report, config)
+    trials_text = records_to_csv(report.records, config)
+    report_path.write_text(report_text, encoding="utf-8")
+    trials_path.write_text(trials_text, encoding="utf-8")
     counts = Counter(cell.verdict for cell in report.cells)
     click.echo(
         f"{name}: {len(report.cells)} cells "

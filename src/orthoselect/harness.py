@@ -3,16 +3,20 @@
 Every audit follows the same protocol: trial i draws all of its randomness
 from the stream (master_seed, i), so a rerun with the same seed reproduces
 the report bit for bit and any trial can be replayed alone.  One skeleton
-carries it: an audit states a per-trial ``draw(gen)``, which `_run_trials`
-runs in index order on those streams, and its claims, each of which
-`_frequency_cell` turns into a report cell.  The order-stat and decoupling
-audits run their trials in two stages: ``draw`` only consumes the trial's
-random numbers, and a ``measure`` turns a bounded block of stacked draws into
-measure columns in one batched pass whose values do not depend on the block
-size.  The decoupling bootstrap draws its resample indices in replicate
-blocks and sums each block through one count matrix.  Empirical frequencies
-carry Wilson intervals at a recorded confidence level, and verdicts are
-mechanical:
+carries it: an audit states a per-trial ``draw``, which `_run_trials` runs in
+index order on those streams, and its claims, each of which `_frequency_cell`
+turns into a report cell.  The trials of one audit share a single
+`TrialStreams` generator, re-keyed to (master_seed, i) before trial i, which
+gives the numbers a fresh `RngStream(master_seed, i)` would.  The order-stat
+and decoupling audits run their trials in two stages: ``draw`` only draws the
+trial's random numbers, taking its sphere points as raw Gaussian rows; the
+trial loop normalises a bounded block of stacked draws at once, and a
+``measure`` turns the block into measure columns in one batched pass whose
+values do not depend on the block size.  The order-stat audit's KS distance
+evaluates the analytic CDF at all samples in one array call.  The decoupling
+bootstrap draws its resample indices in replicate blocks and sums each block
+through one count matrix.  Empirical frequencies carry Wilson intervals at a
+recorded confidence level, and verdicts are mechanical:
 
 * ``supported``   - the interval does not exclude the claim,
 * ``violated``    - the interval excludes the claim on the wrong side,
@@ -22,6 +26,9 @@ mechanical:
 Rare-event claims the trial budget cannot resolve are flagged in the cell
 notes and compared in log space against an exact-tail oracle where one
 exists; importance sampling is out of scope.
+
+Reports refuse a NaN: `_jsonable` raises `DomainError` naming its key, so a
+broken value never looks like an infeasible (+inf, written as null) one.
 """
 from __future__ import annotations
 
@@ -34,11 +41,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analytic
-from .errors import InvalidInput
+from .errors import DomainError, InvalidInput
 from .linalg import coherence, operator_norm, submatrix
 from .selection import SelectionConfig, _subset_positions, estimate_gamma, greedy_outer
-from .sphere import (RngStream, build_eps_net, sample_sphere_matrix, sample_unit_vector,
-                     sample_unit_vectors)
+from .sphere import (MIN_DRAW_NORM, RngStream, TrialStreams, build_eps_net, sample_sphere_matrix,
+                     sample_unit_vector, sample_unit_vectors)
 
 DEFAULT_CONFIDENCE = 0.95
 BOOTSTRAP_RESAMPLES = 2000
@@ -79,13 +86,14 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
     return low, high
 
 
-def ks_distance(samples: np.ndarray, cdf: Callable[[float], float]) -> float:
-    """Kolmogorov-Smirnov distance between an empirical sample and a CDF."""
+def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Kolmogorov-Smirnov distance between an empirical sample and a CDF,
+    which is called once, on the sorted sample."""
     xs = np.sort(np.asarray(samples, dtype=float))
     count = xs.size
     if count == 0:
         raise InvalidInput("KS distance of an empty sample")
-    fvals = np.array([cdf(float(x)) for x in xs])
+    fvals = np.asarray(cdf(xs), dtype=float)
     upper = np.arange(1, count + 1) / count
     lower = np.arange(0, count) / count
     return float(max(np.max(np.abs(upper - fvals)), np.max(np.abs(lower - fvals))))
@@ -153,16 +161,19 @@ class ExperimentReport:
         return _jsonable({**out, "cells": [asdict(c) for c in self.cells]})
 
 
-def _jsonable(value):
-    """Floats that JSON cannot carry (inf, nan) become null; the rest pass."""
+def _jsonable(value, key: str = "value"):
+    """Infinite floats, which JSON cannot carry, become null; a NaN raises
+    DomainError naming `key`, its dict key; the rest pass."""
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            raise DomainError(f"{key} is NaN")
         return None
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _jsonable(v, k) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, key) for v in value]
     return value
 
 
@@ -222,28 +233,56 @@ def mechanical_verdict(
 
 def _run_trials(seed: int, trials: int, params: dict, draw: Callable,
                 measure: Callable | None = None, width: int = 1) -> list[TrialRecord]:
-    """Trial i calls draw(gen) on its own stream (seed, i), in index order.
+    """Trial i calls draw on its own stream (seed, i), in index order.
 
-    Without `measure`, draw returns the trial's measures, or (measures,
-    claims, satisfied).  With it, draw returns a tuple of arrays holding only
-    the trial's random numbers; the draws of a block of trials are stacked
-    along a new first axis, and measure(*stacked) returns a dict of measure
-    columns, one entry per trial of the block.  `width` is the number of
-    float64 values the measure holds per trial, so that a block holds about
-    `_BATCH_ELEMENTS` of them.
+    Without `measure`, draw(gen) returns the trial's measures, or (measures,
+    claims, satisfied).  With it, draw(gen, rows) returns a tuple of arrays
+    holding only the trial's random numbers, the first drawn by
+    rows(n, count, gen) as its sphere points; the draws of a block of trials
+    are stacked along a new first axis (see `_draw_block`), and
+    measure(*stacked) returns a dict of measure columns, one entry per trial
+    of the block.  `width` is the number of float64 values the measure holds
+    per trial, so that a block holds about `_BATCH_ELEMENTS` of them.
     """
+    streams = TrialStreams(seed)
     block = max(1, _BATCH_ELEMENTS // width) if measure is not None else 1
     records = []
     for lo in range(0, trials, block):
-        outs = [draw(RngStream(seed, i).generator()) for i in range(lo, min(lo + block, trials))]
-        if measure is not None:
-            columns = measure(*map(np.stack, zip(*outs)))
+        hi = min(lo + block, trials)
+        if measure is None:
+            outs = [draw(streams.generator(i)) for i in range(lo, hi)]
+        else:
+            columns = measure(*_draw_block(streams, lo, hi, draw))
             rows = np.column_stack(list(columns.values())).tolist()
             outs = [dict(zip(columns, row)) for row in rows]
         for i, out in enumerate(outs, lo):
             measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
             records.append(TrialRecord(i, params, measures, claims, satisfied))
     return records
+
+
+def _gaussian_rows(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    return gen.standard_normal((count, n))
+
+
+def _draw_block(streams: TrialStreams, lo: int, hi: int, draw: Callable) -> list[np.ndarray]:
+    """The stacked draws of trials lo..hi-1, their sphere points on the sphere.
+
+    Each trial draws its points as Gaussian rows, and the block divides them
+    by their norms at once, as `sample_unit_vectors` does per trial.  A trial
+    with a row that function would draw again is drawn again through it on
+    its own stream, so every trial consumes its stream as a per-trial draw
+    does.
+    """
+    stacked = [np.stack(arrays) for arrays in
+               zip(*(draw(streams.generator(i), _gaussian_rows) for i in range(lo, hi)))]
+    norms = np.linalg.norm(stacked[0], axis=-1)
+    for t in np.flatnonzero(np.any(norms <= MIN_DRAW_NORM, axis=-1)).tolist():
+        for arr, value in zip(stacked, draw(streams.generator(lo + t), sample_unit_vectors)):
+            arr[t] = value
+        norms[t] = 1.0
+    stacked[0] /= norms[..., None]
+    return stacked
 
 
 def _fixed_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,8 +321,8 @@ def run_order_stat_audit(n: int, p: int, r: int, trials: int, seed: int) -> Expe
     spec = analytic.OrderStatSpec(p=p, r=r, n=n)
     grid = {"n": n, "p": p, "r": r}
 
-    def draw(gen: np.random.Generator) -> tuple[np.ndarray]:
-        return (sample_unit_vectors(n, p, gen),)
+    def draw(gen: np.random.Generator, rows: Callable) -> tuple[np.ndarray]:
+        return (rows(n, p, gen),)
 
     def measure(x: np.ndarray) -> dict:
         # rows of x are the columns X_j; with v = e_1, |<X_j, v>| is |X[0, j]|
@@ -358,7 +397,7 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
 # ---------------------------------------------------------------------------
 
 def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: int,
-                   c_kappa: float = 2.0) -> ExperimentReport:
+                   c_kappa: float) -> ExperimentReport:
     """Tail of |X_outer| against the claimed threshold and 8 p^-n probability."""
     if trials < 100:
         raise InvalidInput("norm audit needs at least 100 trials")
@@ -462,12 +501,13 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
         raise InvalidInput("kappa*s must not exceed p")
     rate = 1.0 / kappa
     r_values = [float(r) for r in r_grid]
+    swap_low = np.arange(s)
 
-    def draw(gen: np.random.Generator) -> tuple[np.ndarray, ...]:
+    def draw(gen: np.random.Generator, rows: Callable) -> tuple[np.ndarray, ...]:
         # the matrix, the direction, the s Fisher-Yates swap targets and the
         # three Bernoulli uniforms, in the order the trial consumes them
-        return (sample_unit_vectors(n, p, gen), sample_unit_vector(n, gen),
-                gen.integers(np.arange(s), m), gen.random((3, m)))
+        return (rows(n, p, gen), sample_unit_vector(n, gen),
+                gen.integers(swap_low, m), gen.random((3, m)))
 
     def measure(x: np.ndarray, v: np.ndarray, swaps: np.ndarray, u: np.ndarray) -> dict:
         trial = np.arange(x.shape[0])
@@ -544,8 +584,7 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
 # ---------------------------------------------------------------------------
 
 def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, trials: int,
-                      seed: int, probe_count: int = 50,
-                      kappa: float = analytic.KAPPA_BRANCH_CONSTANT) -> ExperimentReport:
+                      seed: int, probe_count: int, kappa: float) -> ExperimentReport:
     """Certificate vs the claimed 80 log(p)/p bound, with the hypothesis ledger.
 
     The headline probability 1 - 5n/(p log(p)^{n-1}) - 9 p^-n is evaluated
@@ -607,7 +646,7 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
 # ---------------------------------------------------------------------------
 
 def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float], trials: int,
-                       seed: int, count: int = 1000) -> ExperimentReport:
+                       seed: int, count: int) -> ExperimentReport:
     """Empirical binomial lower tails against exp(-eps^2 mean / 2).
 
     Cells whose bound is too small for the trial budget are flagged and also

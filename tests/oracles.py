@@ -5,7 +5,9 @@ of eigendecomposition, Gauss-Legendre quadrature instead of the continued
 fraction, direct enumeration instead of the pipeline, one trial at a time
 instead of the batched audit kernels, a per-candidate loop instead of the
 far-candidate net construction, the full gather instead of the shortest
-feasible prefix, one eigvalsh per subset instead of a batched block.
+feasible prefix, one eigvalsh per subset instead of a batched block, a new
+generator per trial stream instead of one re-keyed Philox, and the
+continued fraction one float at a time instead of over arrays.
 """
 from __future__ import annotations
 
@@ -14,10 +16,11 @@ from itertools import combinations
 
 import numpy as np
 
+from orthoselect.harness import TrialRecord
 from orthoselect.linalg import operator_norm, submatrix
 from orthoselect.selection import feasible_subsets, greedy_outer
-from orthoselect.sphere import (_CANDIDATE_CHUNK, sample_sphere_matrix, sample_unit_vector,
-                                sample_unit_vectors)
+from orthoselect.sphere import (_CANDIDATE_CHUNK, RngStream, sample_sphere_matrix,
+                                sample_unit_vector, sample_unit_vectors)
 
 
 def power_iteration_norm(a: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
@@ -66,6 +69,28 @@ def ks_statistic(samples: np.ndarray, cdf_values: np.ndarray) -> float:
 def sorted_ks(samples: np.ndarray, cdf) -> float:
     xs = np.sort(np.asarray(samples, dtype=float))
     return ks_statistic(xs, np.array([cdf(float(x)) for x in xs]))
+
+
+def trial_records(seed: int, trials: int, params: dict, draw, measure=None, width: int = 1,
+                  generator=None) -> list:
+    """The audit trial loop one trial at a time, with `harness._run_trials`'s
+    arguments: trial i runs on a new `RngStream(seed, i).generator()`, or on
+    generator(i) when given.  A two-stage draw gets `sample_unit_vectors` as
+    its row sampler, so the trial's sphere points are normalised (and, if
+    need be, drawn again) by that function, and its measure sees a block of
+    one trial; `width` is not used.  `_run_trials` must return exactly these
+    records."""
+    records = []
+    for i in range(trials):
+        gen = RngStream(seed, i).generator() if generator is None else generator(i)
+        if measure is None:
+            out = draw(gen)
+        else:
+            columns = measure(*(np.asarray(a)[None] for a in draw(gen, sample_unit_vectors)))
+            out = {key: float(column[0]) for key, column in columns.items()}
+        measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
+        records.append(TrialRecord(i, params, measures, claims, satisfied))
+    return records
 
 
 def _principal_norm(h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
@@ -160,3 +185,56 @@ def exact_inf_gather(matrix, directions: np.ndarray, s: int, rho_minus: float) -
         b = np.abs(matrix.data.T @ directions[start : start + chunk].T)
         out[start : start + chunk] = np.min(np.max(b[fidx], axis=1), axis=0)
     return out
+
+
+def betacf_scalar(a: float, b: float, x: float) -> float:
+    """Modified-Lentz evaluation of the incomplete-beta continued fraction,
+    one float at a time."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < 1e-300:
+        d = 1e-300
+    d = 1.0 / d
+    h = d
+    for m in range(1, 501):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < 1e-300:
+            d = 1e-300
+        c = 1.0 + aa / c
+        if abs(c) < 1e-300:
+            c = 1e-300
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < 1e-300:
+            d = 1e-300
+        c = 1.0 + aa / c
+        if abs(c) < 1e-300:
+            c = 1e-300
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 3e-16:
+            return h
+    raise RuntimeError(f"continued fraction stalled at a={a}, b={b}, x={x}")
+
+
+def betainc_scalar(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) of one float in plain Python: the
+    reference `analytic.betainc_reg` must match bit for bit."""
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_bt = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+             + a * math.log(x) + b * math.log1p(-x))
+    bt = math.exp(ln_bt)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return bt * betacf_scalar(a, b, x) / a
+    return 1.0 - bt * betacf_scalar(b, a, 1.0 - x) / b

@@ -7,8 +7,9 @@ import scipy.stats
 
 from orthoselect import DomainError, RngStream, sample_unit_vectors
 from orthoselect import analytic as an
+from orthoselect import harness as hn
 
-from oracles import abs_dot_density_integral, sorted_ks
+from oracles import abs_dot_density_integral, betainc_scalar, sorted_ks
 
 
 # --- regularized incomplete beta -------------------------------------------
@@ -29,6 +30,33 @@ def test_betainc_endpoints_and_domain():
         an.betainc_reg(2.0, 3.0, 1.5)
     with pytest.raises(DomainError):
         an.betainc_reg(-1.0, 3.0, 0.5)
+
+
+def test_betainc_arrays_equal_the_scalar_reference_bit_for_bit():
+    gen = np.random.Generator(np.random.PCG64(41))
+    # (1/2, 1) and (5, 16) are the README order-stat audit's two betas
+    pairs = [(0.5, 1.0), (5.0, 16.0), (0.5, 3.5), (2.0, 3.0)]
+    pairs += [(float(gen.uniform(0.2, 40.0)), float(gen.uniform(0.2, 40.0))) for _ in range(20)]
+    for a, b in pairs:
+        switch = (a + 1.0) / (a + b + 2.0)
+        xs = np.concatenate([[0.0, 1.0, switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)],
+                             gen.uniform(0.0, 1.0, 200)])
+        want = [betainc_scalar(a, b, float(x)) for x in xs]
+        assert an.betainc_reg(a, b, xs).tobytes() == np.array(want).tobytes()
+        assert [an.betainc_reg(a, b, float(x)) for x in xs] == want
+
+
+def test_order_stat_cdf_and_ks_distance_equal_the_scalar_reference():
+    spec = an.OrderStatSpec(p=20, r=5, n=3)
+
+    def reference(z: float) -> float:
+        return betainc_scalar(5.0, 16.0, betainc_scalar(0.5, 1.0, z * z))
+
+    zs = np.linspace(0.0, 1.0, 2001)
+    assert an.order_stat_cdf(zs, spec).tolist() == [reference(float(z)) for z in zs]
+    samples = np.abs(sample_unit_vectors(3, 20 * 3000, RngStream(4, 0))[:, 0]).reshape(3000, 20)
+    z_r = np.partition(samples, 4, axis=1)[:, 4]
+    assert hn.ks_distance(z_r, lambda z: an.order_stat_cdf(z, spec)) == sorted_ks(z_r, reference)
 
 
 def test_binomial_cdf_matches_library():

@@ -13,7 +13,7 @@ from orthoselect import harness as hn
 from orthoselect.cli import main, records_to_csv, report_to_json
 from orthoselect.harness import REPORT_SCHEMA
 from orthoselect.matrixio import load_config_file, load_matrix, save_matrix
-from orthoselect.errors import FormatError
+from orthoselect.errors import DomainError, FormatError
 from orthoselect import ColumnMatrix, RngStream, sample_sphere_matrix
 
 
@@ -565,3 +565,33 @@ def test_net_dimension_limit_is_a_usage_error_naming_its_source(runner, tmp_path
     ok = invoke(runner, ["gamma", "--matrix", str(write_matrix(tmp_path, n=8, p=20)),
                          "--s", "2", "--kappa", "3", "--net-eps", "0.9", "--probes", "5"])
     assert ok.exit_code == 0
+
+
+def test_experiment_refuses_a_nan_measure_and_writes_nothing(runner, tmp_path, monkeypatch):
+    real = hn.run_coherence_audit
+
+    def with_nan(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.records[3].measures["coherence"] = math.nan
+        return report
+
+    monkeypatch.setattr(hn, "run_coherence_audit", with_nan)
+    result = runner.invoke(main, ["experiment", "coherence", "--trials", "100",
+                                  "--out", str(tmp_path / "c")])
+    assert result.exit_code == 4
+    assert "measure.coherence is NaN" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_key_value_csv_refuses_a_nan_and_leaves_an_infinity_empty():
+    with pytest.raises(DomainError, match="net.radius is NaN"):
+        cli._kv_csv({"net": {"radius": math.nan}})
+    assert cli._kv_csv({"upper": math.inf, "grid": [0.5, math.inf]}) == "key,value\ngrid,0.5 \nupper,\n"
+
+
+def test_constants_writes_an_undefined_v_split_as_null(runner):
+    # log(C_k n) <= 0 at n = 1, C_k = 0.5, so v_split is undefined
+    result = invoke(runner, ["constants", "--n", "1", "--p", "20", "--s", "1", "--c-kappa", "0.5",
+                             "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["constants"]["v_split"] is None

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -10,9 +11,10 @@ import scipy.stats
 from orthoselect import RngStream, sample_unit_vectors
 from orthoselect import analytic as an
 from orthoselect import harness as hn
-from orthoselect.errors import InvalidInput
+from orthoselect.errors import DomainError, InvalidInput
+from orthoselect.sphere import TrialStreams
 
-from oracles import decoupling_trial_norms
+from oracles import decoupling_trial_norms, trial_records
 
 
 def test_wilson_interval_matches_formula_with_library_quantile():
@@ -53,6 +55,16 @@ def test_report_hypotheses_serialise_infinite_bounds_as_null():
     out = rep.to_json_dict()
     assert out["hypotheses"] == [{**row, "rhs": None}]
     json.dumps(out, allow_nan=False)
+
+
+def test_a_nan_is_refused_by_name_and_an_infinity_still_becomes_null():
+    rep = hn.ExperimentReport(name="x", grid={}, master_seed=0, trials=0, cells=[],
+                              extras={"ks": math.nan})
+    with pytest.raises(DomainError, match="ks is NaN"):
+        rep.to_json_dict()
+    rep = hn.ExperimentReport(name="x", grid={}, master_seed=0, trials=0, cells=[],
+                              extras={"ks": math.inf, "grid": [1.0, -math.inf]})
+    assert rep.to_json_dict()["extras"] == {"ks": None, "grid": [1.0, None]}
 
 
 def test_ks_distance_handmade():
@@ -124,7 +136,7 @@ def test_cap_hit_frequency_matches_cdf_complement():
 
 
 def test_norm_audit_supported_and_bounded():
-    rep = hn.run_norm_audit(8, 64, 12, 0.5, 150, seed=21)
+    rep = hn.run_norm_audit(8, 64, 12, 0.5, 150, seed=21, c_kappa=2.0)
     cell = rep.cells[0]
     assert cell.verdict == "supported"
     assert cell.observed == 0.0
@@ -238,7 +250,8 @@ def test_decoupling_audit_memory_is_bounded():
 
 
 def test_theorem_audit_untestable_with_ledger():
-    rep = hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=41)
+    rep = hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=41, probe_count=50,
+                             kappa=an.KAPPA_BRANCH_CONSTANT)
     cell = rep.cells[0]
     assert cell.verdict == "untestable-at-scale"
     assert any(not h["satisfied"] for h in rep.hypotheses)
@@ -252,15 +265,16 @@ def test_theorem_audit_untestable_with_ledger():
 
 
 def test_theorem_audit_deterministic():
-    a = hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=42)
-    b = hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=42)
+    a, b = (hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=42, probe_count=50,
+                                 kappa=an.KAPPA_BRANCH_CONSTANT) for _ in range(2))
     assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_theorem_audit_rejects_net_eps_outside_unit_interval():
     for net_eps in (0.0, 1.0, 1.5):
         with pytest.raises(InvalidInput):
-            hn.run_theorem_audit(4, 120, 2, 0.5, net_eps, 20, seed=44)
+            hn.run_theorem_audit(4, 120, 2, 0.5, net_eps, 20, seed=44, probe_count=50,
+                                 kappa=an.KAPPA_BRANCH_CONSTANT)
 
 
 def test_theorem_audit_negative_claimed_probability_is_vacuous():
@@ -272,7 +286,7 @@ def test_theorem_audit_negative_claimed_probability_is_vacuous():
 
 
 def test_chernoff_audit_cells():
-    rep = hn.run_chernoff_audit([0.05, 0.1, 0.3], [0.2, 0.5, 0.8], 2000, seed=51)
+    rep = hn.run_chernoff_audit([0.05, 0.1, 0.3], [0.2, 0.5, 0.8], 2000, seed=51, count=1000)
     assert all(c.verdict == "supported" for c in rep.cells)
     rare = [c for c in rep.cells if "rare event" in c.notes]
     assert rare, "expected at least one rare-event cell at this grid"
@@ -285,7 +299,7 @@ def test_chernoff_audit_cells():
 
 
 def test_chernoff_audit_zero_mean_cell_is_untestable():
-    rep = hn.run_chernoff_audit([0.0], [0.5], 150, seed=52)
+    rep = hn.run_chernoff_audit([0.0], [0.5], 150, seed=52, count=1000)
     assert rep.cells[0].verdict == "untestable-at-scale"
 
 
@@ -293,10 +307,11 @@ def test_report_schema_validates_all_audits():
     reports = [
         hn.run_order_stat_audit(3, 15, 4, 150, seed=61),
         hn.run_coherence_audit(5, 20, 150, seed=62),
-        hn.run_norm_audit(6, 32, 8, 0.5, 150, seed=63),
+        hn.run_norm_audit(6, 32, 8, 0.5, 150, seed=63, c_kappa=2.0),
         hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 150, seed=64),
-        hn.run_theorem_audit(4, 100, 2, 0.5, 0.5, 20, seed=65),
-        hn.run_chernoff_audit([0.1], [0.5], 150, seed=66),
+        hn.run_theorem_audit(4, 100, 2, 0.5, 0.5, 20, seed=65, probe_count=50,
+                             kappa=an.KAPPA_BRANCH_CONSTANT),
+        hn.run_chernoff_audit([0.1], [0.5], 150, seed=66, count=1000),
     ]
     for rep in reports:
         jsonschema.validate(rep.to_json_dict(), hn.REPORT_SCHEMA)
@@ -312,14 +327,14 @@ _PREFIX_CASES = {
                    lambda: hn.run_order_stat_audit(3, 12, 3, 130, seed=71)),
     "coherence": (lambda: hn.run_coherence_audit(5, 20, 100, seed=72),
                   lambda: hn.run_coherence_audit(5, 20, 130, seed=72)),
-    "norm": (lambda: hn.run_norm_audit(6, 32, 8, 0.5, 100, seed=73),
-             lambda: hn.run_norm_audit(6, 32, 8, 0.5, 130, seed=73)),
+    "norm": (lambda: hn.run_norm_audit(6, 32, 8, 0.5, 100, seed=73, c_kappa=2.0),
+             lambda: hn.run_norm_audit(6, 32, 8, 0.5, 130, seed=73, c_kappa=2.0)),
     "decoupling": (lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 100, seed=74),
                    lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=74)),
     "theorem": (lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 20, seed=75, probe_count=5, kappa=3.0),
                 lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 25, seed=75, probe_count=5, kappa=3.0)),
-    "chernoff": (lambda: hn.run_chernoff_audit([0.1], [0.2, 0.5], 150, seed=76),
-                 lambda: hn.run_chernoff_audit([0.1, 0.3], [0.2, 0.5], 150, seed=76)),
+    "chernoff": (lambda: hn.run_chernoff_audit([0.1], [0.2, 0.5], 150, seed=76, count=1000),
+                 lambda: hn.run_chernoff_audit([0.1, 0.3], [0.2, 0.5], 150, seed=76, count=1000)),
 }
 
 
@@ -328,3 +343,75 @@ def test_trial_records_replay_from_seed_and_index_alone(name):
     short, long = (run() for run in _PREFIX_CASES[name])
     assert len(long.records) > len(short.records)
     assert long.records[: len(short.records)] == short.records
+
+
+_README_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+_README_TWO_STAGE = {
+    "order-stat": lambda: hn.run_order_stat_audit(3, 20, 5, 10_000, seed=1),
+    "decoupling": lambda: hn.run_decoupling_audit(8, 24, 4.0, 3, _README_GRID, 5000, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_README_TWO_STAGE))
+def test_readme_records_equal_the_per_trial_draw_path(monkeypatch, name):
+    got = _README_TWO_STAGE[name]()
+    monkeypatch.setattr(hn, "_run_trials", trial_records)
+    want = _README_TWO_STAGE[name]()
+    assert got.records == want.records
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+class _ZeroFirstRow:
+    """A stream whose first Gaussian block has its first row zeroed, which
+    `sample_unit_vectors` must draw again."""
+
+    def __init__(self, gen):
+        self._gen, self._first = gen, True
+
+    def standard_normal(self, size=None):
+        out = self._gen.standard_normal(size)
+        if self._first:
+            out[0] = 0.0
+        self._first = False
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+# trial 57 lies past the first block when blocks hold 1500 values
+_ZEROED = {2, 57}
+
+
+class _ZeroingStreams(TrialStreams):
+    def generator(self, stream_index):
+        gen = super().generator(stream_index)
+        return _ZeroFirstRow(gen) if stream_index in _ZEROED else gen
+
+
+_ZERO_ROW_CASES = {
+    # the largest |<X_j, e_1>|, which a NaN row would take
+    "order-stat": (94, lambda seed: hn.run_order_stat_audit(3, 12, 12, 130, seed=seed)),
+    "decoupling": (95, lambda seed: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("elements", [None, 1500])
+@pytest.mark.parametrize("name", sorted(_ZERO_ROW_CASES))
+def test_a_zero_row_is_drawn_again_as_sample_unit_vectors_does(monkeypatch, name, elements):
+    seed, run = _ZERO_ROW_CASES[name]
+    if elements is not None:
+        monkeypatch.setattr(hn, "_BATCH_ELEMENTS", elements)
+    plain = run(seed)
+    monkeypatch.setattr(hn, "TrialStreams", _ZeroingStreams)
+    got = run(seed)
+
+    def generator(i):
+        gen = RngStream(seed, i).generator()
+        return _ZeroFirstRow(gen) if i in _ZEROED else gen
+
+    monkeypatch.setattr(hn, "_run_trials", functools.partial(trial_records, generator=generator))
+    assert got.records == run(seed).records
+    assert [a for a in got.records if a.trial_index not in _ZEROED] == \
+        [b for b in plain.records if b.trial_index not in _ZEROED]
+    assert all(math.isfinite(v) for rec in got.records for v in rec.measures.values())

@@ -16,6 +16,8 @@ from orthoselect import (
     sample_unit_vectors,
 )
 
+from orthoselect.sphere import TrialStreams
+
 from oracles import eps_net_points, sorted_ks
 
 
@@ -25,6 +27,27 @@ def test_rng_stream_reproducible_and_independent():
     c = RngStream(99, 5).generator().standard_normal(16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _stream_draws(gen: np.random.Generator, i: int) -> list:
+    # the last draw leaves buffered state for the next reset to clear: an
+    # odd count of 32-bit integers, a uniform, or a Gaussian
+    out = [gen.standard_normal(2), gen.integers(0, 1000, size=2, dtype=np.int32), gen.random()]
+    last = i % 3
+    if last == 0:
+        out.append(gen.integers(0, 1000, size=3, dtype=np.int32))
+    else:
+        out.append(gen.random() if last == 1 else gen.standard_normal())
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 2**63, 2**64 - 1])
+def test_trial_streams_equal_fresh_streams(seed):
+    streams = TrialStreams(seed)
+    for i in range(10_000):
+        want = _stream_draws(RngStream(seed, i).generator(), i)
+        got = _stream_draws(streams.generator(i), i)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), i
 
 
 def test_sample_unit_vector_basics():
