@@ -391,10 +391,10 @@ def derive_constants(
     n: int,
     p: int,
     s: int,
-    rho_minus: float = 0.5,
-    epsilon: float = 0.5,
-    c_kappa: float = 1.0,
-    c_subgauss: float = 0.5,
+    rho_minus: float,
+    epsilon: float,
+    c_kappa: float,
+    c_subgauss: float,
 ) -> BoundConstants:
     """Recompute every derived constant for the given context."""
     k_eps = k_epsilon(epsilon, c_kappa)

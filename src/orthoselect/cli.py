@@ -155,15 +155,20 @@ def _grid(text: str) -> list[float]:
 
 
 def _csv_cell(value, key: str) -> str:
+    """One CSV cell: empty for None and for an infinite float (JSON's null),
+    1 or 0 for a bool, a list's cells space-joined; a NaN raises DomainError
+    naming `key`."""
     if value is None:
         return ""
+    if isinstance(value, (list, tuple)):
+        return " ".join(_csv_cell(v, key) for v in value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if math.isnan(value):
-        raise DomainError(f"{key} is NaN")
-    return matrixio.format_float(float(value))
+    if isinstance(value, (float, np.floating)):
+        if math.isnan(value):
+            raise DomainError(f"{key} is NaN")
+        return "" if math.isinf(value) else matrixio.format_float(float(value))
+    return str(value)
 
 
 def _kv_csv(payload: dict) -> str:
@@ -173,22 +178,10 @@ def _kv_csv(payload: dict) -> str:
         value = payload[key]
         if isinstance(value, dict):
             for sub in sorted(value):
-                lines.append(f"{key}.{sub},{_csv_cell_text(value[sub], f'{key}.{sub}')}")
+                lines.append(f"{key}.{sub},{_csv_cell(value[sub], f'{key}.{sub}')}")
         else:
-            lines.append(f"{key},{_csv_cell_text(value, key)}")
+            lines.append(f"{key},{_csv_cell(value, key)}")
     return "\n".join(lines) + "\n"
-
-
-def _csv_cell_text(value, key: str) -> str:
-    if isinstance(value, (list, tuple)):
-        return " ".join(_csv_cell_text(v, key) for v in value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise DomainError(f"{key} is NaN")
-        return "" if math.isinf(value) else matrixio.format_float(value)
-    if value is None:
-        return ""
-    return str(value)
 
 
 def _csv_column(key: str, values: list) -> list[str]:
@@ -198,7 +191,7 @@ def _csv_column(key: str, values: list) -> list[str]:
     if kinds == {float}:
         if any(v != v for v in values):
             raise DomainError(f"{key} is NaN")
-        return list(map(matrixio.format_float, values))
+        return [matrixio.format_float(v) if math.isfinite(v) else "" for v in values]
     if kinds == {int}:
         return list(map(str, values))
     return [_csv_cell(v, key) for v in values]

@@ -8,7 +8,17 @@ once; `attained_values` and `constrained_select` (its count=1 view) read its
 results.  The outer sets come from `_outer_ranked`, which `greedy_outer`
 shares: it works through the directions in row blocks and ranks each row to
 its m smallest values (`_rank_rows`), so memory is bounded by one block plus
-the (count, m) outer sets, never by the full (p, count) value matrix.
+the (count, m) outer sets, never by the full (p, count) value matrix.  A row
+is ranked by a values-only partition to its m-th smallest value, then a
+stable sort of the entries at or below it; only a row tied at that value
+takes a full stable argsort.
+
+Each round conditions its drawn subsets in `_feasible`: the column pairs'
+Gram entries decide every subset outside a band of half-width 1e-8 around
+1 - rho_minus^2 (a Gershgorin bound accepts, Cauchy interlacing rejects), and
+only the rest run eigvalsh, so the accepted subsets are exactly those an
+eigvalsh of every subset accepts.  The kernel keeps no sigma_min;
+`constrained_select` computes it for its one accepted subset.
 
 The exact oracle, `exact_inf_profile`, takes the min over every feasible
 s-subset of max_{j in S} |<X_j, v>|.  For s = 2 at scale it reads the answer
@@ -47,6 +57,9 @@ _SUBSET_BLOCK = 1 << 12
 # Values per outer-set ranking block (4 MiB of float64; the last block also
 # takes the remainder, so it holds up to twice that).
 _RANK_ELEMENTS = 1 << 19
+# Half-width of the band around 1 - rho_minus^2 in which a column pair's
+# Gram entry leaves the feasibility test to eigvalsh (see `_feasible`).
+_PAIR_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -128,21 +141,25 @@ def _rank_rows(b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The first m of a stable argsort of each row of `b` (rows, p), and
     their values.
 
-    Each row is partitioned to its m smallest, which are sorted by index and
-    then stably by value; a row with more than m values at or below its m-th
-    value (a tie at the partition boundary) is ranked by a full stable
-    argsort.
+    A values-only partition gives each row's m-th smallest value t; the
+    entries at or below t, read in index order and sorted stably by value,
+    are that row's answer.  A row with more than m such entries (a tie at t)
+    is ranked by a full stable argsort.
     """
-    rows = np.arange(b.shape[0])[:, None]
-    idx = b.argpartition(m - 1, axis=1)[:, :m]
-    idx.sort(axis=1)
-    by_value = b[rows, idx].argsort(axis=1, kind="stable")
-    idx = idx[rows, by_value]
-    vals = b[rows, idx]
-    tied = np.flatnonzero((b <= vals[:, -1:]).sum(axis=1) > m)
+    p = b.shape[1]
+    marked = b <= np.partition(b, m - 1, axis=1)[:, m - 1 : m]
+    tied = np.flatnonzero(np.count_nonzero(marked, axis=1) > m)
+    # a tied row keeps m placeholder marks, so every row holds exactly m
+    marked[tied] = False
+    marked[tied, :m] = True
+    flat = np.flatnonzero(marked)
+    vals = b.ravel()[flat].reshape(-1, m)
+    by_value = vals.argsort(axis=1, kind="stable")
+    idx = np.take_along_axis(flat.reshape(-1, m) % p, by_value, axis=1)
+    vals = np.take_along_axis(vals, by_value, axis=1)
     if tied.size:
         idx[tied] = b[tied].argsort(axis=1, kind="stable")[:, :m]
-        vals[tied] = b[tied[:, None], idx[tied]]
+        vals[tied] = np.take_along_axis(b[tied], idx[tied], axis=1)
     return idx, vals
 
 
@@ -168,25 +185,73 @@ def _subset_positions(m: int, swaps: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _feasible(vecs: np.ndarray, rho_minus: float) -> np.ndarray:
+    """Whether each stacked column subset `vecs` (a, s, n) has
+    sigma_min = sqrt(max(lambda_min(G), 0)) >= rho_minus, G its Gram matrix,
+    exactly as a batched eigvalsh of G decides it.
+
+    The column pairs decide most subsets without an eigvalsh.  Every column
+    has unit norm within UNIT_NORM_TOL = 1e-9, so each diagonal entry of G is
+    within delta = 2.1e-9 of 1.  With g_ij the pair products and
+    bound = 1 - rho_minus^2:
+
+    - Gershgorin: lambda_min >= 1 - delta - max_i sum_{j != i} |g_ij|, so a
+      largest row sum <= bound - _PAIR_BAND gives
+      lambda_min >= rho_minus^2 + 7.9e-9: feasible;
+    - Cauchy interlacing: lambda_min is at most that of any 2 x 2 principal
+      submatrix, <= 1 + delta - |g_ij|, so one pair with
+      |g_ij| >= bound + _PAIR_BAND gives lambda_min <= rho_minus^2 - 7.9e-9:
+      infeasible.
+
+    For s = 2 both read the one pair: it decides outside the band
+    bound -+ _PAIR_BAND.  The 7.9e-9 margin dwarfs what separates these
+    bounds from the eigvalsh test: its rounding error, the rounding of
+    rho_minus^2 and the gap between the elementwise g_ij and the matmul
+    Gram's entries are each about 1e-15 at the sizes this package targets.
+    So every decided subset gets the eigvalsh test's answer, and only the
+    rest run it.
+    """
+    a, s, _ = vecs.shape
+    bound = 1.0 - rho_minus * rho_minus
+    radius = np.zeros((a, s))
+    widest = np.zeros(a)
+    for i, j in combinations(range(s), 2):
+        g = np.abs(np.einsum("kn,kn->k", vecs[:, i], vecs[:, j]))
+        radius[:, i] += g
+        radius[:, j] += g
+        np.maximum(widest, g, out=widest)
+    ok = radius.max(axis=1) <= bound - _PAIR_BAND
+    undecided = np.flatnonzero(~ok & (widest < bound + _PAIR_BAND))
+    if undecided.size:
+        ok[undecided] = _sigma_min(vecs[undecided]) >= rho_minus
+    return ok
+
+
+def _sigma_min(vecs: np.ndarray) -> np.ndarray:
+    """sqrt(max(lambda_min, 0)) of the Gram matrix of each stacked column
+    subset `vecs` (a, s, n), by one batched eigvalsh."""
+    lam = np.linalg.eigvalsh(vecs @ vecs.transpose(0, 2, 1))
+    return np.sqrt(np.maximum(lam[:, 0], 0.0))
+
+
 def _pipeline(
     matrix: ColumnMatrix,
     directions: np.ndarray,
     cfg: SelectionConfig,
     rng: RngStream | np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The selection pipeline for every direction row, in batched rounds.
 
     The outer sets and their values come from `_outer_ranked`, so only
     (count, m) arrays are kept.  Each round draws one uniform s-subset (a
     partial Fisher-Yates shuffle of positions into the direction's
     value-ranked outer list) for every direction still without a
-    well-conditioned subset, conditions them all with one batched eigvalsh,
-    and reads each accepted subset's attained value from the outer-set
-    values.  Returns per direction row:
+    well-conditioned subset, conditions them all at once (`_feasible`), and
+    reads each accepted subset's attained value from the outer-set values.
+    Returns per direction row:
 
     - the outer columns (count, m), in value order;
     - the accepted inner columns (count, s), in draw order, -1 if none;
-    - their sigma_min (NaN if none);
     - the attempts used (max_attempts if none);
     - the attained value max_{j in inner} |<X_j, v>| (+inf if none).
     """
@@ -204,7 +269,6 @@ def _pipeline(
 
     outer, b_outer = _outer_ranked(matrix, dirs, m)
     inner = np.full((count, s), -1)
-    smin = np.full(count, math.nan)
     attempts = np.full(count, cfg.max_attempts)
     attained = np.full(count, math.inf)
     # rank-deficient subsets can never reach rho_minus > 0
@@ -216,19 +280,14 @@ def _pipeline(
         a = active.size
         pos = _subset_positions(m, np.column_stack([gen.integers(i, m, size=a) for i in range(s)]))
         chosen_cols = outer[active[:, None], pos[:, :s]]  # (a, s)
-        vecs = cols_t[chosen_cols]  # (a, s, n)
-        gram = vecs @ vecs.transpose(0, 2, 1)
-        lam = np.linalg.eigvalsh(gram)
-        sig = np.sqrt(np.maximum(lam[:, 0], 0.0))
-        ok = sig >= cfg.rho_minus
+        ok = _feasible(cols_t[chosen_cols], cfg.rho_minus)
         if np.any(ok):
             hit = active[ok]
             inner[hit] = chosen_cols[ok]
-            smin[hit] = sig[ok]
             attempts[hit] = attempt
             attained[hit] = np.max(b_outer[hit[:, None], pos[ok, :s]], axis=1)
             active = active[~ok]
-    return outer, inner, smin, attempts, attained
+    return outer, inner, attempts, attained
 
 
 def constrained_select(
@@ -237,13 +296,14 @@ def constrained_select(
     cfg: SelectionConfig,
     rng: RngStream | np.random.Generator,
 ) -> SelectionOutcome:
-    """Full pipeline for one direction: the count=1 view of the batched kernel."""
-    outer, inner, smin, attempts, attained = _pipeline(matrix, np.reshape(v, (1, -1)), cfg, rng)
+    """Full pipeline for one direction: the count=1 view of the batched
+    kernel, with the accepted subset's sigma_min."""
+    outer, inner, attempts, attained = _pipeline(matrix, np.reshape(v, (1, -1)), cfg, rng)
     found = inner[0, 0] >= 0
     return SelectionOutcome(
         outer_set=IndexSet.from_iterable(outer[0]),
         inner_set=IndexSet.from_iterable(inner[0]) if found else None,
-        sigma_min_achieved=float(smin[0]) if found else None,
+        sigma_min_achieved=float(_sigma_min(matrix.data.T[inner[:1]])[0]) if found else None,
         attained_value=float(attained[0]),
         attempts_used=int(attempts[0]),
     )

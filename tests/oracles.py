@@ -5,9 +5,11 @@ of eigendecomposition, Gauss-Legendre quadrature instead of the continued
 fraction, direct enumeration instead of the pipeline, one trial at a time
 instead of the batched audit kernels, a per-candidate loop instead of the
 far-candidate net construction, the full gather instead of the shortest
-feasible prefix, one eigvalsh per subset instead of a batched block, a new
-generator per trial stream instead of one re-keyed Philox, and the
-continued fraction one float at a time instead of over arrays.
+feasible prefix, one eigvalsh per subset instead of a batched block, an
+eigvalsh for every drawn subset instead of the pair bounds, a full stable
+argsort instead of the partition ranking, a new generator per trial stream
+instead of one re-keyed Philox, and the continued fraction one float at a
+time instead of over arrays.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from orthoselect.harness import TrialRecord
 from orthoselect.linalg import operator_norm, submatrix
-from orthoselect.selection import feasible_subsets, greedy_outer
+from orthoselect.selection import _subset_positions, feasible_subsets, greedy_outer
 from orthoselect.sphere import (_CANDIDATE_CHUNK, RngStream, sample_sphere_matrix,
                                 sample_unit_vector, sample_unit_vectors)
 
@@ -168,6 +170,47 @@ def feasible_subsets_loop(matrix, s: int, rho_minus: float) -> list[tuple[int, .
         if math.sqrt(max(lam_min, 0.0)) >= rho_minus:
             out.append(subset)
     return out
+
+
+def eigvalsh_sigma_min(vecs: np.ndarray) -> np.ndarray:
+    """sqrt(max(lambda_min, 0)) of the Gram matrix of each stacked column
+    subset `vecs` (a, s, n), by one batched eigvalsh over all of them."""
+    lam = np.linalg.eigvalsh(vecs @ vecs.transpose(0, 2, 1))
+    return np.sqrt(np.maximum(lam[:, 0], 0.0))
+
+
+def pipeline_eigvalsh(matrix, directions: np.ndarray, cfg, gen: np.random.Generator) -> tuple:
+    """The selection pipeline with an eigvalsh for every drawn subset: outer
+    sets from a full stable argsort of one unblocked |X^T v| product, then
+    rounds that draw a subset per open direction on `gen` and condition all
+    of them by one batched eigvalsh.  Returns per direction the outer columns,
+    the accepted inner columns in draw order (-1 if none), their sigma_min
+    (NaN if none), the attempts used and the attained value (+inf if none).
+    `attained_values` and `constrained_select` must match it bit for bit."""
+    m, s, count = cfg.outer_size(matrix.p), cfg.s, directions.shape[0]
+    b = np.abs(matrix.data.T @ directions.T).T
+    outer = np.argsort(b, axis=1, kind="stable")[:, :m]
+    b_outer = np.take_along_axis(b, outer, axis=1)
+    inner = np.full((count, s), -1)
+    smin = np.full(count, math.nan)
+    attempts = np.full(count, cfg.max_attempts)
+    attained = np.full(count, math.inf)
+    active = np.arange(count if s <= matrix.n else 0)
+    for attempt in range(1, cfg.max_attempts + 1):
+        if not active.size:
+            break
+        a = active.size
+        pos = _subset_positions(m, np.column_stack([gen.integers(i, m, size=a) for i in range(s)]))
+        chosen = outer[active[:, None], pos[:, :s]]
+        sig = eigvalsh_sigma_min(matrix.data.T[chosen])
+        ok = sig >= cfg.rho_minus
+        hit = active[ok]
+        inner[hit] = chosen[ok]
+        smin[hit] = sig[ok]
+        attempts[hit] = attempt
+        attained[hit] = np.max(b_outer[hit[:, None], pos[ok, :s]], axis=1)
+        active = active[~ok]
+    return outer, inner, smin, attempts, attained
 
 
 def exact_inf_gather(matrix, directions: np.ndarray, s: int, rho_minus: float) -> np.ndarray:

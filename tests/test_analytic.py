@@ -264,7 +264,7 @@ def test_kappa_branches_and_max_semantics():
     assert an.KAPPA_BRANCH_CONSTANT == pytest.approx(math.exp(2.0), abs=1e-12)
     for p, n in [(11, 6), (100, 10), (10_000, 50)]:
         b1, b2 = an.kappa_branches(0.5, 0.5, 1.0, p, n, 0.5)
-        assert an.derive_constants(n, p, 1).kappa == max(b1, b2)
+        assert an.derive_constants(n, p, 1, 0.5, 0.5, 1.0, 0.5).kappa == max(b1, b2)
     # the log^2(p) branch grows with p
     b2s = [an.kappa_branches(0.5, 0.5, 1.0, p, 10, 0.5)[1] for p in (11, 100, 1000)]
     assert b2s[0] < b2s[1] < b2s[2]
@@ -290,22 +290,22 @@ def test_norm_threshold_u_scaling():
 
 
 def test_derive_constants_recomputes_consistently():
-    c = an.derive_constants(100, 1000, 1)
+    c = an.derive_constants(100, 1000, 1, 0.5, 0.5, 1.0, 0.5)
     assert c.k_epsilon == pytest.approx(an.k_epsilon(0.5, 1.0), rel=1e-15)
     assert c.kappa == max(c.kappa_branch1, c.kappa_branch2)
     assert c.r_prime == 0.25
     assert c.s_max == 0
     assert c.h_cap == pytest.approx(an.coherence_threshold_h(1000, 100), rel=1e-15)
-    small = an.derive_constants(8, 40, 1, c_kappa=0.1)
+    small = an.derive_constants(8, 40, 1, 0.5, 0.5, 0.1, 0.5)
     assert small.z0 is not None and 0.0 < small.z0 < 1.0
 
 
 def test_constraint_check_rows():
-    cfg = an.derive_constants(5, 10, 1)
+    cfg = an.derive_constants(5, 10, 1, 0.5, 0.5, 1.0, 0.5)
     rows = {r["constraint"]: r for r in an.constraint_check(cfg)}
     assert not rows["p >= ceil(exp(6/sqrt(2*pi)))"]["satisfied"]  # 10 < 11
     assert not rows["n >= 6"]["satisfied"]
-    cfg2 = an.derive_constants(700, 10_000, 1, c_kappa=1.0)
+    cfg2 = an.derive_constants(700, 10_000, 1, 0.5, 0.5, 1.0, 0.5)
     rows2 = {r["constraint"]: r for r in an.constraint_check(cfg2)}
     assert rows2["n >= 6"]["satisfied"]
     assert rows2["p >= ceil(exp(6/sqrt(2*pi)))"]["satisfied"]

@@ -589,6 +589,23 @@ def test_key_value_csv_refuses_a_nan_and_leaves_an_infinity_empty():
     assert cli._kv_csv({"upper": math.inf, "grid": [0.5, math.inf]}) == "key,value\ngrid,0.5 \nupper,\n"
 
 
+def test_trial_table_writes_an_infinity_as_an_empty_cell():
+    # a theorem trial with no feasible subset at some net point has certificate +inf
+    records = [hn.TrialRecord(0, {"p": 4}, {"certificate": math.inf, "rate": 0.5}, {},
+                              {"below": False}),
+               hn.TrialRecord(1, {"p": 4}, {"certificate": 0.25, "rate": 1}, {},
+                              {"below": True})]
+    text = records_to_csv(records, {"seed": 1})
+    assert text.splitlines()[1:] == [
+        "trial_index,stream_index,param.p,measure.certificate,measure.rate,satisfied.below",
+        "0,0,4,,0.5,0",
+        "1,1,4,0.25,1,1",
+    ]
+    assert [cli._csv_cell(v, "k") for v in (math.inf, -math.inf, np.float64(math.inf))] == [""] * 3
+    with pytest.raises(DomainError, match="measure.certificate is NaN"):
+        records_to_csv([hn.TrialRecord(0, {}, {"certificate": math.nan}, {}, {})], {})
+
+
 def test_constants_writes_an_undefined_v_split_as_null(runner):
     # log(C_k n) <= 0 at n = 1, C_k = 0.5, so v_split is undefined
     result = invoke(runner, ["constants", "--n", "1", "--p", "20", "--s", "1", "--c-kappa", "0.5",

@@ -28,7 +28,7 @@ from orthoselect import (
 )
 from orthoselect import selection
 
-from oracles import exact_inf_gather, feasible_subsets_loop
+from oracles import eigvalsh_sigma_min, exact_inf_gather, feasible_subsets_loop, pipeline_eigvalsh
 
 
 def sort_oracle(matrix, v, m):
@@ -285,6 +285,107 @@ def test_constrained_select_deterministic():
     a = constrained_select(x, v, cfg, RngStream(23, 0))
     b = constrained_select(x, v, cfg, RngStream(23, 0))
     assert a == b
+
+
+def rotated(gram: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """(s, n) rows with Gram matrix `gram`, turned by a random rotation of R^n."""
+    rows = np.zeros((gram.shape[0], n))
+    rows[:, : gram.shape[0]] = np.linalg.cholesky(gram)
+    return rows @ np.linalg.qr(gen.standard_normal((n, n)))[0]
+
+
+def band_stacks(n: int, s: int, rho: float, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Column subsets (a, s, n) around the pair band of `_feasible`, and how
+    many of them sit inside it: pairs with |g| = 1 - rho^2 + offset (s = 3
+    adds a random third column), and for s = 3 the equal-angle triples
+    g_ij = +-(1 - rho^2 + offset)/2, whose Gershgorin row sum is
+    1 - rho^2 + offset and, for g_ij < 0, whose lambda_min is rho^2 - offset."""
+    bound = 1.0 - rho * rho
+    stacks, inside = [], 0
+    for offset in (0.0, 5e-9, -5e-9, 2e-8, -2e-8):
+        for sign in (1.0, -1.0):
+            g = sign * (bound + offset)
+            for _ in range(20):
+                pair = rotated(np.array([[1.0, g], [g, 1.0]]), n, gen)
+                stacks.append(np.vstack([pair, sample_unit_vectors(n, s - 2, gen)]))
+                inside += abs(offset) < selection._PAIR_BAND
+                if s == 3:
+                    c = g / 2.0
+                    stacks.append(rotated(np.full((3, 3), c) + (1.0 - c) * np.eye(3), n, gen))
+    return np.array(stacks), inside
+
+
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
+def test_pair_bounds_decide_as_eigvalsh(monkeypatch, rho, s):
+    gen = np.random.default_rng([70, s, round(rho * 1000)])
+    n = 4
+    band, inside = band_stacks(n, s, rho, gen)
+    random = sample_unit_vectors(n, 4000 * s, gen).reshape(4000, s, n)
+    vecs = np.concatenate([band, random])
+    # columns off unit norm by up to 0.9e-9, inside ColumnMatrix's tolerance
+    vecs *= 1.0 + gen.uniform(-0.9e-9, 0.9e-9, size=vecs.shape[:2])[..., None]
+    opened = []
+    real = selection._sigma_min
+    monkeypatch.setattr(selection, "_sigma_min", lambda v: opened.append(len(v)) or real(v))
+    got = selection._feasible(vecs, rho)
+    want = eigvalsh_sigma_min(vecs) >= rho
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(want) < len(vecs)
+    if s == 2:
+        # the band's pairs, and only they, go to eigvalsh
+        assert opened == [inside]
+    else:
+        assert inside <= sum(opened) < len(vecs)
+
+
+def band_matrix(n: int, p: int, rho: float, seed: int) -> ColumnMatrix:
+    """p // 2 random unit columns, each beside a partner at |g| = 1 - rho^2,
+    so pipeline draws land in `_feasible`'s band."""
+    gen = np.random.default_rng(seed)
+    cols = []
+    for k in range(p // 2):
+        g = (-1.0) ** k * (1.0 - rho * rho)
+        cols += list(rotated(np.array([[1.0, g], [g, 1.0]]), n, gen))
+    return ColumnMatrix(np.array(cols).T)
+
+
+@pytest.mark.parametrize("n, p, s, rho, kappa, max_attempts, band", [
+    (4, 200, 2, 0.5, None, 1000, False),
+    (4, 60, 2, 0.9, 3.0, 5, False),
+    (4, 40, 2, 0.5, 4.0, 1000, True),
+    (4, 60, 3, 0.5, None, 1000, False),
+    (5, 40, 3, 0.7, 4.0, 20, True),
+    (3, 30, 4, 0.5, 2.0, 10, False),
+])
+def test_pipeline_matches_the_eigvalsh_reference(monkeypatch, n, p, s, rho, kappa, max_attempts,
+                                                  band):
+    seed = 80 + p + s
+    x = band_matrix(n, p, rho, seed) if band else sample_sphere_matrix(n, p, RngStream(seed, 0))
+    cfg = SelectionConfig(s=s, rho_minus=rho, max_attempts=max_attempts,
+                          **({} if kappa is None else {"kappa": kappa}))
+    dirs = sample_unit_vectors(n, 3000, RngStream(seed, 1))
+    opened = []
+    real = selection._sigma_min
+    monkeypatch.setattr(selection, "_sigma_min", lambda v: opened.append(len(v)) or real(v))
+    got = attained_values(x, dirs, cfg, RngStream(seed, 2).generator())
+    outer, inner, smin, attempts, attained = pipeline_eigvalsh(x, dirs, cfg,
+                                                               RngStream(seed, 2).generator())
+    assert np.array_equal(got, attained)
+    if band:
+        assert sum(opened) > 0
+    for i in range(40):
+        out = constrained_select(x, dirs[i], cfg, RngStream(seed, 3 + i))
+        o, inn, sig, att, val = pipeline_eigvalsh(x, dirs[i : i + 1], cfg,
+                                                  RngStream(seed, 3 + i).generator())
+        assert out.outer_set.indices == tuple(sorted(o[0].tolist()))
+        assert out.attempts_used == att[0]
+        assert out.attained_value == val[0]
+        if inn[0, 0] < 0:
+            assert out.inner_set is None and out.sigma_min_achieved is None
+        else:
+            assert out.inner_set.indices == tuple(sorted(inn[0].tolist()))
+            assert out.sigma_min_achieved == sig[0]  # bit for bit
 
 
 def test_brute_force_inf_singletons_and_degenerate():
