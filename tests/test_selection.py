@@ -315,9 +315,19 @@ def band_stacks(n: int, s: int, rho: float, gen: np.random.Generator) -> tuple[n
     return np.array(stacks), inside
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The subset count of every `selection._sigma_min` call (each eigvalsh
+    batch), in call order."""
+    counts = []
+    real = selection._sigma_min
+    monkeypatch.setattr(selection, "_sigma_min", lambda v: counts.append(len(v)) or real(v))
+    return counts
+
+
 @pytest.mark.parametrize("s", [2, 3])
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
-def test_pair_bounds_decide_as_eigvalsh(monkeypatch, rho, s):
+def test_pair_bounds_decide_as_eigvalsh(opened, rho, s):
     gen = np.random.default_rng([70, s, round(rho * 1000)])
     n = 4
     band, inside = band_stacks(n, s, rho, gen)
@@ -325,9 +335,6 @@ def test_pair_bounds_decide_as_eigvalsh(monkeypatch, rho, s):
     vecs = np.concatenate([band, random])
     # columns off unit norm by up to 0.9e-9, inside ColumnMatrix's tolerance
     vecs *= 1.0 + gen.uniform(-0.9e-9, 0.9e-9, size=vecs.shape[:2])[..., None]
-    opened = []
-    real = selection._sigma_min
-    monkeypatch.setattr(selection, "_sigma_min", lambda v: opened.append(len(v)) or real(v))
     got = selection._feasible(vecs, rho)
     want = eigvalsh_sigma_min(vecs) >= rho
     assert np.array_equal(got, want)
@@ -358,20 +365,14 @@ def band_matrix(n: int, p: int, rho: float, seed: int) -> ColumnMatrix:
     (5, 40, 3, 0.7, 4.0, 20, True),
     (3, 30, 4, 0.5, 2.0, 10, False),
 ])
-def test_pipeline_matches_the_eigvalsh_reference(monkeypatch, n, p, s, rho, kappa, max_attempts,
-                                                  band):
+def test_pipeline_matches_the_eigvalsh_reference(opened, n, p, s, rho, kappa, max_attempts, band):
     seed = 80 + p + s
     x = band_matrix(n, p, rho, seed) if band else sample_sphere_matrix(n, p, RngStream(seed, 0))
     cfg = SelectionConfig(s=s, rho_minus=rho, max_attempts=max_attempts,
                           **({} if kappa is None else {"kappa": kappa}))
     dirs = sample_unit_vectors(n, 3000, RngStream(seed, 1))
-    opened = []
-    real = selection._sigma_min
-    monkeypatch.setattr(selection, "_sigma_min", lambda v: opened.append(len(v)) or real(v))
     got = attained_values(x, dirs, cfg, RngStream(seed, 2).generator())
-    outer, inner, smin, attempts, attained = pipeline_eigvalsh(x, dirs, cfg,
-                                                               RngStream(seed, 2).generator())
-    assert np.array_equal(got, attained)
+    assert np.array_equal(got, pipeline_eigvalsh(x, dirs, cfg, RngStream(seed, 2).generator())[-1])
     if band:
         assert sum(opened) > 0
     for i in range(40):
