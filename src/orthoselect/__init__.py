@@ -18,7 +18,6 @@ from .sphere import (
     RngStream,
     build_eps_net,
     net_cardinality_bound,
-    net_norm_estimate,
     sample_sphere_matrix,
     sample_unit_vector,
     sample_unit_vectors,
@@ -65,7 +64,6 @@ __all__ = [
     "inf_norm_against",
     "monotonicity_check",
     "net_cardinality_bound",
-    "net_norm_estimate",
     "operator_norm",
     "sample_sphere_matrix",
     "sample_unit_vector",

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInput
+# re-exported: the first branch of the kappa formula, 4 e^{-2(ln 2 - 1)}
+from .selection import KAPPA_BRANCH_CONSTANT
 
 _BETACF_MAX_ITER = 500
 _BETACF_EPS = 3e-16
@@ -285,10 +287,6 @@ def k_epsilon(eps: float, c_kappa: float) -> float:
         / 6.0
         * ((1.0 + c_kappa) * math.log(1.0 + 2.0 / eps) + c_kappa + math.log(c_kappa / 4.0))
     )
-
-
-#: First branch of the kappa formula, the constant 4 e^{-2(ln 2 - 1)}.
-KAPPA_BRANCH_CONSTANT = 4.0 * math.exp(-2.0 * (math.log(2.0) - 1.0))
 
 
 def kappa_branches(

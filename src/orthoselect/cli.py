@@ -4,6 +4,8 @@ and the experiment audits, with stable self-describing file formats.
 Exit codes: 0 success, 2 usage error, 3 format/IO error, 4 domain error.
 Every artifact embeds the effective configuration and master seed, and any
 command rerun with identical flags and seed produces byte-identical output.
+`constants` and `experiment` import `analytic` and `harness` when they run,
+so the other commands never load them.
 """
 from __future__ import annotations
 
@@ -12,18 +14,22 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import analytic, harness, matrixio
+from . import matrixio
 from .errors import BudgetExceeded, DomainError, FormatError, InvalidInput
-from .harness import ExperimentReport, TrialRecord, _jsonable
 from .linalg import UNIT_NORM_TOL
+from .matrixio import _jsonable
 from .selection import (DEFAULT_MAX_ATTEMPTS, SelectionConfig, brute_force_inf,
                         constrained_select, estimate_gamma)
-from .sphere import (NET_DIMENSION_CAP, RngStream, build_eps_net, sample_sphere_matrix,
-                     sample_unit_vector)
+from .sphere import (_STREAM_NET, NET_DIMENSION_CAP, RngStream, build_eps_net,
+                     sample_sphere_matrix, sample_unit_vector)
+
+if TYPE_CHECKING:
+    from .harness import ExperimentReport, TrialRecord
 
 _STREAM_DIRECTION = 1 << 32
 
@@ -317,7 +323,7 @@ def gamma(matrix_path, out, fmt, config_path, **flags):
     matrix, _ = matrixio.load_matrix(matrix_path)
     _check_net_dimension(matrix.n, f"matrix {matrix_path}")
     cfg = SelectionConfig(s=c["s"], rho_minus=c["rho"], kappa=c["kappa"])
-    net = build_eps_net(matrix.n, c["net_eps"], RngStream(c["seed"], harness._STREAM_NET),
+    net = build_eps_net(matrix.n, c["net_eps"], RngStream(c["seed"], _STREAM_NET),
                         stall_budget=2000)
     est = estimate_gamma(matrix, cfg, net, c["probes"], RngStream(c["seed"], 0))
     if (
@@ -350,6 +356,8 @@ def gamma(matrix_path, out, fmt, config_path, **flags):
 @_guard
 def constants(out, fmt, config_path, **flags):
     """Evaluate every derived constant and the hypothesis ledger."""
+    from . import analytic
+
     c = _settings(_CONSTANTS, flags, config_path)
     consts = analytic.derive_constants(c["n"], c["p"], c["s"], c["rho"], c["epsilon"],
                                        c["c_kappa"], c["c"])
@@ -373,35 +381,36 @@ def constants(out, fmt, config_path, **flags):
         _write_text(out, "\n".join(lines) + "\n")
 
 
-def _run_theorem(c: dict) -> ExperimentReport:
+def _run_theorem(h, c: dict) -> ExperimentReport:
     _check_net_dimension(c["n"], "--n (or config key n)")
-    return harness.run_theorem_audit(c["n"], c["p"], c["s"], c["rho"], c["net_eps"], c["trials"],
-                                     c["seed"], probe_count=c["probes"], kappa=c["kappa"])
+    return h.run_theorem_audit(c["n"], c["p"], c["s"], c["rho"], c["net_eps"], c["trials"],
+                               c["seed"], probe_count=c["probes"], kappa=c["kappa"])
 
 
-# name -> ((key, cast, default) rows, runner over the effective config).
-# Every experiment also reads seed.  Runners look each audit up on the harness
-# module when they run, so a wrapper installed on it sees the call.
+# name -> ((key, cast, default) rows, runner over the harness module and the
+# effective config).  Every experiment also reads seed.  Runners look each
+# audit up on the harness module when they run, so a wrapper installed on it
+# sees the call.
 _EXPERIMENTS = {
     "order-stat": (
         (("n", int, 3), ("p", int, 20), ("r", int, 5), ("trials", int, 10000)),
-        lambda c: harness.run_order_stat_audit(c["n"], c["p"], c["r"], c["trials"], c["seed"]),
+        lambda h, c: h.run_order_stat_audit(c["n"], c["p"], c["r"], c["trials"], c["seed"]),
     ),
     "coherence": (
         (("n", int, 6), ("p", int, 50), ("trials", int, 1000)),
-        lambda c: harness.run_coherence_audit(c["n"], c["p"], c["trials"], c["seed"]),
+        lambda h, c: h.run_coherence_audit(c["n"], c["p"], c["trials"], c["seed"]),
     ),
     "norm": (
         (("n", int, 8), ("p", int, 64), ("kappa_s", int, 12), ("epsilon", float, 0.5),
          ("c_kappa", float, 2.0), ("trials", int, 200)),
-        lambda c: harness.run_norm_audit(c["n"], c["p"], c["kappa_s"], c["epsilon"], c["trials"],
-                                         c["seed"], c_kappa=c["c_kappa"]),
+        lambda h, c: h.run_norm_audit(c["n"], c["p"], c["kappa_s"], c["epsilon"], c["trials"],
+                                      c["seed"], c_kappa=c["c_kappa"]),
     ),
     "decoupling": (
         (("n", int, 8), ("p", int, 24), ("kappa", float, 4.0), ("s", int, 3),
          ("r_grid", _grid, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]), ("trials", int, 5000)),
-        lambda c: harness.run_decoupling_audit(c["n"], c["p"], c["kappa"], c["s"], c["r_grid"],
-                                               c["trials"], c["seed"]),
+        lambda h, c: h.run_decoupling_audit(c["n"], c["p"], c["kappa"], c["s"], c["r_grid"],
+                                            c["trials"], c["seed"]),
     ),
     "theorem": (
         (("n", int, 4), ("p", int, 120), ("s", int, 2), ("rho", float, SelectionConfig.rho_minus),
@@ -412,8 +421,8 @@ _EXPERIMENTS = {
     "chernoff": (
         (("count", int, 1000), ("q_grid", _grid, [0.05, 0.1, 0.3]),
          ("eps_grid", _grid, [0.2, 0.5, 0.8]), ("trials", int, 2000)),
-        lambda c: harness.run_chernoff_audit(c["q_grid"], c["eps_grid"], c["trials"], c["seed"],
-                                             count=c["count"]),
+        lambda h, c: h.run_chernoff_audit(c["q_grid"], c["eps_grid"], c["trials"], c["seed"],
+                                          count=c["count"]),
     ),
 }
 
@@ -438,6 +447,8 @@ def _experiment_flags() -> tuple[tuple, dict]:
 @_guard
 def experiment(name, out, config_path, **flags):
     """Run one named audit and write its report JSON and trial CSV."""
+    from . import harness
+
     rows, run = _EXPERIMENTS[name]
     rows += (_SEED,)
     read = {row[0] for row in rows}
@@ -445,7 +456,7 @@ def experiment(name, out, config_path, **flags):
     if unread:
         raise click.UsageError(f"experiment {name} does not read {', '.join(unread)}")
     settings = _settings(rows, flags, config_path)
-    report = run(settings)
+    report = run(harness, settings)
     # repr round-trips, so replaying the echoed config runs the same grid
     config = {"name": name, **{key: ",".join(map(repr, value)) if isinstance(value, list) else value
                                for key, value in settings.items()}}

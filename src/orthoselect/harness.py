@@ -41,11 +41,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analytic
-from .errors import DomainError, InvalidInput
+from .errors import InvalidInput
 from .linalg import coherence, operator_norm, submatrix
+from .matrixio import _jsonable
 from .selection import SelectionConfig, _subset_positions, estimate_gamma, greedy_outer
-from .sphere import (MIN_DRAW_NORM, RngStream, TrialStreams, build_eps_net, sample_sphere_matrix,
-                     sample_unit_vector, sample_unit_vectors)
+from .sphere import (_STREAM_NET, MIN_DRAW_NORM, RngStream, TrialStreams, build_eps_net,
+                     sample_sphere_matrix, sample_unit_vector, sample_unit_vectors)
 
 DEFAULT_CONFIDENCE = 0.95
 BOOTSTRAP_RESAMPLES = 2000
@@ -59,10 +60,9 @@ _C_SUBGAUSS = 0.5
 _THEOREM_EPSILON = 0.5
 _THEOREM_C_KAPPA = 1.0
 
-# Reserved stream offsets so trial streams (0..trials-1) never collide with
-# auxiliary consumers.
+# Reserved stream offset so trial streams (0..trials-1) never collide with
+# the bootstrap; the net's stream, sphere._STREAM_NET, is the next one.
 _STREAM_BOOTSTRAP = 1 << 48
-_STREAM_NET = (1 << 48) + 1
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
@@ -159,22 +159,6 @@ class ExperimentReport:
         """Every field but the trial records, which go to the trials CSV."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
         return _jsonable({**out, "cells": [asdict(c) for c in self.cells]})
-
-
-def _jsonable(value, key: str = "value"):
-    """Infinite floats, which JSON cannot carry, become null; a NaN raises
-    DomainError naming `key`, its dict key; the rest pass."""
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        if math.isnan(value):
-            raise DomainError(f"{key} is NaN")
-        return None
-    if isinstance(value, dict):
-        return {k: _jsonable(v, k) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v, key) for v in value]
-    return value
 
 
 REPORT_SCHEMA = {

@@ -3,21 +3,38 @@
 Matrix CSV: one `#`-prefixed metadata line (`# n=<n> p=<p> seed=<seed>`),
 then n rows of p comma-separated decimals with 17 significant digits.  The
 format is plain text so fixtures diff cleanly and round-trip bit-exactly
-under a fixed seed.
+under a fixed seed.  `_jsonable` prepares any payload for the JSON writers.
 """
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvalidInput
+from .errors import DomainError, FormatError, InvalidInput
 from .linalg import ColumnMatrix
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _jsonable(value, key: str = "value"):
+    """Infinite floats, which JSON cannot carry, become null; a NaN raises
+    DomainError naming `key`, its dict key; the rest pass."""
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            raise DomainError(f"{key} is NaN")
+        return None
+    if isinstance(value, dict):
+        return {k: _jsonable(v, k) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v, key) for v in value]
+    return value
 
 
 def matrix_to_csv(matrix: ColumnMatrix, metadata: dict) -> str:

@@ -41,9 +41,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvalidInput
 from .linalg import UNIT_NORM_TOL, ColumnMatrix, IndexSet, check_unit_vector
-from .analytic import KAPPA_BRANCH_CONSTANT
 from .sphere import EpsNet, RngStream, _as_generator, sample_unit_vectors
 
+#: First branch of the kappa formula, the constant 4 e^{-2(ln 2 - 1)}, and
+#: the default outer-set inflation factor; `analytic` re-exports it.
+KAPPA_BRANCH_CONSTANT = 4.0 * math.exp(-2.0 * (math.log(2.0) - 1.0))
 DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
 # Values per exact-oracle gather block (16 MiB of float64).
@@ -325,11 +327,20 @@ def attained_values(
 
 
 def _pair_table(matrix: ColumnMatrix, rho_minus: float) -> np.ndarray:
-    """(p, p) table of the feasible column pairs: 2-column Gram eigenvalues
-    are 1 +- |<X_i, X_j>| in closed form, so a pair is feasible iff
-    |<X_i, X_j>| <= 1 - rho_minus^2."""
-    gram = matrix.data.T @ matrix.data
-    return np.abs(gram) <= 1.0 - rho_minus * rho_minus
+    """(p, p) symmetric table of the feasible column pairs, decided as the
+    pipeline decides a drawn pair.  2-column Gram eigenvalues are
+    1 +- |<X_i, X_j>| in closed form, so outside `_feasible`'s band a pair is
+    feasible iff |<X_i, X_j>| <= 1 - rho_minus^2; a pair within _PAIR_BAND
+    of that bound takes `_feasible`'s own answer."""
+    bound = 1.0 - rho_minus * rho_minus
+    gram = np.abs(matrix.data.T @ matrix.data)
+    table = gram <= bound
+    band = (bound - _PAIR_BAND < gram) & (gram < bound + _PAIR_BAND)
+    if band.any():
+        rows, cols = np.nonzero(np.triu(band, k=1))
+        keep = _feasible(matrix.data.T[np.column_stack([rows, cols])], rho_minus)
+        table[rows, cols] = table[cols, rows] = keep
+    return table
 
 
 def feasible_subsets(matrix: ColumnMatrix, s: int, rho_minus: float) -> list[tuple[int, ...]]:

@@ -1,4 +1,4 @@
-"""Uniform sampling on the unit sphere, eps-net construction, net norm bounds.
+"""Uniform sampling on the unit sphere and eps-net construction.
 
 Randomness is drawn from counter-based Philox streams keyed by a
 (master seed, stream index) pair, so any consumer can be replayed exactly and
@@ -9,8 +9,11 @@ Philox whose key it resets, which yields the same numbers for less work.
 
 `build_eps_net` judges uniform candidates in chunks: one product per chunk
 finds the few candidates far from every earlier point, and only those are
-visited one at a time.  The net stops growing after a run of rejections, so
-it is not proven to cover the sphere to radius eps.
+visited one at a time.  Every chunk's product is written into one reused
+workspace, which grows only when the point buffer does, so a build maps new
+memory a handful of times rather than once per chunk.  The net stops growing
+after a run of rejections, so it is not proven to cover the sphere to
+radius eps.
 """
 from __future__ import annotations
 
@@ -24,6 +27,9 @@ from .linalg import ColumnMatrix
 NET_DIMENSION_CAP = 8
 _CANDIDATE_CHUNK = 512
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
+# Reserved stream index of the certificate nets of `gamma` and the theorem
+# audit, clear of the audits' trial streams (0..trials-1).
+_STREAM_NET = (1 << 48) + 1
 #: A Gaussian draw whose norm is at most this is drawn again.
 MIN_DRAW_NORM = 1e-12
 
@@ -178,6 +184,9 @@ def build_eps_net(
     against the points accepted before it marks the candidates far from all
     of them; the others are rejections, counted by position, and each far
     one is then checked against the points accepted earlier in its chunk.
+    The product goes into a C-contiguous view of one workspace sized for the
+    whole point buffer, so it is the same gemm on the same operands as a
+    fresh `chunk @ points.T`, without a new mapping per chunk.
     """
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
@@ -194,6 +203,7 @@ def build_eps_net(
     # The accepted points are the first `top` rows of a C-contiguous buffer;
     # the first `size` of them were accepted before the current chunk.
     buf = np.empty((_CANDIDATE_CHUNK, d))
+    work = np.empty(_CANDIDATE_CHUNK * buf.shape[0])
     size = top = 0
     rejections = 0
     threshold = eps * eps
@@ -202,7 +212,9 @@ def build_eps_net(
         if size:
             # 2x is exact and 2 - y rounds monotonically, so this is
             # min(2 - 2 * dots) > threshold, bit for bit
-            far = np.flatnonzero(2.0 - 2.0 * np.max(chunk @ buf[:size].T, axis=1) > threshold)
+            dots = np.matmul(chunk, buf[:size].T,
+                             out=work[: _CANDIDATE_CHUNK * size].reshape(_CANDIDATE_CHUNK, size))
+            far = np.flatnonzero(2.0 - 2.0 * np.max(dots, axis=1) > threshold)
         else:
             far = np.arange(_CANDIDATE_CHUNK)
         # Candidates near the old points are rejections, so only the far
@@ -219,6 +231,7 @@ def build_eps_net(
                 continue
             if top == buf.shape[0]:
                 buf = np.concatenate([buf, np.empty_like(buf)])
+                work = np.empty(_CANDIDATE_CHUNK * buf.shape[0])
             buf[top] = cand
             top += 1
             rejections = 0
@@ -227,23 +240,3 @@ def build_eps_net(
         size = top
     return EpsNet(d, eps, buf[:size], mode="heuristic")
 
-
-def net_norm_estimate(a: np.ndarray, left_net: EpsNet, right_net: EpsNet) -> float:
-    """Upper estimate of the operator norm of A from two nets.
-
-    `left_net` lives on the sphere of R^{rows(A)} and `right_net` on the
-    sphere of R^{cols(A)}.  Returns sup over net pairs of |v^T A w| divided by
-    (1-eps)(1-eps'); when both nets truly cover, the result dominates the
-    exact operator norm.
-    """
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise InvalidInput("expected a nonempty 2-d matrix")
-    rows, cols = arr.shape
-    if left_net.dimension != rows or right_net.dimension != cols:
-        raise InvalidInput(
-            f"net dimensions ({left_net.dimension}, {right_net.dimension}) "
-            f"do not match matrix shape {arr.shape}"
-        )
-    sup = float(np.max(np.abs(left_net.points @ arr @ right_net.points.T)))
-    return sup / ((1.0 - left_net.epsilon) * (1.0 - right_net.epsilon))

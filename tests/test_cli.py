@@ -32,6 +32,28 @@ def write_matrix(tmp_path, n=4, p=12, seed=7, name="m.csv"):
     return path
 
 
+def test_import_and_the_pipeline_commands_load_neither_harness_nor_analytic(fresh_python, tmp_path):
+    m = str(tmp_path / "m.csv")
+    loaded = fresh_python(f"""
+import json, sys
+from orthoselect import cli
+def loaded():
+    return [m for m in ("orthoselect.harness", "orthoselect.analytic") if m in sys.modules]
+seen = [loaded()]
+for args in (["gen", "--n", "4", "--p", "12", "--seed", "1", "--out", {m!r}],
+             ["select", "--matrix", {m!r}, "--v-random", "--kappa", "3", "--oracle",
+              "--out", {m + ".select"!r}],
+             ["gamma", "--matrix", {m!r}, "--kappa", "3", "--net-eps", "0.5", "--probes", "20",
+              "--out", {m + ".gamma"!r}],
+             ["constants", "--out", {m + ".constants"!r}]):
+    cli.main(args, standalone_mode=False)
+    seen.append(loaded())
+print(json.dumps(seen))
+""")
+    # `constants` shows that the probe sees a loaded module
+    assert json.loads(loaded) == [[], [], [], [], ["orthoselect.analytic"]]
+
+
 # --- gen ----------------------------------------------------------------------
 
 def test_gen_deterministic_and_round_trip(runner, tmp_path):
@@ -96,6 +118,33 @@ def test_select_infeasible_still_succeeds(runner, tmp_path):
     assert payload["sigma_min"] is None
     assert payload["attained"] is None
     assert payload["attempts"] == 30
+
+
+# Columns 0 and 1 meet at g = 0.75000000000000033, just past 1 - rho^2 for
+# rho = 0.5, yet eigvalsh gives their Gram sigma_min 0.5; the direction is
+# orthogonal to both, and columns 2 and 3 lie far from it.
+BAND_PAIR_MATRIX = """# n=3 p=4
+-0.67465432134086467,-0.11357801913399533,-0.28877098651242228,0.28877098651242228
+-0.064000534648435942,-0.47115387828412708,0.87597650583351927,-0.87597650583351927
+0.73535398160397025,0.87470798358504998,0.38636314339794475,-0.38636314339794475
+"""
+BAND_PAIR_DIRECTION = "0.4391691698594343,0.7659154816637485,0.4695784441312903\n"
+
+
+def test_select_oracle_decides_a_band_pair_as_the_pipeline(runner, tmp_path):
+    matrix_path, v_path, out = tmp_path / "m.csv", tmp_path / "v.txt", tmp_path / "sel.json"
+    matrix_path.write_text(BAND_PAIR_MATRIX)
+    v_path.write_text(BAND_PAIR_DIRECTION)
+    x = load_matrix(matrix_path)[0].data
+    assert abs(float(x[:, 0] @ x[:, 1])) > 0.75
+    result = invoke(runner, [
+        "select", "--matrix", str(matrix_path), "--v-file", str(v_path), "--s", "2",
+        "--rho", "0.5", "--kappa", "1", "--oracle", "--out", str(out),
+    ])
+    assert result.exit_code == 0
+    payload = json.loads(out.read_text())
+    assert payload["inner"] == [0, 1]
+    assert payload["oracle_inf"] <= payload["attained"] < 1e-15
 
 
 def test_select_v_file_and_format_errors(runner, tmp_path):

@@ -357,6 +357,22 @@ def band_matrix(n: int, p: int, rho: float, seed: int) -> ColumnMatrix:
     return ColumnMatrix(np.array(cols).T)
 
 
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_pair_table_decides_each_pair_as_the_pipeline(rho):
+    x = band_matrix(4, 60, rho, 90)
+    table = selection._pair_table(x, rho)
+    rows, cols = np.triu_indices(x.p, k=1)
+    cols_t = x.data.T
+    want = selection._feasible(cols_t[np.column_stack([rows, cols])], rho)
+    assert np.array_equal(table[rows, cols], want)
+    assert np.array_equal(table[cols, rows], want)
+    assert np.array_equal(selection._feasible(cols_t[np.column_stack([cols, rows])], rho), want)
+    assert feasible_subsets(x, 2, rho) == list(zip(rows[want].tolist(), cols[want].tolist()))
+    # the closed-form rule alone decides some of the band's pairs otherwise
+    closed_form = np.abs(np.sum(x.data[:, rows] * x.data[:, cols], axis=0)) <= 1.0 - rho * rho
+    assert np.any(closed_form != want)
+
+
 @pytest.mark.parametrize("n, p, s, rho, kappa, max_attempts, band", [
     (4, 200, 2, 0.5, None, 1000, False),
     (4, 60, 2, 0.9, 3.0, 5, False),
