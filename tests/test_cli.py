@@ -34,11 +34,11 @@ def write_matrix(tmp_path, n=4, p=12, seed=7, name="m.csv"):
 
 def test_import_and_the_pipeline_commands_load_neither_harness_nor_analytic(fresh_python, tmp_path):
     m = str(tmp_path / "m.csv")
-    loaded = fresh_python(f"""
+    seen = fresh_python(f"""
 import json, sys
 from orthoselect import cli
 def loaded():
-    return [m for m in ("orthoselect.harness", "orthoselect.analytic") if m in sys.modules]
+    return [name for name in ("orthoselect.harness", "orthoselect.analytic") if name in sys.modules]
 seen = [loaded()]
 for args in (["gen", "--n", "4", "--p", "12", "--seed", "1", "--out", {m!r}],
              ["select", "--matrix", {m!r}, "--v-random", "--kappa", "3", "--oracle",
@@ -51,7 +51,7 @@ for args in (["gen", "--n", "4", "--p", "12", "--seed", "1", "--out", {m!r}],
 print(json.dumps(seen))
 """)
     # `constants` shows that the probe sees a loaded module
-    assert json.loads(loaded) == [[], [], [], [], ["orthoselect.analytic"]]
+    assert json.loads(seen) == [[], [], [], [], ["orthoselect.analytic"]]
 
 
 # --- gen ----------------------------------------------------------------------

@@ -148,9 +148,8 @@ def test_eps_net_type_validates_points():
         EpsNet(2, 0.5, np.array([[2.0, 0.0]]))
 
 
-
 def test_acceptance_net_maps_its_products_once(fresh_python):
-    # In a fresh interpreter a new product per chunk took about 30k minor
+    # In a fresh interpreter a new product per chunk took 30k-54k minor
     # faults for this net; one reused workspace takes under 1k.
     pytest.importorskip("resource")
     faults = fresh_python(
