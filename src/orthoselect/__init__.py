@@ -17,7 +17,6 @@ from .sphere import (
     EpsNet,
     RngStream,
     build_eps_net,
-    net_cardinality_bound,
     sample_sphere_matrix,
     sample_unit_vector,
     sample_unit_vectors,
@@ -31,7 +30,6 @@ from .selection import (
     constrained_select,
     estimate_gamma,
     exact_inf_profile,
-    feasible_subsets,
     greedy_outer,
     monotonicity_check,
 )
@@ -58,12 +56,10 @@ __all__ = [
     "constrained_select",
     "estimate_gamma",
     "exact_inf_profile",
-    "feasible_subsets",
     "gram_deviation",
     "greedy_outer",
     "inf_norm_against",
     "monotonicity_check",
-    "net_cardinality_bound",
     "operator_norm",
     "sample_sphere_matrix",
     "sample_unit_vector",

@@ -20,22 +20,26 @@ only the rest run eigvalsh, so the accepted subsets are exactly those an
 eigvalsh of every subset accepts.  The kernel keeps no sigma_min;
 `constrained_select` computes it for its one accepted subset.
 
-The exact oracle, `exact_inf_profile`, takes the min over every feasible
-s-subset of max_{j in S} |<X_j, v>|.  For s = 2 at scale it reads the answer
-from the shortest feasible prefix of each direction's value order and
-gathers over the feasible pairs only for the rare direction that a short
-prefix does not resolve.
+The exact oracle, `exact_inf_profile`, takes the min over every s-subset
+that `_feasible` accepts of max_{j in S} |<X_j, v>|, for every s by one walk:
+in each direction's value order, the answer is the value of the first column
+that closes such a subset with s-1 earlier columns.  It reads the same row
+blocks of |X^T v| as the outer sets (`_abs_blocks`), and a direction still
+open once its prefix holds more than DEFAULT_BRUTE_FORCE_LIMIT s-subsets
+raises BudgetExceeded.
 
 `estimate_gamma` runs the pipeline over an eps-net and adds eps.  That lifts
 the net supremum to the whole sphere only if the net covers it to radius
 eps, which the stall-budget construction does not guarantee, so
-`certified_upper` is a heuristic bound, not yet a proof.
+`certified_upper` is a heuristic bound, not yet a proof.  Its lower estimate
+is the exact oracle's max over random probes: a value attained at a real
+direction, so never above the worst-direction value.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -48,14 +52,8 @@ from .sphere import EpsNet, RngStream, _as_generator, sample_unit_vectors
 KAPPA_BRANCH_CONSTANT = 4.0 * math.exp(-2.0 * (math.log(2.0) - 1.0))
 DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
-# Values per exact-oracle gather block (16 MiB of float64).
-_GATHER_ELEMENTS = 1 << 21
-# s = 2 exact oracle: columns ranked by the shortest-feasible-prefix stage,
-# which runs when a direction has at least this many gathered values (F*s).
-_PREFIX_COLUMNS = 16
-_PREFIX_MIN_VALUES = 1000
-# Subsets per batched-eigvalsh block of the s >= 3 feasibility enumeration.
-_SUBSET_BLOCK = 1 << 12
+# Columns of each direction that the exact oracle ranks before its walk.
+_PREFIX_COLUMNS = 4
 # Values per outer-set ranking block (4 MiB of float64; the last block also
 # takes the remainder, so it holds up to twice that).
 _RANK_ELEMENTS = 1 << 19
@@ -113,28 +111,34 @@ def _directions(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
     return dirs
 
 
+def _abs_blocks(matrix: ColumnMatrix, dirs: np.ndarray):
+    """Yields each row block's slice and its C-order (rows, p) |<X_j, v>|,
+    so no (p, count) array is held if the caller drops each block in turn.
+
+    Every block but the last is a multiple of 64 rows and the last one takes
+    the remainder, so it is never shorter than the others.  A short block can
+    take another BLAS code path, whose entries may differ in the last bit
+    from those of one unblocked X^T D^T product; these bounds keep every
+    entry bit-identical to it (checked in the tests).
+    """
+    p, count = matrix.p, dirs.shape[0]
+    block = max(64, _RANK_ELEMENTS // p // 64 * 64)
+    bounds = [i * block for i in range(max(1, count // block))] + [count]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # (rows, p), computed in the unblocked product's form
+        yield slice(lo, hi), np.abs((matrix.data.T @ dirs[lo:hi].T).T, order="C")
+
+
 def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The outer set of every direction row: the m columns with smallest
     |<X_j, v>|, in value order with ties to the smaller column index (the
     first m of a stable argsort), as (count, m) indices and their values.
-
-    Directions run in row blocks, so no (p, count) array is ever held; each
-    block is ranked by `_rank_rows`.
+    Each row block of `_abs_blocks` is ranked by `_rank_rows`.
     """
-    p, count = matrix.p, dirs.shape[0]
-    block = max(64, _RANK_ELEMENTS // p // 64 * 64)
-    # Every block but the last is a multiple of 64 rows and the last one takes
-    # the remainder, so it is never shorter than `block`.  A short block can
-    # take another BLAS code path, whose entries may differ in the last bit
-    # from those of one unblocked X^T D^T product; these bounds keep every
-    # entry bit-identical to it (checked in the tests).
-    bounds = [i * block for i in range(max(1, count // block))] + [count]
-    outer = np.empty((count, m), dtype=np.intp)
-    values = np.empty((count, m))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # (rows, p), computed in the unblocked product's form
-        b = np.abs((matrix.data.T @ dirs[lo:hi].T).T, order="C")
-        outer[lo:hi], values[lo:hi] = _rank_rows(b, m)
+    outer = np.empty((dirs.shape[0], m), dtype=np.intp)
+    values = np.empty((dirs.shape[0], m))
+    for rows, b in _abs_blocks(matrix, dirs):
+        outer[rows], values[rows] = _rank_rows(b, m)
         del b  # free this block before the next one is built
     return outer, values
 
@@ -150,15 +154,18 @@ def _rank_rows(b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     p = b.shape[1]
     marked = b <= np.partition(b, m - 1, axis=1)[:, m - 1 : m]
-    tied = np.flatnonzero(np.count_nonzero(marked, axis=1) > m)
-    # a tied row keeps m placeholder marks, so every row holds exactly m
-    marked[tied] = False
-    marked[tied, :m] = True
+    tied = np.empty(0, dtype=np.intp)
+    if np.count_nonzero(marked) > marked.shape[0] * m:
+        tied = np.flatnonzero(np.count_nonzero(marked, axis=1) > m)
+        # a tied row keeps m placeholder marks, so every row holds exactly m
+        marked[tied] = False
+        marked[tied, :m] = True
     flat = np.flatnonzero(marked)
-    vals = b.ravel()[flat].reshape(-1, m)
-    by_value = vals.argsort(axis=1, kind="stable")
-    idx = np.take_along_axis(flat.reshape(-1, m) % p, by_value, axis=1)
-    vals = np.take_along_axis(vals, by_value, axis=1)
+    vals = b.ravel()[flat]
+    # each row's m positions in `flat`, in stable value order
+    pos = vals.reshape(-1, m).argsort(axis=1, kind="stable")
+    pos += np.arange(0, flat.size, m)[:, None]
+    idx, vals = flat[pos] % p, vals[pos]
     if tied.size:
         idx[tied] = b[tied].argsort(axis=1, kind="stable")[:, :m]
         vals[tied] = np.take_along_axis(b[tied], idx[tied], axis=1)
@@ -326,14 +333,20 @@ def attained_values(
     return _pipeline(matrix, directions, cfg, rng)[-1]
 
 
-def _pair_table(matrix: ColumnMatrix, rho_minus: float) -> np.ndarray:
-    """(p, p) symmetric table of the feasible column pairs, decided as the
-    pipeline decides a drawn pair.  2-column Gram eigenvalues are
-    1 +- |<X_i, X_j>| in closed form, so outside `_feasible`'s band a pair is
-    feasible iff |<X_i, X_j>| <= 1 - rho_minus^2; a pair within _PAIR_BAND
-    of that bound takes `_feasible`'s own answer."""
+def _pair_table(matrix: ColumnMatrix, rho_minus: float, s: int = 2) -> np.ndarray:
+    """(p, p) symmetric table of the column pairs a feasible s-subset may hold.
+
+    At s = 2, the pipeline's answer for each pair: 2-column Gram eigenvalues
+    are 1 +- |<X_i, X_j>|, so outside `_feasible`'s band a pair is feasible
+    iff |<X_i, X_j>| <= 1 - rho_minus^2, and a pair in the band takes
+    `_feasible`'s own answer.  A larger subset can hold a pair that fails
+    alone (at the bound the two eigvalsh can round apart), so for s >= 3
+    only Cauchy interlacing rules a pair out, as in `_feasible`.
+    """
     bound = 1.0 - rho_minus * rho_minus
     gram = np.abs(matrix.data.T @ matrix.data)
+    if s > 2:
+        return gram < bound + _PAIR_BAND
     table = gram <= bound
     band = (bound - _PAIR_BAND < gram) & (gram < bound + _PAIR_BAND)
     if band.any():
@@ -341,35 +354,6 @@ def _pair_table(matrix: ColumnMatrix, rho_minus: float) -> np.ndarray:
         keep = _feasible(matrix.data.T[np.column_stack([rows, cols])], rho_minus)
         table[rows, cols] = table[cols, rows] = keep
     return table
-
-
-def feasible_subsets(matrix: ColumnMatrix, s: int, rho_minus: float) -> list[tuple[int, ...]]:
-    """All s-subsets with sigma_min >= rho_minus, in lexicographic order, by
-    exhaustive enumeration of at most DEFAULT_BRUTE_FORCE_LIMIT subsets; for
-    s >= 3, one batched eigvalsh per block of _SUBSET_BLOCK subsets."""
-    if s < 1 or s > matrix.p:
-        raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")
-    total = math.comb(matrix.p, s)
-    if total > DEFAULT_BRUTE_FORCE_LIMIT:
-        raise BudgetExceeded(
-            f"C({matrix.p},{s})={total} exceeds the budget {DEFAULT_BRUTE_FORCE_LIMIT}"
-        )
-    if s > matrix.n:
-        return []
-    if s == 1:
-        return [(j,) for j in range(matrix.p)]
-    if s == 2:
-        rows, cols = np.triu_indices(matrix.p, k=1)
-        keep = _pair_table(matrix, rho_minus)[rows, cols]
-        return list(zip(rows[keep].tolist(), cols[keep].tolist()))
-    gram = matrix.data.T @ matrix.data
-    subsets = combinations(range(matrix.p), s)
-    out: list[tuple[int, ...]] = []
-    while block := list(islice(subsets, _SUBSET_BLOCK)):
-        subs = np.fromiter(chain.from_iterable(block), dtype=np.intp).reshape(-1, s)
-        lam_min = np.linalg.eigvalsh(gram[subs[:, :, None], subs[:, None, :]])[:, 0]
-        out += [block[k] for k in np.flatnonzero(np.sqrt(np.maximum(lam_min, 0.0)) >= rho_minus)]
-    return out
 
 
 def brute_force_inf(matrix: ColumnMatrix, v: np.ndarray, s: int, rho_minus: float) -> float:
@@ -381,67 +365,92 @@ def brute_force_inf(matrix: ColumnMatrix, v: np.ndarray, s: int, rho_minus: floa
     return float(exact_inf_profile(matrix, check_unit_vector(v)[None], s, rho_minus)[0])
 
 
-def _prefix_values(
-    b: np.ndarray, table: np.ndarray, k_cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The s = 2 exact value of each row of `b` (rows, p) from its shortest
-    feasible prefix, and the rows that no prefix of `k_cols` columns resolves.
+def _closes(
+    cols_t: np.ndarray, pairs: np.ndarray, prefix: np.ndarray, s: int, rho_minus: float
+) -> np.ndarray:
+    """Whether the last column of each row of `prefix` (a, k+1) forms a
+    subset `_feasible` accepts with s-1 of the row's earlier columns.
 
-    In a row's value order (ties to the smaller index) the exact value is
-    b_(k*), where column k* is the first to close a feasible pair with an
-    earlier column: every feasible pair has its larger value at or after
-    b_(k*).  Unresolved rows are left at +inf.
+    A candidate needs `pairs` (`_pair_table`) to hold for each of its
+    column pairs.  That alone decides a pair, since at s = 2 the table holds
+    `_feasible`'s answer for each pair; `_feasible` decides any other
+    subset, as its columns in index order.  The
+    (row, candidate) space runs in slices of _RANK_ELEMENTS // (s*n)
+    candidates, so no temporary grows with the prefix.
     """
-    idx, vals = _rank_rows(b, k_cols)
-    value = np.full(b.shape[0], math.inf)
-    open_rows = np.arange(b.shape[0])
-    for k in range(1, k_cols):
-        closes = table[idx[open_rows, :k], idx[open_rows, k : k + 1]].any(axis=1)
-        hit = open_rows[closes]
-        value[hit] = vals[hit, k]
-        open_rows = open_rows[~closes]
+    a, k = prefix.shape[0], prefix.shape[1] - 1
+    earlier = np.array(list(combinations(range(k), s - 1)), dtype=np.intp)
+    total = a * len(earlier)
+    step = max(1, _RANK_ELEMENTS // (s * cols_t.shape[1]))
+    closes = np.zeros(a, dtype=bool)
+    for lo in range(0, total, step):
+        row, cand = np.divmod(np.arange(lo, min(lo + step, total)), len(earlier))
+        subset = np.column_stack([prefix[row[:, None], earlier[cand]], prefix[row, k]])
+        clique = np.ones(row.size, dtype=bool)
+        for i, j in combinations(range(s), 2):
+            clique &= pairs[subset[:, i], subset[:, j]]
+        hit = row[clique]
+        if s != 2:
+            hit = hit[_feasible(cols_t[np.sort(subset[clique], axis=1)], rho_minus)]
+        closes[hit] = True
+    return closes
+
+
+def _walk(
+    cols_t: np.ndarray, pairs: np.ndarray, ranked: tuple[np.ndarray, np.ndarray],
+    s: int, rho_minus: float, start: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact value of each row ranked by `_rank_rows`, walked from
+    position `start`, and the rows still open at the end (left at +inf).
+
+    The value is b_(k*) for the first position k* whose column closes a
+    feasible subset with s-1 earlier columns: every feasible subset has its
+    largest value at or after b_(k*).  A row still open at a position k with
+    C(k+1, s) > DEFAULT_BRUTE_FORCE_LIMIT raises BudgetExceeded.
+    """
+    idx, vals = ranked
+    value = np.full(idx.shape[0], math.inf)
+    open_rows = np.arange(idx.shape[0])
+    for k in range(max(start, s - 1), idx.shape[1]):
         if not open_rows.size:
             break
+        if math.comb(k + 1, s) > DEFAULT_BRUTE_FORCE_LIMIT:
+            raise BudgetExceeded(
+                f"a direction is still open after {k} ranked columns, and C({k + 1},{s})="
+                f"{math.comb(k + 1, s)} exceeds the budget {DEFAULT_BRUTE_FORCE_LIMIT}"
+            )
+        closes = _closes(cols_t, pairs, idx[open_rows, : k + 1], s, rho_minus)
+        value[open_rows[closes]] = vals[open_rows[closes], k]
+        open_rows = open_rows[~closes]
     return value, open_rows
 
 
 def exact_inf_profile(
     matrix: ColumnMatrix, directions: np.ndarray, s: int, rho_minus: float
 ) -> np.ndarray:
-    """Exact selection value for many directions, sharing one feasibility pass.
+    """Exact selection value for many directions: the min over the s-subsets
+    that `_feasible` accepts of max_{j in S} |<X_j, v>|, +inf if none is.
 
-    The value at v is the min over the F feasible s-subsets of
-    max_{j in S} |<X_j, v>|.  Directions run in blocks sized so each
-    (F, s, block) gather holds about _GATHER_ELEMENTS values, whatever the
-    direction count.  For s = 2 with F*s >= _PREFIX_MIN_VALUES gathered
-    values per direction, each block first reads the shortest feasible prefix
-    of its _PREFIX_COLUMNS smallest values (`_prefix_values`) and gathers only
-    the rows that prefix leaves open; below that size the gather is cheaper
-    than ranking.  Both stages read one |X^T v| product per block, so they
-    return the same values.
+    Each row block of `_abs_blocks` (the pipeline's |X^T v| entries) ranks
+    its first _PREFIX_COLUMNS columns and walks them (`_walk`); the rows
+    still open are ranked in full from the same values and walked on.
     """
     dirs = _directions(matrix, directions)
-    feas = feasible_subsets(matrix, s, rho_minus)
-    count = dirs.shape[0]
-    if not feas:
-        return np.full(count, math.inf)
-    fidx = np.asarray(feas)  # (F, s)
-    prefix = s == 2 and fidx.size >= _PREFIX_MIN_VALUES
-    if prefix:
-        table = _pair_table(matrix, rho_minus)
-        k_cols = min(_PREFIX_COLUMNS, matrix.p)
-    chunk = max(1, _GATHER_ELEMENTS // fidx.size)
-    out = np.empty(count)
-    for start in range(0, count, chunk):
-        block = dirs[start : start + chunk]
-        b = np.abs(matrix.data.T @ block.T)  # (p, k)
-        if prefix:
-            value, rest = _prefix_values(np.ascontiguousarray(b.T), table, k_cols)
-            if rest.size:
-                value[rest] = np.min(np.max(b[:, rest][fidx], axis=1), axis=0)
-        else:
-            value = np.min(np.max(b[fidx], axis=1), axis=0)  # (F, s, k) gather
-        out[start : start + chunk] = value
+    if not 1 <= s <= matrix.p:
+        raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")
+    out = np.full(dirs.shape[0], math.inf)
+    if s > matrix.n:
+        return out  # rank-deficient subsets can never reach rho_minus > 0
+    cols_t = matrix.data.T
+    pairs = _pair_table(matrix, rho_minus, s)
+    width = min(_PREFIX_COLUMNS, matrix.p)
+    for rows, b in _abs_blocks(matrix, dirs):
+        value, rest = _walk(cols_t, pairs, _rank_rows(b, width), s, rho_minus, 0)
+        if rest.size and width < matrix.p:
+            ranked = _rank_rows(b[rest], matrix.p)
+            value[rest], _ = _walk(cols_t, pairs, ranked, s, rho_minus, width)
+        out[rows] = value
+        del b  # free this block before the next one is built
     return out
 
 
@@ -453,8 +462,8 @@ class GammaEstimate:
     radius, valid for the whole sphere whenever the net covers it to that
     radius (a heuristic net is not proven to);
     heuristic_lower is the max over random probe directions of the exact
-    per-direction inf (when the enumeration budget allows) or of pipeline
-    values otherwise.
+    per-direction value (`exact_inf_profile`), so it is a true value at a
+    real direction and never exceeds the worst-direction value.
     """
 
     certified_upper: float
@@ -462,7 +471,6 @@ class GammaEstimate:
     directions_tested: int
     net: dict
     feasibility_rate: float
-    oracle_exact: bool
 
 
 def estimate_gamma(
@@ -487,14 +495,10 @@ def estimate_gamma(
     else:
         certified_upper = float(np.max(net_vals, initial=0.0)) + net.epsilon
 
-    oracle_exact = math.comb(matrix.p, cfg.s) <= DEFAULT_BRUTE_FORCE_LIMIT
     heuristic_lower = 0.0
     if probe_count > 0:
         probes = sample_unit_vectors(matrix.n, probe_count, gen)
-        if oracle_exact:
-            vals = exact_inf_profile(matrix, probes, cfg.s, cfg.rho_minus)
-        else:
-            vals = attained_values(matrix, probes, cfg, gen)
+        vals = exact_inf_profile(matrix, probes, cfg.s, cfg.rho_minus)
         finite += int(np.sum(np.isfinite(vals)))
         finite_vals = vals[np.isfinite(vals)]
         heuristic_lower = float(np.max(finite_vals)) if finite_vals.size else math.inf
@@ -505,7 +509,6 @@ def estimate_gamma(
         directions_tested=total,
         net=net.descriptor(),
         feasibility_rate=finite / total if total else 0.0,
-        oracle_exact=oracle_exact,
     )
 
 

@@ -163,11 +163,6 @@ class EpsNet:
         }
 
 
-def net_cardinality_bound(d: int, eps: float) -> float:
-    """The existence bound 2d(1+2/eps)^(d-1); reported, never enforced."""
-    return 2.0 * d * (1.0 + 2.0 / eps) ** (d - 1)
-
-
 def build_eps_net(
     d: int, eps: float, rng: RngStream | np.random.Generator, stall_budget: int = 1000
 ) -> EpsNet:

@@ -14,13 +14,15 @@ time instead of over arrays.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
+from orthoselect.errors import BudgetExceeded, InvalidInput
 from orthoselect.harness import TrialRecord
-from orthoselect.linalg import operator_norm, submatrix
-from orthoselect.selection import _subset_positions, feasible_subsets, greedy_outer
+from orthoselect.linalg import ColumnMatrix, operator_norm, submatrix
+from orthoselect.selection import (DEFAULT_BRUTE_FORCE_LIMIT, _pair_table, _subset_positions,
+                                   greedy_outer)
 from orthoselect.sphere import (_CANDIDATE_CHUNK, RngStream, sample_sphere_matrix,
                                 sample_unit_vector, sample_unit_vectors)
 
@@ -160,6 +162,39 @@ def eps_net_points(d: int, eps: float, gen: np.random.Generator, stall_budget: i
     return np.asarray(accepted)
 
 
+# Subsets per batched-eigvalsh block of the s >= 3 enumeration.
+_SUBSET_BLOCK = 1 << 12
+
+
+def feasible_subsets(matrix: ColumnMatrix, s: int, rho_minus: float) -> list[tuple[int, ...]]:
+    """All s-subsets with sigma_min >= rho_minus, in lexicographic order, by
+    exhaustive enumeration of at most DEFAULT_BRUTE_FORCE_LIMIT subsets; for
+    s >= 3, one batched eigvalsh per block of _SUBSET_BLOCK subsets."""
+    if s < 1 or s > matrix.p:
+        raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")
+    total = math.comb(matrix.p, s)
+    if total > DEFAULT_BRUTE_FORCE_LIMIT:
+        raise BudgetExceeded(
+            f"C({matrix.p},{s})={total} exceeds the budget {DEFAULT_BRUTE_FORCE_LIMIT}"
+        )
+    if s > matrix.n:
+        return []
+    if s == 1:
+        return [(j,) for j in range(matrix.p)]
+    if s == 2:
+        rows, cols = np.triu_indices(matrix.p, k=1)
+        keep = _pair_table(matrix, rho_minus)[rows, cols]
+        return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    gram = matrix.data.T @ matrix.data
+    subsets = combinations(range(matrix.p), s)
+    out: list[tuple[int, ...]] = []
+    while block := list(islice(subsets, _SUBSET_BLOCK)):
+        subs = np.fromiter(chain.from_iterable(block), dtype=np.intp).reshape(-1, s)
+        lam_min = np.linalg.eigvalsh(gram[subs[:, :, None], subs[:, None, :]])[:, 0]
+        out += [block[k] for k in np.flatnonzero(np.sqrt(np.maximum(lam_min, 0.0)) >= rho_minus)]
+    return out
+
+
 def feasible_subsets_loop(matrix, s: int, rho_minus: float) -> list[tuple[int, ...]]:
     """The s >= 3 feasible subsets one at a time: the smallest eigenvalue of
     each Gram submatrix by its own eigvalsh call, in lexicographic order."""
@@ -215,18 +250,19 @@ def pipeline_eigvalsh(matrix, directions: np.ndarray, cfg, gen: np.random.Genera
 
 def exact_inf_gather(matrix, directions: np.ndarray, s: int, rho_minus: float) -> np.ndarray:
     """The exact selection value by the full gather: max |<X_j, v>| over each
-    feasible s-subset, then the min over subsets.  Directions run in blocks of
-    about 2^21 gathered values, the blocks of `exact_inf_profile`, so both
-    read the same |X^T v| products and must agree bit for bit."""
+    feasible s-subset of `feasible_subsets`, then the min over subsets.  The
+    values come from one unblocked |X^T v| product, whose entries the row
+    blocks of `exact_inf_profile` reproduce bit for bit; the gather runs in
+    row chunks of about 2^21 gathered values."""
     fidx = np.asarray(feasible_subsets(matrix, s, rho_minus))
     count = directions.shape[0]
     if not fidx.size:
         return np.full(count, math.inf)
+    b = np.abs(matrix.data.T @ directions.T)
     chunk = max(1, (1 << 21) // fidx.size)
     out = np.empty(count)
     for start in range(0, count, chunk):
-        b = np.abs(matrix.data.T @ directions[start : start + chunk].T)
-        out[start : start + chunk] = np.min(np.max(b[fidx], axis=1), axis=0)
+        out[start : start + chunk] = np.min(np.max(b[:, start : start + chunk][fidx], axis=1), axis=0)
     return out
 
 

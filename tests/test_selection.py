@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from orthoselect import (
     BudgetExceeded,
@@ -17,7 +18,6 @@ from orthoselect import (
     constrained_select,
     estimate_gamma,
     exact_inf_profile,
-    feasible_subsets,
     greedy_outer,
     inf_norm_against,
     monotonicity_check,
@@ -26,9 +26,11 @@ from orthoselect import (
     sample_unit_vectors,
     submatrix,
 )
-from orthoselect import selection
+from orthoselect import cli, matrixio, selection
 
-from oracles import eigvalsh_sigma_min, exact_inf_gather, feasible_subsets_loop, pipeline_eigvalsh
+import oracles
+from oracles import (eigvalsh_sigma_min, exact_inf_gather, feasible_subsets, feasible_subsets_loop,
+                     pipeline_eigvalsh)
 
 
 def sort_oracle(matrix, v, m):
@@ -425,13 +427,26 @@ def test_brute_force_inf_matches_independent_enumeration():
         )
 
 
-def test_brute_force_budget():
-    # C(40, 5) = 658 008 subsets exceed the DEFAULT_BRUTE_FORCE_LIMIT budget
-    x = sample_sphere_matrix(6, 40, RngStream(30, 0))
+def test_brute_force_budget(tmp_path):
+    # columns in a 4-dim subspace of R^6: every 5-subset is rank-deficient,
+    # so a direction stays open until its prefix of k+1 ranked columns holds
+    # C(k+1, 5) > DEFAULT_BRUTE_FORCE_LIMIT subsets (k+1 = 32)
+    basis = np.linalg.qr(np.random.default_rng(30).standard_normal((6, 4)))[0]
+    flat = ColumnMatrix(basis @ sample_sphere_matrix(4, 40, RngStream(30, 0)).data)
     v = sample_unit_vector(6, RngStream(31, 0))
-    assert math.comb(40, 5) > selection.DEFAULT_BRUTE_FORCE_LIMIT
+    assert math.comb(32, 5) > selection.DEFAULT_BRUTE_FORCE_LIMIT >= math.comb(31, 5)
     with pytest.raises(BudgetExceeded):
-        brute_force_inf(x, v, 5, 0.5)
+        brute_force_inf(flat, v, 5, 0.5)
+    matrixio.save_matrix(tmp_path / "flat.csv", flat, {"n": 6, "p": 40, "seed": 30})
+    result = CliRunner().invoke(cli.main, ["select", "--matrix", str(tmp_path / "flat.csv"),
+                                           "--v-random", "--s", "5", "--oracle"])
+    assert result.exit_code == 2
+    assert "exceeds the budget" in result.output
+    # C(40, 5) = 658 008 subsets alone no longer raise: in general position
+    # the walk closes a feasible subset early
+    x = sample_sphere_matrix(6, 40, RngStream(30, 0))
+    assert math.comb(40, 5) > selection.DEFAULT_BRUTE_FORCE_LIMIT
+    assert math.isfinite(brute_force_inf(x, v, 5, 0.5))
 
 
 def test_feasible_subsets_general_path_matches_pair_shortcut():
@@ -449,14 +464,14 @@ def test_feasible_subsets_general_path_matches_pair_shortcut():
 
 
 @pytest.mark.parametrize("s", [3, 4])
-@pytest.mark.parametrize("block", [7, selection._SUBSET_BLOCK])
+@pytest.mark.parametrize("block", [7, oracles._SUBSET_BLOCK])
 def test_feasible_subsets_blocks_match_the_per_subset_loop(monkeypatch, s, block):
     # duplicate and antipodal columns make singular subsets; blocks of 7 end
     # mid-enumeration at both s, the default block at s = 4 (C(20, 4) = 4845)
     x = sample_sphere_matrix(5, 17, RngStream(34, s))
     cols = x.data[:, [0, 1, 2]]
     x = ColumnMatrix(np.column_stack([x.data, cols[:, 0], -cols[:, 1], -cols[:, 2]]))
-    monkeypatch.setattr(selection, "_SUBSET_BLOCK", block)
+    monkeypatch.setattr(oracles, "_SUBSET_BLOCK", block)
     for rho in (0.3, 0.6):
         got = feasible_subsets(x, s, rho)
         assert got == feasible_subsets_loop(x, s, rho)
@@ -517,75 +532,113 @@ def test_exact_inf_profile_memory_is_bounded_and_matches_pair_closed_form():
     np.testing.assert_allclose(prof, expected, rtol=0, atol=1e-14)
 
 
-@pytest.fixture(params=["prefix", "gather"])
-def oracle_stage(request, monkeypatch):
-    """Force the s = 2 exact oracle onto one stage, whatever the size."""
-    cutoff = 0 if request.param == "prefix" else math.inf
-    monkeypatch.setattr(selection, "_PREFIX_MIN_VALUES", cutoff)
-    return request.param
+@pytest.fixture
+def reranked(monkeypatch):
+    """The row count of every `selection._rank_rows` call that ranks whole
+    rows: the rows the exact oracle's first ranked columns leave open."""
+    counts = []
+    real = selection._rank_rows
+
+    def spy(b, m):
+        if m == b.shape[1] > selection._PREFIX_COLUMNS:
+            counts.append(len(b))
+        return real(b, m)
+
+    monkeypatch.setattr(selection, "_rank_rows", spy)
+    return counts
 
 
-def duplicated_columns():
-    """Exact and antipodal copies of 40 columns beside 100 distinct ones."""
-    y = sample_sphere_matrix(4, 40, RngStream(57, 0)).data
-    z = sample_sphere_matrix(4, 100, RngStream(57, 1)).data
+def duplicated_columns(copied: int = 40, distinct: int = 100) -> ColumnMatrix:
+    """Exact and antipodal copies of `copied` columns beside `distinct` others."""
+    y = sample_sphere_matrix(4, copied, RngStream(57, 0)).data
+    z = sample_sphere_matrix(4, distinct, RngStream(57, 1)).data
     return ColumnMatrix(np.hstack([y, y, -y, z]))
 
 
-def test_exact_inf_profile_stages_match_the_gather_reference(oracle_stage):
+def test_exact_inf_profile_stages_match_the_gather_reference(reranked):
     cases = [
         (sample_sphere_matrix(4, 12, RngStream(64, 0)), 2_000),
         (sample_sphere_matrix(4, 40, RngStream(64, 1)), 2_000),
-        # p = 200 runs 61-row blocks; this count ends on a partial one
+        # p = 200 runs two 2560-row blocks and a last one of 4887 rows
         (sample_sphere_matrix(4, 200, RngStream(64, 2)), 10_007),
         (duplicated_columns(), 3_000),
+        (duplicated_columns(8, 16), 600),
     ]
     for x, count in cases:
         dirs = sample_unit_vectors(4, count, RngStream(65, x.p))
-        for s in (1, 2, 3):
+        for s in (1, 2, 3, 4):
             if math.comb(x.p, s) > selection.DEFAULT_BRUTE_FORCE_LIMIT:
                 continue
             got = exact_inf_profile(x, dirs, s, 0.5)
             assert np.array_equal(got, exact_inf_gather(x, dirs, s, 0.5))
             assert np.all(np.isfinite(got))
-        for count in (0, 1):
-            got = exact_inf_profile(x, dirs[:count], 2, 0.5)
-            assert got.shape == (count,)
-            assert np.array_equal(got, exact_inf_gather(x, dirs[:count], 2, 0.5))
+            for short in (0, 1):
+                got = exact_inf_profile(x, dirs[:short], s, 0.5)
+                assert got.shape == (short,)
+                assert np.array_equal(got, exact_inf_gather(x, dirs[:short], s, 0.5))
+    # the walk went on past the first ranked columns, on whole-row rankings
+    assert sum(reranked) > 0
 
 
-def test_exact_inf_profile_prefix_falls_back_to_the_gather(monkeypatch):
-    monkeypatch.setattr(selection, "_PREFIX_MIN_VALUES", 0)
-    x = duplicated_columns()
-    dirs = sample_unit_vectors(4, 3_000, RngStream(66, 0))
-    expected = exact_inf_gather(x, dirs, 2, 0.5)
-    table = selection._pair_table(x, 0.5)
-    b = np.abs(dirs @ x.data)
-    for k_cols in (2, 3, 5):
-        monkeypatch.setattr(selection, "_PREFIX_COLUMNS", k_cols)
-        _, rest = selection._prefix_values(b, table, k_cols)
-        assert 0 < rest.size < len(dirs)
-        assert np.array_equal(exact_inf_profile(x, dirs, 2, 0.5), expected)
+@pytest.mark.parametrize("s", [3, 4])
+def test_exact_inf_profile_keeps_every_subset_feasible_accepts(s):
+    # a pair at |g| = 1 - rho^2 beside two columns orthogonal to it: in exact
+    # arithmetic a subset holding the pair has the pair's lambda_min, so the
+    # pair's and the subset's eigvalsh can round to opposite sides of rho^2;
+    # a pruning table that rejects such a pair would drop subsets that
+    # `_feasible` accepts
+    rho = 0.5
+    gram = np.eye(4)
+    gram[0, 1] = gram[1, 0] = 1.0 - rho * rho
+    gen = np.random.default_rng(71)
+    subsets = np.array(list(combinations(range(4), s)))
+    split = 0
+    for _ in range(100):
+        x = ColumnMatrix(rotated(gram, 4, gen).T)
+        accepted = subsets[selection._feasible(x.data.T[subsets], rho)]
+        with_pair = np.any((accepted[:, 0] == 0) & (accepted[:, 1] == 1))
+        split += with_pair and not selection._feasible(x.data.T[None, :2], rho)[0]
+        dirs = sample_unit_vectors(4, 20, gen)
+        b = np.abs(x.data.T @ dirs.T)  # (p, count), the oracle's product
+        want = np.min(np.max(b[accepted], axis=1), axis=0, initial=math.inf)
+        assert np.array_equal(exact_inf_profile(x, dirs, s, rho), want)
+    assert split > 0
 
 
-def test_exact_inf_profile_ties_and_axis_directions(oracle_stage):
-    # eye(8): every pair is feasible and an axis direction ties seven zeros
+def test_exact_inf_profile_is_below_the_pipeline_without_slack():
+    # the oracle reads the pipeline's own |X^T v| entries, in the same row
+    # blocks, so it never exceeds an attained value, not even by an ulp
+    x = sample_sphere_matrix(4, 200, RngStream(75, 0))
+    dirs = sample_unit_vectors(4, 10_007, RngStream(75, 1))
+    for s in (1, 2, 3):
+        attained = attained_values(x, dirs, SelectionConfig(s=s), RngStream(75, s))
+        exact = exact_inf_profile(x, dirs, s, 0.5)
+        assert np.all(np.isfinite(attained))
+        assert np.all(exact <= attained)
+
+
+def test_exact_inf_profile_ties_and_axis_directions():
+    # eye(8): every subset is feasible and an axis direction ties seven zeros
     eye = ColumnMatrix(np.eye(8))
     dirs = np.vstack([np.eye(8), -np.eye(8), np.full((1, 8), 1.0 / math.sqrt(8.0))])
-    got = exact_inf_profile(eye, dirs, 2, 0.5)
-    assert np.array_equal(got, exact_inf_gather(eye, dirs, 2, 0.5))
-    assert np.array_equal(got[:16], np.zeros(16))
-    assert got[16] == 1.0 / math.sqrt(8.0)
+    for s in (1, 2, 3, 4):
+        got = exact_inf_profile(eye, dirs, s, 0.5)
+        assert np.array_equal(got, exact_inf_gather(eye, dirs, s, 0.5))
+        assert np.array_equal(got[:16], np.zeros(16))
+        assert got[16] == 1.0 / math.sqrt(8.0)
 
 
-def test_exact_inf_profile_infeasible_families_are_infinite(oracle_stage):
+def test_exact_inf_profile_infeasible_families_are_infinite():
     col = sample_unit_vector(4, RngStream(67, 0))
     copies = ColumnMatrix(np.column_stack([col, -col] * 20))
     dirs = sample_unit_vectors(4, 50, RngStream(67, 1))
-    assert np.all(exact_inf_profile(copies, dirs, 2, 0.5) == math.inf)
     # s > n: no s columns of R^1 are independent
     line = ColumnMatrix(np.ones((1, 30)))
-    assert np.all(exact_inf_profile(line, np.ones((3, 1)), 2, 0.5) == math.inf)
+    for s in (2, 3, 4):
+        assert np.all(exact_inf_profile(copies, dirs, s, 0.5) == math.inf)
+        assert np.array_equal(exact_inf_profile(copies, dirs, s, 0.5),
+                              exact_inf_gather(copies, dirs, s, 0.5))
+        assert np.all(exact_inf_profile(line, np.ones((3, 1)), s, 0.5) == math.inf)
 
 
 def test_exact_inf_profile_memory_at_scale():
@@ -616,7 +669,6 @@ def test_estimate_gamma_orthonormal_square_case():
     assert est.certified_upper >= 1.0 / math.sqrt(n) - 1e-12
     assert est.heuristic_lower <= 1.0 / math.sqrt(n) + 1e-12
     assert est.feasibility_rate == 1.0
-    assert est.oracle_exact
 
 
 def test_estimate_gamma_lower_below_certificate():
@@ -625,9 +677,24 @@ def test_estimate_gamma_lower_below_certificate():
     for i in range(5):
         x = sample_sphere_matrix(4, 20, RngStream(44, i))
         est = estimate_gamma(x, cfg, net, 100, RngStream(45, i))
-        assert est.oracle_exact
         assert est.heuristic_lower <= est.certified_upper + 1e-9
         assert est.directions_tested == len(net) + 100
+
+
+def test_estimate_gamma_lower_is_exact_over_the_old_subset_budget(monkeypatch):
+    # C(120, 3) = 280 840 triples exceed DEFAULT_BRUTE_FORCE_LIMIT; the lower
+    # estimate there was a max of pipeline values, above the exact maximum
+    x = sample_sphere_matrix(4, 120, RngStream(72, 0))
+    cfg = SelectionConfig(s=3, rho_minus=0.5)
+    net = build_eps_net(4, 0.5, RngStream(73, 0), stall_budget=1000)
+    est = estimate_gamma(x, cfg, net, 40, RngStream(74, 0))
+    # replay the probes: the certificate draws on the same generator first
+    gen = RngStream(74, 0).generator()
+    attained_values(x, net.points, cfg, gen)
+    probes = sample_unit_vectors(4, 40, gen)
+    assert math.comb(120, 3) > selection.DEFAULT_BRUTE_FORCE_LIMIT
+    monkeypatch.setattr(oracles, "DEFAULT_BRUTE_FORCE_LIMIT", math.comb(120, 3))
+    assert est.heuristic_lower == np.max(exact_inf_gather(x, probes, 3, 0.5))
 
 
 def test_estimate_gamma_certificate_shrinks_with_net_radius():
