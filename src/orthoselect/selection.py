@@ -23,10 +23,11 @@ eigvalsh of every subset accepts.  The kernel keeps no sigma_min;
 The exact oracle, `exact_inf_profile`, takes the min over every s-subset
 that `_feasible` accepts of max_{j in S} |<X_j, v>|, for every s by one walk:
 in each direction's value order, the answer is the value of the first column
-that closes such a subset with s-1 earlier columns.  It reads the same row
-blocks of |X^T v| as the outer sets (`_abs_blocks`), and a direction still
-open once its prefix holds more than DEFAULT_BRUTE_FORCE_LIMIT s-subsets
-raises BudgetExceeded.
+that closes such a subset with s-1 earlier columns, each subset decided once
+while a fixed-size table (`_Decided`) holds it.  It reads the outer sets' row
+blocks of |X^T v| (`_abs_blocks`), and a direction still open once its
+prefix holds more than DEFAULT_BRUTE_FORCE_LIMIT s-subsets raises
+BudgetExceeded.
 
 `estimate_gamma` runs the pipeline over an eps-net and adds eps.  That lifts
 the net supremum to the whole sphere only if the net covers it to radius
@@ -54,6 +55,8 @@ DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
 # Columns of each direction that the exact oracle ranks before its walk.
 _PREFIX_COLUMNS = 4
+# Slots of the exact oracle's table of decided subsets (at most).
+_MEMO_SLOTS = 1 << 17
 # Values per outer-set ranking block (4 MiB of float64; the last block also
 # takes the remainder, so it holds up to twice that).
 _RANK_ELEMENTS = 1 << 19
@@ -333,72 +336,80 @@ def attained_values(
     return _pipeline(matrix, directions, cfg, rng)[-1]
 
 
-def _pair_table(matrix: ColumnMatrix, rho_minus: float, s: int = 2) -> np.ndarray:
-    """(p, p) symmetric table of the column pairs a feasible s-subset may hold.
-
-    At s = 2, the pipeline's answer for each pair: 2-column Gram eigenvalues
-    are 1 +- |<X_i, X_j>|, so outside `_feasible`'s band a pair is feasible
-    iff |<X_i, X_j>| <= 1 - rho_minus^2, and a pair in the band takes
-    `_feasible`'s own answer.  A larger subset can hold a pair that fails
-    alone (at the bound the two eigvalsh can round apart), so for s >= 3
-    only Cauchy interlacing rules a pair out, as in `_feasible`.
-    """
-    bound = 1.0 - rho_minus * rho_minus
-    gram = np.abs(matrix.data.T @ matrix.data)
-    if s > 2:
-        return gram < bound + _PAIR_BAND
-    table = gram <= bound
-    band = (bound - _PAIR_BAND < gram) & (gram < bound + _PAIR_BAND)
-    if band.any():
-        rows, cols = np.nonzero(np.triu(band, k=1))
-        keep = _feasible(matrix.data.T[np.column_stack([rows, cols])], rho_minus)
-        table[rows, cols] = table[cols, rows] = keep
-    return table
-
-
 def brute_force_inf(matrix: ColumnMatrix, v: np.ndarray, s: int, rho_minus: float) -> float:
-    """Exact inf over well-conditioned s-subsets of max_j |<X_j, v>|.
-
-    The one-direction view of `exact_inf_profile`; +inf when the feasible
-    family is empty.
-    """
+    """Exact inf over well-conditioned s-subsets of max_j |<X_j, v>|, +inf
+    if none is: the one-direction view of `exact_inf_profile`."""
     return float(exact_inf_profile(matrix, check_unit_vector(v)[None], s, rho_minus)[0])
 
 
-def _closes(
-    cols_t: np.ndarray, pairs: np.ndarray, prefix: np.ndarray, s: int, rho_minus: float
-) -> np.ndarray:
-    """Whether the last column of each row of `prefix` (a, k+1) forms a
-    subset `_feasible` accepts with s-1 of the row's earlier columns.
+class _Decided:
+    """`_feasible`'s answer for column subsets, each decided once while it
+    keeps its slot in a direct-mapped table.
 
-    A candidate needs `pairs` (`_pair_table`) to hold for each of its
-    column pairs.  That alone decides a pair, since at s = 2 the table holds
-    `_feasible`'s answer for each pair; `_feasible` decides any other
-    subset, as its columns in index order.  The
-    (row, candidate) space runs in slices of _RANK_ELEMENTS // (s*n)
-    candidates, so no temporary grows with the prefix.
+    A subset c_0 < ... < c_{s-1} takes the slot of its combinatorial rank
+    sum_i C(c_i, i+1), from an (s, p) binomial table (s <= n, so no larger
+    than the matrix), wrapped to the table's size: a power of two, at least
+    min(C(p, s), _MEMO_SLOTS), so no two subsets share a slot while C(p, s)
+    fits (a rank past int64 wraps, which only moves its slot).  A subset not
+    in its slot is decided and stored, one per slot and round, until every
+    subset of the call has read its answer.
     """
-    a, k = prefix.shape[0], prefix.shape[1] - 1
-    earlier = np.array(list(combinations(range(k), s - 1)), dtype=np.intp)
-    total = a * len(earlier)
-    step = max(1, _RANK_ELEMENTS // (s * cols_t.shape[1]))
-    closes = np.zeros(a, dtype=bool)
-    for lo in range(0, total, step):
-        row, cand = np.divmod(np.arange(lo, min(lo + step, total)), len(earlier))
-        subset = np.column_stack([prefix[row[:, None], earlier[cand]], prefix[row, k]])
-        clique = np.ones(row.size, dtype=bool)
-        for i, j in combinations(range(s), 2):
-            clique &= pairs[subset[:, i], subset[:, j]]
-        hit = row[clique]
-        if s != 2:
-            hit = hit[_feasible(cols_t[np.sort(subset[clique], axis=1)], rho_minus)]
-        closes[hit] = True
+
+    def __init__(self, cols_t: np.ndarray, s: int, rho_minus: float) -> None:
+        p = cols_t.shape[0]
+        self.binom = np.zeros((s, p), dtype=np.intp)  # binom[i, c] = C(c, i+1)
+        self.binom[0] = np.arange(p)
+        for i in range(1, s):
+            np.cumsum(self.binom[i - 1, :-1], out=self.binom[i, 1:])
+        size = 1 << (min(math.comb(p, s), _MEMO_SLOTS) - 1).bit_length()
+        self.keys = np.full((s, size), -1, dtype=np.intp)
+        self.ok = np.zeros(size, dtype=bool)
+        self.cols_t, self.rho_minus = cols_t, rho_minus
+
+    def __call__(self, sub: np.ndarray) -> np.ndarray:
+        """The answer for each column of `sub` (s, a), a subset in index order."""
+        slot = sum(b.take(c) for b, c in zip(self.binom, sub)) & (len(self.ok) - 1)
+        ok = self.ok.take(slot)
+        miss = np.flatnonzero(self._stale(slot, sub))
+        while miss.size:
+            # decide the first missing subset of each slot and store it
+            first = miss[np.unique(slot[miss], return_index=True)[1]]
+            self.keys[:, slot[first]] = sub[:, first]
+            self.ok[slot[first]] = _feasible(self.cols_t[sub[:, first].T], self.rho_minus)
+            ok[miss] = self.ok[slot[miss]]
+            miss = miss[self._stale(slot[miss], sub[:, miss])]
+        return ok
+
+    def _stale(self, slot: np.ndarray, sub: np.ndarray) -> np.ndarray:
+        """Whether each slot holds another subset than the column of `sub`."""
+        return np.logical_or.reduce([k.take(slot) != c for k, c in zip(self.keys, sub)])
+
+
+def _closes(decided: _Decided, prefix: np.ndarray, s: int) -> np.ndarray:
+    """Whether the last column of each row of `prefix` (a, k+1) forms a
+    subset `_feasible` accepts with s-1 of the row's earlier columns.  Rows
+    run in slices of about _RANK_ELEMENTS // s candidates; one row's C(k, s-1)
+    candidates are bounded through the budget."""
+    k = prefix.shape[1] - 1
+    earlier = np.array(list(combinations(range(k), s - 1)), dtype=np.intp)  # (e, s-1)
+    step = max(1, _RANK_ELEMENTS // (len(earlier) * s))
+    closes = np.empty(prefix.shape[0], dtype=bool)
+    for lo in range(0, prefix.shape[0], step):
+        pre = np.sort(prefix[lo : lo + step, :k], axis=1)
+        last = prefix[lo : lo + step, k, None]
+        # a candidate's i-th column in index order is max(min(a_i, last), a_{i-1}),
+        # a_i its i-th earlier column (a_{-1} = -inf, a_{s-1} = +inf)
+        sub = np.empty((s, len(pre), len(earlier)), dtype=np.intp)
+        sub[:-1], sub[-1] = pre[:, earlier.T].transpose(1, 0, 2), last
+        for i in range(s - 1, 0, -1):
+            np.maximum(np.minimum(sub[i], last, out=sub[i]), sub[i - 1], out=sub[i])
+        np.minimum(sub[0], last, out=sub[0])
+        closes[lo : lo + step] = decided(sub.reshape(s, -1)).reshape(len(pre), -1).any(axis=1)
     return closes
 
 
 def _walk(
-    cols_t: np.ndarray, pairs: np.ndarray, ranked: tuple[np.ndarray, np.ndarray],
-    s: int, rho_minus: float, start: int,
+    decided: _Decided, ranked: tuple[np.ndarray, np.ndarray], s: int, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exact value of each row ranked by `_rank_rows`, walked from
     position `start`, and the rows still open at the end (left at +inf).
@@ -406,8 +417,7 @@ def _walk(
     The value is b_(k*) for the first position k* whose column closes a
     feasible subset with s-1 earlier columns: every feasible subset has its
     largest value at or after b_(k*).  A row still open at a position k with
-    C(k+1, s) > DEFAULT_BRUTE_FORCE_LIMIT raises BudgetExceeded.
-    """
+    C(k+1, s) > DEFAULT_BRUTE_FORCE_LIMIT raises BudgetExceeded."""
     idx, vals = ranked
     value = np.full(idx.shape[0], math.inf)
     open_rows = np.arange(idx.shape[0])
@@ -419,7 +429,7 @@ def _walk(
                 f"a direction is still open after {k} ranked columns, and C({k + 1},{s})="
                 f"{math.comb(k + 1, s)} exceeds the budget {DEFAULT_BRUTE_FORCE_LIMIT}"
             )
-        closes = _closes(cols_t, pairs, idx[open_rows, : k + 1], s, rho_minus)
+        closes = _closes(decided, idx[open_rows, : k + 1], s)
         value[open_rows[closes]] = vals[open_rows[closes], k]
         open_rows = open_rows[~closes]
     return value, open_rows
@@ -433,22 +443,20 @@ def exact_inf_profile(
 
     Each row block of `_abs_blocks` (the pipeline's |X^T v| entries) ranks
     its first _PREFIX_COLUMNS columns and walks them (`_walk`); the rows
-    still open are ranked in full from the same values and walked on.
-    """
+    still open are ranked in full from the same values and walked on, all
+    with one `_Decided` table."""
     dirs = _directions(matrix, directions)
     if not 1 <= s <= matrix.p:
         raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")
     out = np.full(dirs.shape[0], math.inf)
     if s > matrix.n:
         return out  # rank-deficient subsets can never reach rho_minus > 0
-    cols_t = matrix.data.T
-    pairs = _pair_table(matrix, rho_minus, s)
+    decided = _Decided(matrix.data.T, s, rho_minus)
     width = min(_PREFIX_COLUMNS, matrix.p)
     for rows, b in _abs_blocks(matrix, dirs):
-        value, rest = _walk(cols_t, pairs, _rank_rows(b, width), s, rho_minus, 0)
+        value, rest = _walk(decided, _rank_rows(b, width), s, 0)
         if rest.size and width < matrix.p:
-            ranked = _rank_rows(b[rest], matrix.p)
-            value[rest], _ = _walk(cols_t, pairs, ranked, s, rho_minus, width)
+            value[rest], _ = _walk(decided, _rank_rows(b[rest], matrix.p), s, width)
         out[rows] = value
         del b  # free this block before the next one is built
     return out
@@ -482,25 +490,22 @@ def estimate_gamma(
 ) -> GammaEstimate:
     """Certificate over an eps-net plus a random-probe lower estimate."""
     if net.dimension != matrix.n:
-        raise InvalidInput(
-            f"net dimension {net.dimension} does not match matrix n={matrix.n}"
-        )
+        raise InvalidInput(f"net dimension {net.dimension} does not match matrix n={matrix.n}")
     if probe_count < 0:
         raise InvalidInput("probe_count must be nonnegative")
     gen = _as_generator(rng)
     net_vals = attained_values(matrix, net.points, cfg, gen)
     finite = int(np.sum(np.isfinite(net_vals)))
-    if finite < len(net):
-        certified_upper = math.inf
-    else:
+    certified_upper = math.inf
+    if finite == len(net):
         certified_upper = float(np.max(net_vals, initial=0.0)) + net.epsilon
 
     heuristic_lower = 0.0
     if probe_count > 0:
         probes = sample_unit_vectors(matrix.n, probe_count, gen)
         vals = exact_inf_profile(matrix, probes, cfg.s, cfg.rho_minus)
-        finite += int(np.sum(np.isfinite(vals)))
         finite_vals = vals[np.isfinite(vals)]
+        finite += finite_vals.size
         heuristic_lower = float(np.max(finite_vals)) if finite_vals.size else math.inf
     total = len(net) + probe_count
     return GammaEstimate(

@@ -21,8 +21,8 @@ import numpy as np
 from orthoselect.errors import BudgetExceeded, InvalidInput
 from orthoselect.harness import TrialRecord
 from orthoselect.linalg import ColumnMatrix, operator_norm, submatrix
-from orthoselect.selection import (DEFAULT_BRUTE_FORCE_LIMIT, _pair_table, _subset_positions,
-                                   greedy_outer)
+from orthoselect.selection import (_PAIR_BAND, DEFAULT_BRUTE_FORCE_LIMIT, _feasible,
+                                   _subset_positions, greedy_outer)
 from orthoselect.sphere import (_CANDIDATE_CHUNK, RngStream, sample_sphere_matrix,
                                 sample_unit_vector, sample_unit_vectors)
 
@@ -162,6 +162,22 @@ def eps_net_points(d: int, eps: float, gen: np.random.Generator, stall_budget: i
     return np.asarray(accepted)
 
 
+def pair_table(matrix: ColumnMatrix, rho_minus: float) -> np.ndarray:
+    """(p, p) symmetric table of the pipeline's answer for each column pair:
+    2-column Gram eigenvalues are 1 +- |<X_i, X_j>|, so outside `_feasible`'s
+    band a pair is feasible iff |<X_i, X_j>| <= 1 - rho_minus^2, read from one
+    Gram product; a pair in the band takes `_feasible`'s own answer."""
+    bound = 1.0 - rho_minus * rho_minus
+    gram = np.abs(matrix.data.T @ matrix.data)
+    table = gram <= bound
+    band = (bound - _PAIR_BAND < gram) & (gram < bound + _PAIR_BAND)
+    if band.any():
+        rows, cols = np.nonzero(np.triu(band, k=1))
+        keep = _feasible(matrix.data.T[np.column_stack([rows, cols])], rho_minus)
+        table[rows, cols] = table[cols, rows] = keep
+    return table
+
+
 # Subsets per batched-eigvalsh block of the s >= 3 enumeration.
 _SUBSET_BLOCK = 1 << 12
 
@@ -183,7 +199,7 @@ def feasible_subsets(matrix: ColumnMatrix, s: int, rho_minus: float) -> list[tup
         return [(j,) for j in range(matrix.p)]
     if s == 2:
         rows, cols = np.triu_indices(matrix.p, k=1)
-        keep = _pair_table(matrix, rho_minus)[rows, cols]
+        keep = pair_table(matrix, rho_minus)[rows, cols]
         return list(zip(rows[keep].tolist(), cols[keep].tolist()))
     gram = matrix.data.T @ matrix.data
     subsets = combinations(range(matrix.p), s)

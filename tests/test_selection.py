@@ -362,7 +362,7 @@ def band_matrix(n: int, p: int, rho: float, seed: int) -> ColumnMatrix:
 @pytest.mark.parametrize("rho", [0.5, 0.9])
 def test_pair_table_decides_each_pair_as_the_pipeline(rho):
     x = band_matrix(4, 60, rho, 90)
-    table = selection._pair_table(x, rho)
+    table = oracles.pair_table(x, rho)
     rows, cols = np.triu_indices(x.p, k=1)
     cols_t = x.data.T
     want = selection._feasible(cols_t[np.column_stack([rows, cols])], rho)
@@ -552,7 +552,8 @@ def reranked(monkeypatch):
 def oracle_stage(request, monkeypatch):
     """Run the exact oracle as built ("prefix": rank each row's first
     _PREFIX_COLUMNS columns, then rank the rows they leave open in full) or
-    with every row ranked in full from the start ("gather")."""
+    with every row ranked in full from the start ("gather": each row's walk
+    reads all p of its values, as the reference gather does)."""
     if request.param == "gather":
         monkeypatch.setattr(selection, "_PREFIX_COLUMNS", math.inf)
     return request.param
@@ -594,26 +595,87 @@ def test_exact_inf_profile_stages_match_the_gather_reference(oracle_stage, reran
 @pytest.mark.parametrize("s", [3, 4])
 def test_exact_inf_profile_keeps_every_subset_feasible_accepts(s):
     # a pair at |g| = 1 - rho^2 beside two columns orthogonal to it: in exact
-    # arithmetic a subset holding the pair has the pair's lambda_min, so the
-    # pair's and the subset's eigvalsh can round to opposite sides of rho^2;
-    # a pruning table that rejects such a pair would drop subsets that
-    # `_feasible` accepts
+    # arithmetic a subset holding the pair has the pair's lambda_min, so its
+    # eigvalsh decides it right at rho^2
     rho = 0.5
     gram = np.eye(4)
     gram[0, 1] = gram[1, 0] = 1.0 - rho * rho
     gen = np.random.default_rng(71)
     subsets = np.array(list(combinations(range(4), s)))
-    split = 0
     for _ in range(100):
         x = ColumnMatrix(rotated(gram, 4, gen).T)
         accepted = subsets[selection._feasible(x.data.T[subsets], rho)]
-        with_pair = np.any((accepted[:, 0] == 0) & (accepted[:, 1] == 1))
-        split += with_pair and not selection._feasible(x.data.T[None, :2], rho)[0]
         dirs = sample_unit_vectors(4, 20, gen)
         b = np.abs(x.data.T @ dirs.T)  # (p, count), the oracle's product
         want = np.min(np.max(b[accepted], axis=1), axis=0, initial=math.inf)
         assert np.array_equal(exact_inf_profile(x, dirs, s, rho), want)
-    assert split > 0
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_exact_inf_profile_is_the_min_over_any_family(monkeypatch, s):
+    # the walk takes `_feasible`'s answer for every s-subset and infers none
+    # from other subsets: a family that no interlacing bound respects (the
+    # subsets whose column indices sum to a multiple of 3) gives the min
+    # over that family
+    x = sample_sphere_matrix(4, 12, RngStream(76, 0))
+
+    def family(vecs, rho_minus):
+        return np.argmax(vecs @ x.data, axis=2).sum(axis=1) % 3 == 0  # each column's index
+
+    monkeypatch.setattr(selection, "_feasible", family)
+    subsets = np.array(list(combinations(range(x.p), s)))
+    dirs = sample_unit_vectors(4, 300, RngStream(76, 1))
+    b = np.abs(x.data.T @ dirs.T)
+    want = np.min(np.max(b[subsets[subsets.sum(axis=1) % 3 == 0]], axis=1), axis=0)
+    assert np.array_equal(exact_inf_profile(x, dirs, s, 0.5), want)
+
+
+def test_exact_inf_profile_decides_each_subset_once(monkeypatch):
+    # n = s = 4: most candidates need an eigvalsh, and each subset is
+    # decided once per call while the table holds every C(p, s) subset
+    decided = []
+    real = selection._feasible
+    monkeypatch.setattr(selection, "_feasible", lambda v, rho: decided.append(v) or real(v, rho))
+    x = sample_sphere_matrix(4, 12, RngStream(64, 12))
+    dirs = sample_unit_vectors(4, 2000, RngStream(65, 12))
+    got = exact_inf_profile(x, dirs, 4, 0.5)
+    assert np.array_equal(got, exact_inf_gather(x, dirs, 4, 0.5))
+    vecs = np.concatenate(decided).reshape(-1, 16)
+    assert len(np.unique(vecs, axis=0)) == len(vecs) <= math.comb(12, 4)
+    # a table of 16 slots shares them: subsets are decided again, to the
+    # same values
+    decided.clear()
+    monkeypatch.setattr(selection, "_MEMO_SLOTS", 16)
+    assert np.array_equal(exact_inf_profile(x, dirs, 4, 0.5), got)
+    assert sum(map(len, decided)) > math.comb(12, 4)
+
+
+def test_exact_inf_profile_memory_at_large_p():
+    # no (p, p) table: at p = 200 000 one would take 320 GB, at p = 20 000 3.2 GB
+    x = sample_sphere_matrix(4, 200_000, RngStream(77, 0))
+    y = ColumnMatrix(x.data[:, :20_000])
+    v = sample_unit_vector(4, RngStream(77, 1))
+    dirs = sample_unit_vectors(4, 8, RngStream(77, 2))
+    tracemalloc.start()
+    try:
+        one = brute_force_inf(x, v, 1, 0.5)
+        peak_one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        two = exact_inf_profile(y, dirs, 2, 0.5)
+        peak_two = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak_one < 32 * 2**20 and peak_two < 32 * 2**20
+    assert one == np.min(np.abs(x.data.T @ v[:, None]))
+    # s = 2 against the feasible pairs among each direction's 40 smallest
+    # values, which hold the answer when it lies below the 40th
+    b = np.abs(y.data.T @ dirs.T)
+    for r in range(len(dirs)):
+        near = np.sort(np.argsort(b[:, r], kind="stable")[:40])
+        pairs = np.array(list(combinations(near, 2)))
+        want = np.min(np.max(b[pairs[selection._feasible(y.data.T[pairs], 0.5)], r], axis=1))
+        assert want < np.sort(b[:, r])[39]
+        assert two[r] == want
 
 
 def test_exact_inf_profile_is_below_the_pipeline_without_slack():
@@ -653,8 +715,8 @@ def test_exact_inf_profile_infeasible_families_are_infinite(oracle_stage):
 
 
 def test_exact_inf_profile_memory_at_scale():
-    # p = 200, 1e5 directions: the full gather's 16 MiB blocks peak above
-    # 30 MiB; the prefix stage holds one 61-row block and the output
+    # p = 200, 1e5 directions: the walk holds one 2560-row block of |X^T v|,
+    # its rankings and candidates, the table of decided pairs and the output
     x = sample_sphere_matrix(4, 200, RngStream(63, 0))
     dirs = sample_unit_vectors(4, 100_000, RngStream(64, 0))
     tracemalloc.start()
@@ -664,9 +726,8 @@ def test_exact_inf_profile_memory_at_scale():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
-    # the first 20 blocks, which the reference runs as the same products
-    head = 20 * ((1 << 21) // (2 * len(feasible_subsets(x, 2, 0.5))))
-    assert np.array_equal(vals[:head], exact_inf_gather(x, dirs[:head], 2, 0.5))
+    # the first row block, which the reference runs as the same product
+    assert np.array_equal(vals[:2560], exact_inf_gather(x, dirs[:2560], 2, 0.5))
 
 
 def test_estimate_gamma_orthonormal_square_case():
