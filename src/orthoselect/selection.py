@@ -349,40 +349,43 @@ class _Decided:
     A subset c_0 < ... < c_{s-1} takes the slot of its combinatorial rank
     sum_i C(c_i, i+1), from an (s, p) binomial table (s <= n, so no larger
     than the matrix), wrapped to the table's size: a power of two, at least
-    min(C(p, s), _MEMO_SLOTS), so no two subsets share a slot while C(p, s)
-    fits (a rank past int64 wraps, which only moves its slot).  A subset not
-    in its slot is decided and stored, one per slot and round, until every
-    subset of the call has read its answer.
+    min(C(p, s), _MEMO_SLOTS).  While C(p, s) fits, no two subsets share a
+    slot; otherwise a slot also keeps the subset it holds.  A subset whose
+    slot has no answer for it is decided and stored, one per slot and round,
+    until every subset of the call has its answer.
     """
 
     def __init__(self, cols_t: np.ndarray, s: int, rho_minus: float) -> None:
         p = cols_t.shape[0]
-        self.binom = np.zeros((s, p), dtype=np.intp)  # binom[i, c] = C(c, i+1)
+        self.binom = np.zeros((s, p), dtype=np.intp)  # binom[i, c] = C(c, i+1), wrapping
         self.binom[0] = np.arange(p)
         for i in range(1, s):
             np.cumsum(self.binom[i - 1, :-1], out=self.binom[i, 1:])
         size = 1 << (min(math.comb(p, s), _MEMO_SLOTS) - 1).bit_length()
-        self.keys = np.full((s, size), -1, dtype=np.intp)
-        self.ok = np.zeros(size, dtype=bool)
+        self.state = np.full(size, -1, dtype=np.int8)  # -1 undecided, else the answer
+        self.keys = np.full((s if math.comb(p, s) > size else 0, size), -1)  # held subsets
         self.cols_t, self.rho_minus = cols_t, rho_minus
 
     def __call__(self, sub: np.ndarray) -> np.ndarray:
         """The answer for each column of `sub` (s, a), a subset in index order."""
-        slot = sum(b.take(c) for b, c in zip(self.binom, sub)) & (len(self.ok) - 1)
-        ok = self.ok.take(slot)
+        slot = sum(b.take(c) for b, c in zip(self.binom, sub)) & (len(self.state) - 1)
+        ok = self.state.take(slot) == 1
         miss = np.flatnonzero(self._stale(slot, sub))
         while miss.size:
             # decide the first missing subset of each slot and store it
             first = miss[np.unique(slot[miss], return_index=True)[1]]
-            self.keys[:, slot[first]] = sub[:, first]
-            self.ok[slot[first]] = _feasible(self.cols_t[sub[:, first].T], self.rho_minus)
-            ok[miss] = self.ok[slot[miss]]
+            self.keys[:, slot[first]] = sub[: len(self.keys), first]
+            self.state[slot[first]] = _feasible(self.cols_t[sub[:, first].T], self.rho_minus)
+            ok[miss] = self.state[slot[miss]] == 1
             miss = miss[self._stale(slot[miss], sub[:, miss])]
         return ok
 
     def _stale(self, slot: np.ndarray, sub: np.ndarray) -> np.ndarray:
-        """Whether each slot holds another subset than the column of `sub`."""
-        return np.logical_or.reduce([k.take(slot) != c for k, c in zip(self.keys, sub)])
+        """Whether each slot holds no answer for the column of `sub`."""
+        stale = self.state.take(slot) < 0
+        for k, c in zip(self.keys, sub):
+            stale |= k.take(slot) != c
+        return stale
 
 
 def _closes(decided: _Decided, prefix: np.ndarray, s: int) -> np.ndarray:
@@ -408,9 +411,8 @@ def _closes(decided: _Decided, prefix: np.ndarray, s: int) -> np.ndarray:
     return closes
 
 
-def _walk(
-    decided: _Decided, ranked: tuple[np.ndarray, np.ndarray], s: int, start: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _walk(decided: _Decided, ranked: tuple[np.ndarray, np.ndarray], s: int,
+          start: int) -> tuple[np.ndarray, np.ndarray]:
     """The exact value of each row ranked by `_rank_rows`, walked from
     position `start`, and the rows still open at the end (left at +inf).
 
