@@ -398,16 +398,16 @@ def _closes(decided: _Decided, prefix: np.ndarray, s: int) -> np.ndarray:
     step = max(1, _RANK_ELEMENTS // (len(earlier) * s))
     closes = np.empty(prefix.shape[0], dtype=bool)
     for lo in range(0, prefix.shape[0], step):
-        pre = np.sort(prefix[lo : lo + step, :k], axis=1)
-        last = prefix[lo : lo + step, k, None]
+        pre = np.sort(prefix[lo : lo + step, :k], axis=1).T.copy()  # (k, rows)
+        last = prefix[lo : lo + step, k]
         # a candidate's i-th column in index order is max(min(a_i, last), a_{i-1}),
         # a_i its i-th earlier column (a_{-1} = -inf, a_{s-1} = +inf)
-        sub = np.empty((s, len(pre), len(earlier)), dtype=np.intp)
-        sub[:-1], sub[-1] = pre[:, earlier.T].transpose(1, 0, 2), last
+        sub = np.empty((s, len(earlier), len(last)), dtype=np.intp)
+        sub[:-1], sub[-1] = pre[earlier.T], last
         for i in range(s - 1, 0, -1):
             np.maximum(np.minimum(sub[i], last, out=sub[i]), sub[i - 1], out=sub[i])
         np.minimum(sub[0], last, out=sub[0])
-        closes[lo : lo + step] = decided(sub.reshape(s, -1)).reshape(len(pre), -1).any(axis=1)
+        closes[lo : lo + step] = decided(sub.reshape(s, -1)).reshape(-1, len(last)).any(axis=0)
     return closes
 
 
