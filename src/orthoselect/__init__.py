@@ -17,6 +17,7 @@ from .sphere import (
     EpsNet,
     RngStream,
     build_eps_net,
+    cube_grid,
     sample_sphere_matrix,
     sample_unit_vector,
     sample_unit_vectors,
@@ -54,6 +55,7 @@ __all__ = [
     "build_eps_net",
     "coherence",
     "constrained_select",
+    "cube_grid",
     "estimate_gamma",
     "exact_inf_profile",
     "gram_deviation",

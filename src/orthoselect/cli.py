@@ -25,8 +25,8 @@ from .linalg import UNIT_NORM_TOL
 from .matrixio import _jsonable
 from .selection import (DEFAULT_MAX_ATTEMPTS, SelectionConfig, brute_force_inf,
                         constrained_select, estimate_gamma)
-from .sphere import (_STREAM_NET, NET_DIMENSION_CAP, RngStream, build_eps_net,
-                     sample_sphere_matrix, sample_unit_vector)
+from .sphere import (NET_DIMENSION_CAP, RngStream, cube_grid, grid_cells, sample_sphere_matrix,
+                     sample_unit_vector)
 
 if TYPE_CHECKING:
     from .harness import ExperimentReport, TrialRecord
@@ -61,11 +61,19 @@ def _guard(fn):
     return wrapper
 
 
-def _check_net_dimension(n: int, source: str) -> None:
-    """Reject, before any net work, a dimension the certificate net refuses."""
+def _check_net(n: int, net_eps: float, source: str) -> None:
+    """Reject, before any net work, a radius outside (0, 1) and a certificate
+    grid the library refuses: a dimension over the cap, or a grid over its
+    point limit."""
+    if not 0.0 < net_eps < 1.0:
+        raise click.UsageError("--net-eps must lie in (0, 1)")
     if n > NET_DIMENSION_CAP:
-        raise click.UsageError(f"the certificate's eps-net supports n <= "
+        raise click.UsageError(f"the certificate's grid supports n <= "
                                f"{NET_DIMENSION_CAP}, but {source} gives n={n}")
+    try:
+        grid_cells(n, net_eps)
+    except BudgetExceeded as exc:
+        raise click.UsageError(f"--net-eps {net_eps!r}: {exc}") from exc
 
 
 def _dump_json(obj: dict) -> str:
@@ -103,7 +111,7 @@ _HELP = {
     "epsilon": "Concentration epsilon of the constants.",
     "c_kappa": "The constant C_kappa.",
     "c": "Sub-Gaussian tail constant.",
-    "net_eps": "Net radius for the certificate.",
+    "net_eps": "Covering radius the certificate's grid must reach.",
     "probes": "Random probe directions for the lower estimate.",
     "count": "Binomial sample size.",
     "q_grid": "Success probabilities, comma-separated.",
@@ -318,13 +326,10 @@ def select(matrix_path, v_file, v_random, out, oracle, fmt, config_path, **flags
 def gamma(matrix_path, out, fmt, config_path, **flags):
     """Certified upper / heuristic lower estimates of the selection value."""
     c = _settings(_GAMMA, flags, config_path)
-    if not 0.0 < c["net_eps"] < 1.0:
-        raise click.UsageError("--net-eps must lie in (0, 1)")
     matrix, _ = matrixio.load_matrix(matrix_path)
-    _check_net_dimension(matrix.n, f"matrix {matrix_path}")
+    _check_net(matrix.n, c["net_eps"], f"matrix {matrix_path}")
     cfg = SelectionConfig(s=c["s"], rho_minus=c["rho"], kappa=c["kappa"])
-    net = build_eps_net(matrix.n, c["net_eps"], RngStream(c["seed"], _STREAM_NET),
-                        stall_budget=2000)
+    net = cube_grid(matrix.n, c["net_eps"])
     est = estimate_gamma(matrix, cfg, net, c["probes"], RngStream(c["seed"], 0))
     if (
         math.isfinite(est.certified_upper)
@@ -380,7 +385,7 @@ def constants(out, fmt, config_path, **flags):
 
 
 def _run_theorem(h, c: dict) -> ExperimentReport:
-    _check_net_dimension(c["n"], "--n (or config key n)")
+    _check_net(c["n"], c["net_eps"], "--n (or config key n)")
     return h.run_theorem_audit(c["n"], c["p"], c["s"], c["rho"], c["net_eps"], c["trials"],
                                c["seed"], probe_count=c["probes"], kappa=c["kappa"])
 

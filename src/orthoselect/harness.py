@@ -45,8 +45,8 @@ from .errors import InvalidInput
 from .linalg import coherence, operator_norm, submatrix
 from .matrixio import _jsonable
 from .selection import SelectionConfig, _subset_positions, estimate_gamma, greedy_outer
-from .sphere import (_STREAM_NET, MIN_DRAW_NORM, RngStream, TrialStreams, build_eps_net,
-                     sample_sphere_matrix, sample_unit_vector, sample_unit_vectors)
+from .sphere import (MIN_DRAW_NORM, RngStream, TrialStreams, cube_grid, sample_sphere_matrix,
+                     sample_unit_vector, sample_unit_vectors)
 
 DEFAULT_CONFIDENCE = 0.95
 BOOTSTRAP_RESAMPLES = 2000
@@ -61,7 +61,7 @@ _THEOREM_EPSILON = 0.5
 _THEOREM_C_KAPPA = 1.0
 
 # Reserved stream offset so trial streams (0..trials-1) never collide with
-# the bootstrap; the net's stream, sphere._STREAM_NET, is the next one.
+# the bootstrap.
 _STREAM_BOOTSTRAP = 1 << 48
 
 
@@ -581,7 +581,7 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
     if not 0.0 < net_eps < 1.0:
         raise InvalidInput("net_eps must lie in (0, 1)")
     cfg = SelectionConfig(s=s, rho_minus=rho_minus, kappa=kappa)
-    net = build_eps_net(n, net_eps, RngStream(seed, _STREAM_NET), stall_budget=500)
+    net = cube_grid(n, net_eps)
     bound = analytic.claimed_gamma_bound(p)
     lp = math.log(p)
     claimed_prob = 1.0 - 5.0 * n / (p * lp ** (n - 1)) - 9.0 * p ** float(-n)

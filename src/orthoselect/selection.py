@@ -490,7 +490,13 @@ def estimate_gamma(
     probe_count: int,
     rng: RngStream | np.random.Generator,
 ) -> GammaEstimate:
-    """Certificate over an eps-net plus a random-probe lower estimate."""
+    """Certificate over a net plus a random-probe lower estimate.
+
+    The selection value is even in v and Lipschitz with constant
+    max ||X_j|| <= 1 + UNIT_NORM_TOL, so the max of the pipeline values over
+    a net that, with its negatives, covers the sphere to `net.radius` bounds
+    the sup over the sphere once `net.radius * (1 + UNIT_NORM_TOL)` is added.
+    """
     if net.dimension != matrix.n:
         raise InvalidInput(f"net dimension {net.dimension} does not match matrix n={matrix.n}")
     if probe_count < 0:
@@ -500,7 +506,8 @@ def estimate_gamma(
     finite = int(np.sum(np.isfinite(net_vals)))
     certified_upper = math.inf
     if finite == len(net):
-        certified_upper = float(np.max(net_vals, initial=0.0)) + net.epsilon
+        certified_upper = (float(np.max(net_vals, initial=0.0))
+                           + net.radius * (1.0 + UNIT_NORM_TOL))
 
     heuristic_lower = 0.0
     if probe_count > 0:

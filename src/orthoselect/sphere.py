@@ -7,6 +7,10 @@ distinct stream indices can be consumed concurrently without coordination.
 serves the streams (seed, 0), (seed, 1), ... of an audit's trials from one
 Philox whose key it resets, which yields the same numbers for less work.
 
+`cube_grid` is the certificate's net: the projected cell centres of a grid
+on the d faces x_i = +1 of the cube [-1, 1]^d.  Its covering radius is
+proven in closed form, and it takes no random numbers.
+
 `build_eps_net` judges uniform candidates in chunks: one product per chunk
 finds the few candidates far from every earlier point, and only those are
 visited one at a time.  Every chunk's product is written into one reused
@@ -17,19 +21,19 @@ radius eps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import BudgetExceeded, InvalidInput
 from .linalg import ColumnMatrix
 
 NET_DIMENSION_CAP = 8
 _CANDIDATE_CHUNK = 512
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
-# Reserved stream index of the certificate nets of `gamma` and the theorem
-# audit, clear of the audits' trial streams (0..trials-1).
-_STREAM_NET = (1 << 48) + 1
+#: Most points `cube_grid` builds: 64 MiB of float64 at d = 8.
+_GRID_POINT_LIMIT = 1 << 20
 #: A Gaussian draw whose norm is at most this is drawn again.
 MIN_DRAW_NORM = 1e-12
 
@@ -112,17 +116,20 @@ def sample_sphere_matrix(n: int, p: int, rng: RngStream | np.random.Generator) -
 
 @dataclass(frozen=True)
 class EpsNet:
-    """A finite eps-separated set of unit vectors in R^d.
+    """Unit vectors in R^d that, with their negatives, cover S^{d-1} to `radius`.
 
-    Maximal eps-separated sets cover the sphere to radius eps, so a net built
-    to (approximate) maximality doubles as an eps-net.  `mode` records whether
-    maximality is exact (d = 1) or stall-budget heuristic.
+    `mode` says how the radius is known: "proven" for a `cube_grid` (closed
+    form), "exact" for the d = 1 net {-1, +1}, and "heuristic" for a
+    stall-stopped `build_eps_net`, whose radius is its separation eps,
+    assumed and not proven.  `k` is a grid's cell count per axis, None
+    otherwise.
     """
 
     dimension: int
-    epsilon: float
+    radius: float
     points: np.ndarray
-    mode: str = field(default="heuristic")
+    mode: str = "heuristic"
+    k: int | None = None
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -138,29 +145,80 @@ class EpsNet:
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
-    def separation_ok(self) -> bool:
-        """O(|N|^2) check that pairwise distances exceed epsilon."""
-        pts = self.points
-        if len(self) < 2:
-            return True
-        gram = pts @ pts.T
-        d2 = 2.0 - 2.0 * gram
-        np.fill_diagonal(d2, np.inf)
-        return bool(np.min(d2) > self.epsilon * self.epsilon)
-
-    def covering_radius_of(self, probes: np.ndarray) -> float:
-        """Largest distance from any probe row to its nearest net point."""
-        dots = probes @ self.points.T
-        best = np.max(dots, axis=1)
-        return float(np.sqrt(np.max(np.maximum(2.0 - 2.0 * best, 0.0))))
-
     def descriptor(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "epsilon": self.epsilon,
-            "size": len(self),
-            "mode": self.mode,
-        }
+        return {"k": self.k, "mode": self.mode, "radius": self.radius, "size": len(self)}
+
+
+def _check_net_args(d: int, eps: float) -> None:
+    if d < 1:
+        raise InvalidInput("dimension must be at least 1")
+    if not 0.0 < eps < 2.0:
+        raise InvalidInput("epsilon must lie in (0, 2), the sphere's diameter")
+    if d > NET_DIMENSION_CAP:
+        raise InvalidInput(f"net construction is capped at d={NET_DIMENSION_CAP}")
+
+
+def grid_cells(d: int, eps: float) -> int:
+    """Cells per axis of `cube_grid(d, eps)`: the fewest k >= 1 whose radius
+    sqrt(d-1)/k is at most eps, as computed in floats.
+
+    Raises BudgetExceeded, before any work, if the grid's d * k^(d-1) points
+    exceed _GRID_POINT_LIMIT; the message names the smallest radius that fits.
+    """
+    _check_net_args(d, eps)
+    half = math.sqrt(d - 1)
+    quotient = half / eps
+    if not quotient <= _GRID_POINT_LIMIT:  # also a subnormal eps's inf
+        raise BudgetExceeded(_over_limit(d, eps, f"more than {_GRID_POINT_LIMIT} cells per axis"))
+    k = max(1, math.ceil(quotient))
+    # the ceiling of a rounded quotient can be one off either way
+    if half / k > eps:
+        k += 1
+    elif k > 1 and half / (k - 1) <= eps:
+        k -= 1
+    size = d * k ** (d - 1)
+    if size > _GRID_POINT_LIMIT:
+        raise BudgetExceeded(_over_limit(d, eps, f"k={k} cells per axis, {size} points"))
+    return k
+
+
+def _over_limit(d: int, eps: float, needs: str) -> str:
+    """The refusal of a grid over the limit (d >= 2, since d = 1 has one point)."""
+    # the largest k that fits, from a float root corrected in whole steps
+    fit = int((_GRID_POINT_LIMIT / d) ** (1.0 / (d - 1)))
+    while d * (fit + 1) ** (d - 1) <= _GRID_POINT_LIMIT:
+        fit += 1
+    while d * fit ** (d - 1) > _GRID_POINT_LIMIT:
+        fit -= 1
+    return (f"the certificate grid at d={d} and radius {eps!r} needs {needs}, over the "
+            f"limit of {_GRID_POINT_LIMIT} points; the smallest radius that fits is "
+            f"{math.sqrt(d - 1) / fit!r} (k={fit})")
+
+
+def cube_grid(d: int, eps: float) -> EpsNet:
+    """A net on S^{d-1} whose covering radius sqrt(d-1)/k <= eps is proven.
+
+    Each of the d faces x_i = +1 of the cube [-1, 1]^d is cut into k^(d-1)
+    cells of half-side 1/k (k = `grid_cells(d, eps)`).  The points are the
+    cells' centres, with coordinates c_j = (2j+1)/k - 1, projected onto the
+    sphere; face i's block comes i-th.  Why the radius holds: for a unit v,
+    let i be a coordinate of largest magnitude and u the one of v and -v
+    with u_i > 0.  Then u is the projection of the point w = u/u_i of face
+    i, w lies within sqrt(d-1)/k of its cell's centre, and radial
+    projection from outside the unit ball is 1-Lipschitz.  So the points
+    and their negatives cover the sphere to that radius, which is all a
+    value that is even in v needs.  At d = 1 the grid is {+1} with radius 0.
+    """
+    k = grid_cells(d, eps)
+    centres = (2.0 * np.arange(k) + 1.0) / k - 1.0
+    cells = centres[np.indices((k,) * (d - 1)).reshape(d - 1, k ** (d - 1)).T]
+    points = np.empty((d, len(cells), d))
+    for i in range(d):
+        points[i, :, :i] = cells[:, :i]
+        points[i, :, i] = 1.0
+        points[i, :, i + 1:] = cells[:, i:]
+    points /= np.sqrt(1.0 + np.sum(cells * cells, axis=1))[:, None]
+    return EpsNet(d, math.sqrt(d - 1) / k, points.reshape(-1, d), mode="proven", k=k)
 
 
 def build_eps_net(
@@ -183,14 +241,9 @@ def build_eps_net(
     whole point buffer, so it is the same gemm on the same operands as a
     fresh `chunk @ points.T`, without a new mapping per chunk.
     """
-    if d < 1:
-        raise InvalidInput("dimension must be at least 1")
-    if not 0.0 < eps < 2.0:
-        raise InvalidInput("epsilon must lie in (0, 2), the sphere's diameter")
+    _check_net_args(d, eps)
     if stall_budget < 1:
         raise InvalidInput("stall budget must be at least 1")
-    if d > NET_DIMENSION_CAP:
-        raise InvalidInput(f"net construction is capped at d={NET_DIMENSION_CAP}")
     if d == 1:
         return EpsNet(1, eps, np.array([[-1.0], [1.0]]), mode="exact")
 

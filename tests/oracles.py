@@ -162,6 +162,28 @@ def eps_net_points(d: int, eps: float, gen: np.random.Generator, stall_budget: i
     return np.asarray(accepted)
 
 
+def separation_ok(points: np.ndarray, eps: float) -> bool:
+    """O(|N|^2) check that the rows' pairwise distances exceed eps."""
+    if len(points) < 2:
+        return True
+    d2 = 2.0 - 2.0 * (points @ points.T)
+    np.fill_diagonal(d2, np.inf)
+    return bool(np.min(d2) > eps * eps)
+
+
+def covering_radius_of(points: np.ndarray, probes: np.ndarray, symmetric: bool = False) -> float:
+    """Largest distance from any probe row to its nearest point row, or, when
+    `symmetric`, to its nearest point of the rows and their negatives;
+    probes are compared in blocks of about 2^22 products."""
+    # the smallest, over the probes, of the largest dot with a point
+    least = 1.0
+    block = max(1, (1 << 22) // len(points))
+    for lo in range(0, len(probes), block):
+        dots = probes[lo:lo + block] @ points.T
+        least = min(least, float(np.min(np.max(np.abs(dots) if symmetric else dots, axis=1))))
+    return math.sqrt(max(2.0 - 2.0 * least, 0.0))
+
+
 def pair_table(matrix: ColumnMatrix, rho_minus: float) -> np.ndarray:
     """(p, p) symmetric table of the pipeline's answer for each column pair:
     2-column Gram eigenvalues are 1 +- |<X_i, X_j>|, so outside `_feasible`'s

@@ -616,6 +616,26 @@ def test_net_dimension_limit_is_a_usage_error_naming_its_source(runner, tmp_path
     assert ok.exit_code == 0
 
 
+def test_grid_over_its_point_limit_is_a_usage_error_naming_the_radius_that_fits(runner, tmp_path):
+    # 8 * 11^7 points at n = 8 and --net-eps 0.25; k = 5 is the largest grid that fits
+    matrix_path = write_matrix(tmp_path, n=8, p=20, name="eight.csv")
+
+    def gamma(eps):
+        return runner.invoke(main, ["gamma", "--matrix", str(matrix_path), "--s", "2", "--kappa",
+                                    "3", "--net-eps", eps, "--probes", "5",
+                                    "--out", str(tmp_path / "g.json")])
+
+    thm = runner.invoke(main, ["experiment", "theorem", "--n", "8", "--net-eps", "0.25",
+                               "--trials", "20", "--out", str(tmp_path / "t")])
+    for result in (gamma("0.25"), thm):
+        assert result.exit_code == 2, result.output
+        for text in ("d=8", "k=11", "155897368 points", "--net-eps 0.25", "0.5291502622129182"):
+            assert text in result.output
+    tiny = gamma("5e-324")  # no cell count is computed, let alone a grid
+    assert tiny.exit_code == 2 and "0.5291502622129182" in tiny.output, tiny.output
+    assert not list(tmp_path.glob("g.json")) and not list(tmp_path.glob("t.*"))
+
+
 def test_experiment_refuses_a_nan_measure_and_writes_nothing(runner, tmp_path, monkeypatch):
     real = hn.run_coherence_audit
 

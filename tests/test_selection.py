@@ -16,6 +16,7 @@ from orthoselect import (
     brute_force_inf,
     build_eps_net,
     constrained_select,
+    cube_grid,
     estimate_gamma,
     exact_inf_profile,
     greedy_outer,
@@ -27,6 +28,7 @@ from orthoselect import (
     submatrix,
 )
 from orthoselect import cli, matrixio, selection
+from orthoselect.linalg import UNIT_NORM_TOL
 
 import oracles
 from oracles import (eigvalsh_sigma_min, exact_inf_gather, feasible_subsets, feasible_subsets_loop,
@@ -786,6 +788,46 @@ def test_estimate_gamma_dimension_mismatch():
     net = build_eps_net(4, 0.5, RngStream(50, 0), stall_budget=1000)
     with pytest.raises(InvalidInput):
         estimate_gamma(x, SelectionConfig(s=2, kappa=3.0), net, 10, RngStream(51, 0))
+
+
+@pytest.mark.parametrize("p", [12, 60])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_grid_certificate_dominates_exact_values_at_uniform_probes(p, s):
+    # the exact value over the grid plus its radius bounds the exact value
+    # everywhere; the pipeline's certificate lies above that
+    x = sample_sphere_matrix(4, p, RngStream(95, p))
+    net = cube_grid(4, 0.1)
+    exact_cert = float(np.max(exact_inf_profile(x, net.points, s, 0.5))) + net.radius
+    probes = sample_unit_vectors(4, 100_000, RngStream(96, p))
+    assert float(np.max(exact_inf_profile(x, probes, s, 0.5))) <= exact_cert
+    cfg = SelectionConfig(s=s, rho_minus=0.5, kappa=p / s)
+    assert estimate_gamma(x, cfg, net, 0, RngStream(97, s)).certified_upper >= exact_cert
+
+
+def test_estimate_gamma_adds_the_net_radius_with_the_column_norm_slack():
+    x = sample_sphere_matrix(4, 40, RngStream(98, 0))
+    cfg = SelectionConfig(s=2, rho_minus=0.5)
+    net = cube_grid(4, 0.25)
+    est = estimate_gamma(x, cfg, net, 10, RngStream(99, 0))
+    vals = attained_values(x, net.points, cfg, RngStream(99, 0).generator())
+    assert est.certified_upper == float(np.max(vals)) + net.radius * (1.0 + UNIT_NORM_TOL)
+    assert est.net == {"k": 7, "mode": "proven", "radius": net.radius, "size": 1372}
+    assert est.directions_tested == 1372 + 10
+
+
+def test_gamma_and_theorem_reruns_are_byte_identical(tmp_path):
+    runner = CliRunner()
+    matrix_path = tmp_path / "x.csv"
+    matrixio.save_matrix(matrix_path, sample_sphere_matrix(4, 40, RngStream(100, 0)), {"seed": 100})
+    for i in (1, 2):
+        gamma = runner.invoke(cli.main, ["gamma", "--matrix", str(matrix_path), "--s", "2",
+                                         "--net-eps", "0.25", "--probes", "50", "--seed", "3",
+                                         "--out", str(tmp_path / f"g{i}.json")])
+        theorem = runner.invoke(cli.main, ["experiment", "theorem", "--p", "30", "--trials", "20",
+                                           "--seed", "3", "--out", str(tmp_path / f"t{i}")])
+        assert gamma.exit_code == 0 and theorem.exit_code == 0, (gamma.output, theorem.output)
+    for name in ("g{}.json", "t{}.report.json", "t{}.trials.csv"):
+        assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
 
 
 def test_monotonicity_duplicate_columns_change_nothing():

@@ -1,21 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orthoselect import (
+    BudgetExceeded,
     EpsNet,
     InvalidInput,
     RngStream,
     build_eps_net,
+    cube_grid,
     sample_sphere_matrix,
     sample_unit_vector,
     sample_unit_vectors,
 )
 
-from orthoselect.sphere import TrialStreams
+from orthoselect.sphere import _GRID_POINT_LIMIT, TrialStreams, grid_cells
 
-from oracles import eps_net_points, sorted_ks
+from oracles import covering_radius_of, eps_net_points, separation_ok, sorted_ks
 
 
 def test_rng_stream_reproducible_and_independent():
@@ -99,7 +102,7 @@ def test_net_dimension_one_is_exact():
 
 def test_net_dimension_two_eps_one_within_claimed_cardinality():
     net = build_eps_net(2, 1.0, RngStream(11, 0), stall_budget=20_000)
-    assert net.separation_ok()
+    assert separation_ok(net.points, 1.0)
     assert len(net) <= 12  # the existence bound 2d(1 + 2/eps)^(d-1) at d = 2, eps = 1
 
 
@@ -109,9 +112,9 @@ def test_net_separation_and_coverage_probe():
     eps_by_d = {2: 0.3, 3: 0.4, 4: 0.5, 5: 0.6, 6: 0.7}
     for d, eps in eps_by_d.items():
         net = build_eps_net(d, eps, RngStream(42, d), stall_budget=100_000)
-        assert net.separation_ok()
+        assert separation_ok(net.points, eps)
         probes = sample_unit_vectors(d, 10_000, RngStream(43, d))
-        assert net.covering_radius_of(probes) <= eps
+        assert covering_radius_of(net.points, probes) <= eps
 
 
 @pytest.mark.parametrize("d, eps_grid", [
@@ -139,6 +142,83 @@ def test_acceptance_net_matches_the_per_candidate_reference():
 def test_net_rejects_large_dimension():
     with pytest.raises(InvalidInput):
         build_eps_net(9, 0.5, RngStream(1, 0))
+
+
+@pytest.mark.parametrize("d, eps_pair", [
+    (2, (0.5, 0.1)), (3, (0.5, 0.2)), (4, (0.5, 0.25)), (5, (0.6, 0.4)), (6, (1.2, 0.8)),
+    (7, (1.5, 1.0)), (8, (1.5, 1.0)),
+])
+def test_cube_grid_radius_covers_uniform_probes(d, eps_pair):
+    probes = sample_unit_vectors(d, 100_000, RngStream(90, d))
+    for eps in eps_pair:
+        net = cube_grid(d, eps)
+        k = net.k
+        assert net.mode == "proven" and len(net) == d * k ** (d - 1)
+        assert net.radius == math.sqrt(d - 1) / k <= eps
+        assert k == 1 or math.sqrt(d - 1) / (k - 1) > eps  # the fewest cells
+        assert covering_radius_of(net.points, probes, symmetric=True) <= net.radius
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_cube_grid_circle_radius_against_a_dense_angle_sweep(eps):
+    net = cube_grid(2, eps)
+    # the exact covering radius of the grid and its negatives: the chord over
+    # half the widest gap between their angles (mod pi, one per +- pair)
+    angles = np.sort(np.arctan2(net.points[:, 1], net.points[:, 0]) % np.pi)
+    gaps = np.diff(np.append(angles, angles[0] + np.pi))
+    exact = 2.0 * math.sin(float(np.max(gaps)) / 4.0)
+    # half the circle suffices, since the covering set is symmetric
+    sweep = np.linspace(0.0, np.pi, 4_000_001)
+    probes = np.column_stack([np.cos(sweep), np.sin(sweep)])
+    assert abs(covering_radius_of(net.points, probes, symmetric=True) - exact) <= 1e-6
+    # the closed form bounds the exact radius: 0.5 against 0.4595 at k = 2
+    assert exact <= net.radius
+
+
+def test_cube_grid_dimension_one_is_the_point_plus_one():
+    net = cube_grid(1, 0.5)
+    assert net.points.tolist() == [[1.0]]
+    assert (net.radius, net.k, net.mode) == (0.0, 1, "proven")
+
+
+def test_cube_grid_layout_is_the_projected_face_centres():
+    net = cube_grid(3, 0.5)  # k = 3: centres -2/3, 0, 2/3
+    c = np.array([-2.0, 0.0, 2.0]) / 3.0
+    faces = []
+    for i in range(3):
+        for a in c:
+            for b in c:
+                faces.append(np.insert([a, b], i, 1.0))
+    want = np.array(faces) / np.linalg.norm(faces, axis=1)[:, None]
+    assert np.allclose(net.points, want, rtol=0, atol=1e-15)
+    assert net.descriptor() == {"k": 3, "mode": "proven", "radius": math.sqrt(2) / 3, "size": 27}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_grid_over_the_point_limit_is_refused_before_any_work(d):
+    tracemalloc.start()
+    try:
+        for eps in (5e-324, 1e-300, 1.5e-6):
+            with pytest.raises(BudgetExceeded, match=f"d={d} ") as info:
+                grid_cells(d, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the named radius is the smallest that fits: its grid is within the
+    # limit, and one more cell per axis is not
+    fits = float(str(info.value).split("the smallest radius that fits is ")[1].split()[0])
+    k = grid_cells(d, fits)
+    assert d * k ** (d - 1) <= _GRID_POINT_LIMIT < d * (k + 1) ** (d - 1)
+    with pytest.raises(BudgetExceeded):
+        grid_cells(d, np.nextafter(fits, 0.0))
+
+
+def test_grid_over_the_limit_names_its_size():
+    with pytest.raises(BudgetExceeded, match=r"d=8 and radius 0\.25 needs k=11 cells per axis, "
+                                             r"155897368 points.* 0\.5291502622129182 \(k=5\)"):
+        cube_grid(8, 0.25)
+    assert len(cube_grid(8, 0.9)) == 17_496
 
 
 def test_eps_net_type_validates_points():
