@@ -6,12 +6,13 @@ the outer set until one is well conditioned (smallest singular value at least
 rho_minus).  One batched kernel, `_pipeline`, runs this for many directions at
 once; `attained_values` and `constrained_select` (its count=1 view) read its
 results.  The outer sets come from `_outer_ranked`, which `greedy_outer`
-shares: it works through the directions in row blocks and ranks each row to
-its m smallest values (`_rank_rows`), so memory is bounded by one block plus
-the (count, m) outer sets, never by the full (p, count) value matrix.  A row
-is ranked by a values-only partition to its m-th smallest value, then a
-stable sort of the entries at or below it; only a row tied at that value
-takes a full stable argsort.
+shares: it ranks each row block of |X^T v| (`_abs_blocks`) to its m smallest
+values (`_rank_rows`), so memory is bounded by a block per thread plus the
+(count, m) outer sets, never by the full (p, count) value matrix.  The blocks
+are ranked on every CPU the process may run on.  A row is ranked by a
+values-only partition to its m-th smallest value, then a stable sort of the
+entries at or below it; only a row tied at that value takes a full stable
+argsort.
 
 Each round conditions its drawn subsets in `_feasible`: the column pairs'
 Gram entries decide every subset outside a band of half-width 1e-8 around
@@ -24,21 +25,23 @@ The exact oracle, `exact_inf_profile`, takes the min over every s-subset
 that `_feasible` accepts of max_{j in S} |<X_j, v>|, for every s by one walk:
 in each direction's value order, the answer is the value of the first column
 that closes such a subset with s-1 earlier columns, each subset decided once
-while a fixed-size table (`_Decided`) holds it.  It reads the outer sets' row
-blocks of |X^T v| (`_abs_blocks`), and a direction still open once its
-prefix holds more than DEFAULT_BRUTE_FORCE_LIMIT s-subsets raises
-BudgetExceeded.
+while a fixed-size table (`_Decided`) holds it.  It reads the pipeline's
+|X^T v| entries, bit for bit, and a direction still open once its prefix
+holds more than DEFAULT_BRUTE_FORCE_LIMIT s-subsets raises BudgetExceeded.
 
-`estimate_gamma` runs the pipeline over an eps-net and adds eps.  That lifts
-the net supremum to the whole sphere only if the net covers it to radius
-eps, which the stall-budget construction does not guarantee, so
-`certified_upper` is a heuristic bound, not yet a proof.  Its lower estimate
-is the exact oracle's max over random probes: a value attained at a real
-direction, so never above the worst-direction value.
+`estimate_gamma` runs the pipeline over a net and adds the net's radius times
+the columns' Lipschitz slack 1 + UNIT_NORM_TOL.  Over a `sphere.cube_grid`,
+whose radius is proven, `certified_upper` bounds the worst-direction value;
+over a stall-stopped `build_eps_net` (mode "heuristic") the radius is only
+its separation eps, so the bound is heuristic.  Its lower estimate is the
+exact oracle's max over random probes: a value attained at a real direction,
+so never above the worst-direction value.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -57,9 +60,16 @@ DEFAULT_BRUTE_FORCE_LIMIT = 200_000
 _PREFIX_COLUMNS = 4
 # Slots of the exact oracle's table of decided subsets (at most).
 _MEMO_SLOTS = 1 << 17
-# Values per outer-set ranking block (4 MiB of float64; the last block also
-# takes the remainder, so it holds up to twice that).
-_RANK_ELEMENTS = 1 << 19
+# Values per product block of |X^T v| (0.5 MiB of float64): a multiple of 64
+# direction rows, whose product takes them zero-padded to a multiple of
+# _TILE_ROWS, so a direction's entries do not depend on its block (see
+# `_abs_blocks`).
+_RANK_ELEMENTS = 1 << 16
+# Direction rows per BLAS tile of the product.
+_TILE_ROWS = 8
+# Product blocks per chunk of the exact oracle's walk, which pays a fixed
+# cost per chunk.
+_WALK_BLOCKS = 8
 # Half-width of the band around 1 - rho_minus^2 in which a column pair's
 # Gram entry leaves the feasibility test to eigvalsh (see `_feasible`).
 _PAIR_BAND = 1e-8
@@ -114,35 +124,78 @@ def _directions(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
     return dirs
 
 
-def _abs_blocks(matrix: ColumnMatrix, dirs: np.ndarray):
-    """Yields each row block's slice and its C-order (rows, p) |<X_j, v>|,
-    so no (p, count) array is held if the caller drops each block in turn.
+def _row_blocks(count: int, p: int, scale: int = 1) -> list[slice]:
+    """Row slices of `count` directions, `scale` product blocks each: a
+    product block is the multiple of 64 rows (at least 64) that holds about
+    _RANK_ELEMENTS of the (rows, p) values, and the last slice takes what is
+    left."""
+    rows = scale * max(64, _RANK_ELEMENTS // p // 64 * 64)
+    return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
-    Every block but the last is a multiple of 64 rows and the last one takes
-    the remainder, so it is never shorter than the others.  A short block can
-    take another BLAS code path, whose entries may differ in the last bit
-    from those of one unblocked X^T D^T product; these bounds keep every
-    entry bit-identical to it (checked in the tests).
+
+def _abs_blocks(matrix: ColumnMatrix, dirs: np.ndarray, blocks):
+    """Yields each row slice of `blocks` and its C-order (rows, p)
+    |<X_j, v>|, so no (p, count) array is held if the caller drops each
+    block in turn.
+
+    The padding contract: a block's direction rows are copied into a zeroed
+    buffer of a multiple of _TILE_ROWS rows, X^T D^T is taken of that
+    buffer, and the padded rows are dropped.  Every row then sits in a full
+    BLAS tile, so a direction's entries are the same bits whatever the
+    call's direction count, the block, or the row's place in it (checked in
+    the tests): a one-direction call reads exactly its row of a batch.
+    `blocks` may be an iterator that other threads draw from too.
     """
-    p, count = matrix.p, dirs.shape[0]
-    block = max(64, _RANK_ELEMENTS // p // 64 * 64)
-    bounds = [i * block for i in range(max(1, count // block))] + [count]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # (rows, p), computed in the unblocked product's form
-        yield slice(lo, hi), np.abs((matrix.data.T @ dirs[lo:hi].T).T, order="C")
+    for rows in blocks:
+        d = dirs[rows]
+        padded = np.zeros((-(-len(d) // _TILE_ROWS) * _TILE_ROWS, matrix.n))
+        padded[: len(d)] = d
+        # (rows, p), in the X^T D^T orientation, which keeps the bits
+        yield rows, np.abs((matrix.data.T @ padded.T).T[: len(d)], order="C")
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask, where the
+    platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The outer set of every direction row: the m columns with smallest
     |<X_j, v>|, in value order with ties to the smaller column index (the
     first m of a stable argsort), as (count, m) indices and their values.
-    Each row block of `_abs_blocks` is ranked by `_rank_rows`.
+
+    Each row block of `_abs_blocks` is ranked by `_rank_rows` into its own
+    rows of the outputs.  One shared iterator hands the blocks to a thread
+    per CPU (`_cpu_count`), the caller among them; numpy releases the GIL
+    in a block's product, partition and sorts.  A block's ranking does not
+    depend on the thread that makes it, so neither do the outputs.  A
+    single block starts no thread, and an exception in any thread is raised
+    here once every thread has stopped.
     """
     outer = np.empty((dirs.shape[0], m), dtype=np.intp)
     values = np.empty((dirs.shape[0], m))
-    for rows, b in _abs_blocks(matrix, dirs):
-        outer[rows], values[rows] = _rank_rows(b, m)
-        del b  # free this block before the next one is built
+    blocks = _row_blocks(dirs.shape[0], matrix.p)
+    shared = iter(blocks)
+    errors = []
+
+    def rank() -> None:
+        try:
+            for rows, b in _abs_blocks(matrix, dirs, shared):
+                outer[rows], values[rows] = _rank_rows(b, m)
+        except BaseException as exc:  # raised by the caller, after the join
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=rank) for _ in range(min(_cpu_count(), len(blocks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    rank()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return outer, values
 
 
@@ -391,11 +444,11 @@ class _Decided:
 def _closes(decided: _Decided, prefix: np.ndarray, s: int) -> np.ndarray:
     """Whether the last column of each row of `prefix` (a, k+1) forms a
     subset `_feasible` accepts with s-1 of the row's earlier columns.  Rows
-    run in slices of about _RANK_ELEMENTS // s candidates; one row's C(k, s-1)
-    candidates are bounded through the budget."""
+    run in slices of about _WALK_BLOCKS * _RANK_ELEMENTS // s candidates; one
+    row's C(k, s-1) candidates are bounded through the budget."""
     k = prefix.shape[1] - 1
     earlier = np.array(list(combinations(range(k), s - 1)), dtype=np.intp)  # (e, s-1)
-    step = max(1, _RANK_ELEMENTS // (len(earlier) * s))
+    step = max(1, _WALK_BLOCKS * _RANK_ELEMENTS // (len(earlier) * s))
     closes = np.empty(prefix.shape[0], dtype=bool)
     for lo in range(0, prefix.shape[0], step):
         pre = np.sort(prefix[lo : lo + step, :k], axis=1).T.copy()  # (k, rows)
@@ -443,10 +496,12 @@ def exact_inf_profile(
     """Exact selection value for many directions: the min over the s-subsets
     that `_feasible` accepts of max_{j in S} |<X_j, v>|, +inf if none is.
 
-    Each row block of `_abs_blocks` (the pipeline's |X^T v| entries) ranks
-    its first _PREFIX_COLUMNS columns and walks them (`_walk`); the rows
-    still open are ranked in full from the same values and walked on, all
-    with one `_Decided` table."""
+    The directions run in chunks of _WALK_BLOCKS row blocks.  `_outer_ranked`
+    ranks a chunk's first _PREFIX_COLUMNS columns from the pipeline's |X^T v|
+    entries, and `_walk` walks them; the rows still open are ranked in full
+    from their entries taken again, the same bits, and walked on.  Only the
+    rankings run on every CPU: the walks share one `_Decided` table, so they
+    run in the caller's thread."""
     dirs = _directions(matrix, directions)
     if not 1 <= s <= matrix.p:
         raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")
@@ -455,12 +510,12 @@ def exact_inf_profile(
         return out  # rank-deficient subsets can never reach rho_minus > 0
     decided = _Decided(matrix.data.T, s, rho_minus)
     width = min(_PREFIX_COLUMNS, matrix.p)
-    for rows, b in _abs_blocks(matrix, dirs):
-        value, rest = _walk(decided, _rank_rows(b, width), s, 0)
+    for rows in _row_blocks(dirs.shape[0], matrix.p, _WALK_BLOCKS):
+        chunk = dirs[rows]
+        value, rest = _walk(decided, _outer_ranked(matrix, chunk, width), s, 0)
         if rest.size and width < matrix.p:
-            value[rest], _ = _walk(decided, _rank_rows(b[rest], matrix.p), s, width)
+            value[rest], _ = _walk(decided, _outer_ranked(matrix, chunk[rest], matrix.p), s, width)
         out[rows] = value
-        del b  # free this block before the next one is built
     return out
 
 

@@ -252,16 +252,27 @@ def eigvalsh_sigma_min(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam[:, 0], 0.0))
 
 
+def abs_products(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
+    """|<X_j, v>| of every direction row, as (count, p), from one unblocked
+    X^T D^T product of the rows zero-padded to a multiple of 8: the entries
+    that the selection kernel's padded row blocks must reproduce bit for
+    bit."""
+    count = directions.shape[0]
+    padded = np.zeros((-(-count // 8) * 8, matrix.n))
+    padded[:count] = directions
+    return np.abs(matrix.data.T @ padded.T).T[:count]
+
+
 def pipeline_eigvalsh(matrix, directions: np.ndarray, cfg, gen: np.random.Generator) -> tuple:
     """The selection pipeline with an eigvalsh for every drawn subset: outer
-    sets from a full stable argsort of one unblocked |X^T v| product, then
+    sets from a full stable argsort of `abs_products`, then
     rounds that draw a subset per open direction on `gen` and condition all
     of them by one batched eigvalsh.  Returns per direction the outer columns,
     the accepted inner columns in draw order (-1 if none), their sigma_min
     (NaN if none), the attempts used and the attained value (+inf if none).
     `attained_values` and `constrained_select` must match it bit for bit."""
     m, s, count = cfg.outer_size(matrix.p), cfg.s, directions.shape[0]
-    b = np.abs(matrix.data.T @ directions.T).T
+    b = abs_products(matrix, directions)
     outer = np.argsort(b, axis=1, kind="stable")[:, :m]
     b_outer = np.take_along_axis(b, outer, axis=1)
     inner = np.full((count, s), -1)
@@ -289,14 +300,14 @@ def pipeline_eigvalsh(matrix, directions: np.ndarray, cfg, gen: np.random.Genera
 def exact_inf_gather(matrix, directions: np.ndarray, s: int, rho_minus: float) -> np.ndarray:
     """The exact selection value by the full gather: max |<X_j, v>| over each
     feasible s-subset of `feasible_subsets`, then the min over subsets.  The
-    values come from one unblocked |X^T v| product, whose entries the row
-    blocks of `exact_inf_profile` reproduce bit for bit; the gather runs in
-    row chunks of about 2^21 gathered values."""
+    values come from `abs_products`, whose entries the row blocks of
+    `exact_inf_profile` reproduce bit for bit; the gather runs in row chunks
+    of about 2^21 gathered values."""
     fidx = np.asarray(feasible_subsets(matrix, s, rho_minus))
     count = directions.shape[0]
     if not fidx.size:
         return np.full(count, math.inf)
-    b = np.abs(matrix.data.T @ directions.T)
+    b = abs_products(matrix, directions).T
     chunk = max(1, (1 << 21) // fidx.size)
     out = np.empty(count)
     for start in range(0, count, chunk):

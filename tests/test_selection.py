@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 
@@ -121,15 +125,15 @@ def test_greedy_outer_tie_break_smallest_index():
 
 def stable_argsort_oracle(matrix, dirs, m):
     """The sort_oracle rule for many rows: the first m of a full stable
-    argsort of |X^T v|, and those entries of one unblocked product."""
-    b = np.abs(matrix.data.T @ dirs.T).T
+    argsort of |X^T v|, and those entries of `oracles.abs_products`."""
+    b = oracles.abs_products(matrix, dirs)
     order = np.argsort(b, axis=1, kind="stable")[:, :m]
     return order, np.take_along_axis(b, order, axis=1)
 
 
 def boundary_tied(matrix, dirs, m):
     """Rows with more than m values at or below their m-th smallest value."""
-    b = np.abs(matrix.data.T @ dirs.T).T
+    b = oracles.abs_products(matrix, dirs)
     kth = np.sort(b, axis=1)[:, m - 1 : m]
     return np.count_nonzero(b <= kth, axis=1) > m
 
@@ -140,7 +144,7 @@ def test_outer_ranked_matches_stable_argsort_across_blocks_and_ties():
     y = sample_sphere_matrix(4, 40, RngStream(57, 0)).data
     z = sample_sphere_matrix(4, 100, RngStream(57, 1)).data
     x = ColumnMatrix(np.hstack([y, y, -y, z]))
-    count = 10_007  # more than 3 ranking blocks at p = 220, plus a remainder
+    count = 10_007  # many ranking blocks at p = 220, and a short last one
     assert count > 3 * selection._RANK_ELEMENTS // x.p
     dirs = sample_unit_vectors(4, count, RngStream(58, 0))
     for m in (1, 15, 110, x.p):
@@ -162,6 +166,130 @@ def test_outer_ranked_matches_stable_argsort_across_blocks_and_ties():
         for v in dirs:
             assert greedy_outer(eye, v, m).indices == sort_oracle(eye, v, m)
     assert np.all(boundary_tied(eye, dirs, 2))
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return starts
+
+
+def set_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_outputs_do_not_depend_on_the_cpu_count(monkeypatch, started):
+    x = sample_sphere_matrix(4, 200, RngStream(59, 0))
+    dirs = sample_unit_vectors(4, 10_007, RngStream(59, 1))
+    cfg = SelectionConfig(s=2)
+    assert len(selection._row_blocks(len(dirs), x.p)) > 4
+
+    def outputs():
+        return (attained_values(x, dirs, cfg, RngStream(59, 2)),
+                [greedy_outer(x, v, 15).indices for v in dirs[:20]],
+                exact_inf_profile(x, dirs, 2, 0.5))
+
+    set_cpus(monkeypatch, 1)
+    one = outputs()
+    assert not started
+    set_cpus(monkeypatch, 4)
+    attained_values(x, dirs, cfg, RngStream(59, 2))
+    # the pipeline's one ranking ran on three helpers beside the caller
+    assert len(started) == 3
+    four = outputs()
+    assert len(started) > 6  # the exact oracle's rankings ran on helpers too
+    assert np.array_equal(one[0], four[0])
+    assert one[1] == four[1]
+    assert np.array_equal(one[2], four[2])
+    # without an affinity mask, the CPU count is os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started.clear()
+    assert np.array_equal(attained_values(x, dirs, cfg, RngStream(59, 2)), one[0])
+    assert len(started) == 1
+
+
+def test_more_threads_than_cores_rank_each_block_once(monkeypatch):
+    # 16 threads on short switch intervals: a block handed out twice or
+    # never would show as an extra ranking or an unwritten output row
+    x = sample_sphere_matrix(4, 200, RngStream(59, 0))
+    dirs = sample_unit_vectors(4, 10_007, RngStream(59, 1))
+    expected = stable_argsort_oracle(x, dirs, 15)
+    set_cpus(monkeypatch, 16)
+    ranked = []
+    real = selection._rank_rows
+    monkeypatch.setattr(selection, "_rank_rows", lambda b, m: ranked.append(len(b)) or real(b, m))
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            run = threading.Thread(target=lambda: got.append(selection._outer_ranked(x, dirs, 15)))
+            run.start()
+            run.join(timeout=120)
+            assert not run.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 5
+    for outer, values in got:
+        assert np.array_equal(outer, expected[0]) and np.array_equal(values, expected[1])
+    assert len(ranked) == 5 * len(selection._row_blocks(len(dirs), x.p))
+    assert sum(ranked) == 5 * len(dirs)
+
+
+def test_an_error_in_any_block_is_raised_by_the_caller(monkeypatch):
+    x = sample_sphere_matrix(4, 200, RngStream(59, 0))
+    dirs = sample_unit_vectors(4, 10_007, RngStream(59, 1))
+    set_cpus(monkeypatch, 4)
+    calls = itertools.count()
+    real = selection._rank_rows
+
+    def second_fails(b, m):
+        if next(calls) == 1:
+            raise RuntimeError("second block")
+        return real(b, m)
+
+    monkeypatch.setattr(selection, "_rank_rows", second_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="second block"):
+        selection._outer_ranked(x, dirs, 15)
+    assert threading.active_count() == before  # every helper has stopped
+
+
+def test_a_single_direction_starts_no_thread(monkeypatch, started):
+    set_cpus(monkeypatch, 4)
+    x = sample_sphere_matrix(4, 200, RngStream(59, 0))
+    v = sample_unit_vector(4, RngStream(59, 3))
+    greedy_outer(x, v, 15)
+    constrained_select(x, v, SelectionConfig(s=2), RngStream(59, 4))
+    brute_force_inf(x, v, 2, 0.5)
+    assert not started
+
+
+@pytest.mark.parametrize("p", [12, 200, 220])
+def test_one_direction_reads_its_row_of_a_batch(p):
+    # p = 220 holds exact and antipodal copies of 40 columns, so rows tie
+    x = duplicated_columns() if p == 220 else sample_sphere_matrix(4, p, RngStream(66, p))
+    m = SelectionConfig(s=2).outer_size(p)
+    for count in (1, 7, 10_007):
+        dirs = sample_unit_vectors(4, count, RngStream(66, count))
+        exact = exact_inf_profile(x, dirs, 2, 0.5)
+        outer, values = selection._outer_ranked(x, dirs, m)
+        b = oracles.abs_products(x, dirs)
+        for i, v in enumerate(dirs):
+            assert brute_force_inf(x, v, 2, 0.5) == exact[i]  # bit for bit
+            one, one_values = selection._outer_ranked(x, v[None], m)
+            assert np.array_equal(one[0], outer[i]) and np.array_equal(one_values[0], values[i])
+            assert greedy_outer(x, v, m).indices == tuple(sorted(outer[i].tolist()))
+        assert np.array_equal(values, np.take_along_axis(b, outer, axis=1))
 
 
 def test_attained_values_memory_is_bounded():
@@ -572,7 +700,7 @@ def test_exact_inf_profile_stages_match_the_gather_reference(oracle_stage, reran
     cases = [
         (sample_sphere_matrix(4, 12, RngStream(64, 0)), 2_000),
         (sample_sphere_matrix(4, 40, RngStream(64, 1)), 2_000),
-        # p = 200 runs two 2560-row blocks and a last one of 4887 rows
+        # p = 200 walks three 2560-row chunks and a last one of 2327 rows
         (sample_sphere_matrix(4, 200, RngStream(64, 2)), 10_007),
         (duplicated_columns(), 3_000),
         (duplicated_columns(8, 16), 600),
@@ -717,8 +845,9 @@ def test_exact_inf_profile_infeasible_families_are_infinite(oracle_stage):
 
 
 def test_exact_inf_profile_memory_at_scale():
-    # p = 200, 1e5 directions: the walk holds one 2560-row block of |X^T v|,
-    # its rankings and candidates, the table of decided pairs and the output
+    # p = 200, 1e5 directions: the walk holds a 320-row block of |X^T v| per
+    # thread, a 2560-row chunk's rankings and candidates, the table of
+    # decided pairs and the output
     x = sample_sphere_matrix(4, 200, RngStream(63, 0))
     dirs = sample_unit_vectors(4, 100_000, RngStream(64, 0))
     tracemalloc.start()
@@ -728,7 +857,7 @@ def test_exact_inf_profile_memory_at_scale():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
-    # the first row block, which the reference runs as the same product
+    # the first walk chunk
     assert np.array_equal(vals[:2560], exact_inf_gather(x, dirs[:2560], 2, 0.5))
 
 
