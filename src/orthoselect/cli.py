@@ -29,9 +29,11 @@ from .sphere import (NET_DIMENSION_CAP, RngStream, cube_grid, grid_cells, sample
                      sample_unit_vector)
 
 if TYPE_CHECKING:
-    from .harness import ExperimentReport, TrialRecord
+    from .harness import ExperimentReport, TrialTable
 
 _STREAM_DIRECTION = 1 << 32
+# Trial-table rows formatted at a time.
+_CSV_ROWS = 1 << 14
 
 
 class _ExitError(click.ClickException):
@@ -198,36 +200,39 @@ def _kv_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_column(key: str, values: list) -> list[str]:
-    """The cells of one trial-table column: a column of Python floats or of
-    Python ints in one pass, any other cell by cell."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if any(v != v for v in values):
+def _csv_column(key: str, column, lo: int, hi: int) -> list[str]:
+    """Cells lo..hi-1 of one trial-table column: floats as `_csv_cell` writes
+    them, ints and bools as integers; a value every row shares is formatted
+    once and repeated."""
+    if not isinstance(column, np.ndarray):
+        return [_csv_cell(column, key)] * (hi - lo)
+    values = column[lo:hi]
+    if values.dtype.kind == "f":
+        if np.isnan(values).any():
             raise DomainError(f"{key} is NaN")
-        return [matrixio.format_float(v) if math.isfinite(v) else "" for v in values]
-    if kinds == {int}:
-        return list(map(str, values))
-    return [_csv_cell(v, key) for v in values]
+        return [matrixio.format_float(v) if math.isfinite(v) else "" for v in values.tolist()]
+    return list(map(str, values.astype(int).tolist()))
 
 
-def records_to_csv(records: list[TrialRecord], metadata: dict) -> str:
-    """TrialRecord table: one provenance comment line, then flat columns.
+def records_to_csv(table: TrialTable, metadata: dict) -> str:
+    """Trial table: one provenance comment line, then flat columns, one row
+    per trial, `_CSV_ROWS` rows formatted at a time.
 
     Trial i draws from stream (seed, i), so its stream_index column is i.
     """
-    groups = [(prefix, name, sorted({k for r in records for k in getattr(r, name)}))
-              for prefix, name in (("param", "params"), ("measure", "measures"),
-                                   ("claim", "claims"), ("satisfied", "satisfied"))]
-    header = ["trial_index", "stream_index"]
-    header += [f"{prefix}.{k}" for prefix, _, keys in groups for k in keys]
-    index = [str(rec.trial_index) for rec in records]
-    columns = [index, index] + [
-        _csv_column(f"{prefix}.{k}", [getattr(rec, name).get(k) for rec in records])
-        for prefix, name, keys in groups for k in keys]
-    lines = ["# " + " ".join(f"{k}={metadata[k]}" for k in sorted(metadata)), ",".join(header)]
-    lines += map(",".join, zip(*columns))
-    return "\n".join(lines) + "\n"
+    index = np.arange(len(table))
+    columns = [("trial_index", index), ("stream_index", index)]
+    columns += [(f"{prefix}.{key}", group[key])
+                for prefix, group in (("param", table.params), ("measure", table.measures),
+                                      ("claim", table.claims), ("satisfied", table.satisfied))
+                for key in sorted(group)]
+    parts = ["# " + " ".join(f"{k}={metadata[k]}" for k in sorted(metadata)) + "\n",
+             ",".join(key for key, _ in columns) + "\n"]
+    for lo in range(0, len(table), _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, len(table))
+        cells = [_csv_column(key, column, lo, hi) for key, column in columns]
+        parts.append("".join(",".join(row) + "\n" for row in zip(*cells)))
+    return "".join(parts)
 
 
 def report_to_json(report: ExperimentReport, config: dict) -> str:

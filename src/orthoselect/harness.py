@@ -2,21 +2,15 @@
 
 Every audit follows the same protocol: trial i draws all of its randomness
 from the stream (master_seed, i), so a rerun with the same seed reproduces
-the report bit for bit and any trial can be replayed alone.  One skeleton
-carries it: an audit states a per-trial ``draw``, which `_run_trials` runs in
-index order on those streams, and its claims, each of which `_frequency_cell`
-turns into a report cell.  The trials of one audit share a single
-`TrialStreams` generator, re-keyed to (master_seed, i) before trial i, which
-gives the numbers a fresh `RngStream(master_seed, i)` would.  The order-stat
-and decoupling audits run their trials in two stages: ``draw`` only draws the
-trial's random numbers, taking its sphere points as raw Gaussian rows; the
-trial loop normalises a bounded block of stacked draws at once, and a
-``measure`` turns the block into measure columns in one batched pass whose
-values do not depend on the block size.  The order-stat audit's KS distance
-evaluates the analytic CDF at all samples in one array call.  The decoupling
-bootstrap draws its resample indices in replicate blocks and sums each block
-through one count matrix.  Empirical frequencies carry Wilson intervals at a
-recorded confidence level, and verdicts are mechanical:
+the report bit for bit and any trial can be replayed alone.  An audit states
+a per-trial ``draw``, which `_run_trials` runs in index order, on one
+`TrialStreams` generator re-keyed to each trial's stream, into named measure
+columns; the order-stat and decoupling audits measure a bounded block of
+trials in one batched pass whose values do not depend on the block size.
+From those columns the audit computes its claim and satisfied columns, one
+array expression each, and its report cells; the four groups, params stored
+once, make the report's `TrialTable`.  Empirical frequencies carry Wilson
+intervals at a recorded confidence level, and verdicts are mechanical:
 
 * ``supported``   - the interval does not exclude the claim,
 * ``violated``    - the interval excludes the claim on the wrong side,
@@ -50,10 +44,10 @@ from .sphere import (MIN_DRAW_NORM, RngStream, TrialStreams, cube_grid, sample_s
 
 DEFAULT_CONFIDENCE = 0.95
 BOOTSTRAP_RESAMPLES = 2000
-# Float64 values per trial block of a two-stage audit (2 MiB), and bootstrap
-# indices per replicate block.
+# Float64 values per trial block of a two-stage audit (2 MiB), binomial draws
+# per chernoff block, and bootstrap indices per replicate block.
 _BATCH_ELEMENTS = 1 << 18
-_BOOTSTRAP_ELEMENTS = 1 << 19
+_BOOTSTRAP_ELEMENTS = 1 << 17
 # Claimed-bound constants the audits evaluate: the sub-Gaussian tail constant
 # c, and the epsilon and C_kappa at which the theorem audit's ledger is built.
 _C_SUBGAUSS = 0.5
@@ -105,15 +99,25 @@ def ks_critical(trials: int) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(trials)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial's inputs and measurements, replayable from (seed, index)."""
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """An audit's trials (grid cells for chernoff) as named columns, each an
+    array with one entry per row or one value that every row shares."""
 
-    trial_index: int
-    params: dict
-    measures: dict
+    rows: int = 0
+    params: dict = field(default_factory=dict)
+    measures: dict = field(default_factory=dict)
     claims: dict = field(default_factory=dict)
     satisfied: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for group in (self.params, self.measures, self.claims, self.satisfied):
+            for key, column in group.items():
+                if isinstance(column, np.ndarray) and column.shape != (self.rows,):
+                    raise InvalidInput(f"column {key} has shape {column.shape}, not ({self.rows},)")
+
+    def __len__(self) -> int:
+        return self.rows
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ class ReportCell:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Machine-readable audit result: cells, hypothesis ledger, trial records."""
+    """Machine-readable audit result: cells, hypothesis ledger, trial table."""
 
     name: str
     grid: dict
@@ -153,10 +157,10 @@ class ExperimentReport:
     confidence: float = DEFAULT_CONFIDENCE
     hypotheses: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    records: list[TrialRecord] = field(default_factory=list)
+    records: TrialTable = field(default_factory=TrialTable)
 
     def to_json_dict(self) -> dict:
-        """Every field but the trial records, which go to the trials CSV."""
+        """Every field but the trial table, which goes to the trials CSV."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
         return _jsonable({**out, "cells": [asdict(c) for c in self.cells]})
 
@@ -215,34 +219,29 @@ def mechanical_verdict(
     return "violated" if ref is not None and ref < claim else "supported"
 
 
-def _run_trials(seed: int, trials: int, params: dict, draw: Callable,
-                measure: Callable | None = None, width: int = 1) -> list[TrialRecord]:
-    """Trial i calls draw on its own stream (seed, i), in index order.
+def _run_trials(seed: int, trials: int, draw: Callable, measure: Callable | None = None,
+                width: int = 1) -> dict[str, np.ndarray]:
+    """The float measure columns of trials 0..trials-1, trial i drawn on its
+    own stream (seed, i), in index order, a block of trials at a time.
 
-    Without `measure`, draw(gen) returns the trial's measures, or (measures,
-    claims, satisfied).  With it, draw(gen, rows) returns a tuple of arrays
+    Without `measure`, a block is one trial and draw(gen) returns its
+    measures as a dict.  With it, draw(gen, rows) returns a tuple of arrays
     holding only the trial's random numbers, the first drawn by
-    rows(n, count, gen) as its sphere points; the draws of a block of trials
-    are stacked along a new first axis (see `_draw_block`), and
-    measure(*stacked) returns a dict of measure columns, one entry per trial
-    of the block.  `width` is the number of float64 values the measure holds
-    per trial, so that a block holds about `_BATCH_ELEMENTS` of them.
+    rows(n, count, gen) as its sphere points, and measure(*stacked) maps the
+    draws of a block, stacked along a new first axis by `_draw_block`, to
+    measure columns.  `width` is the number of float64 values the measure
+    holds per trial, so that a block holds about `_BATCH_ELEMENTS` of them.
     """
     streams = TrialStreams(seed)
     block = max(1, _BATCH_ELEMENTS // width) if measure is not None else 1
-    records = []
+    columns: dict[str, np.ndarray] = {}
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        if measure is None:
-            outs = [draw(streams.generator(i)) for i in range(lo, hi)]
-        else:
-            columns = measure(*_draw_block(streams, lo, hi, draw))
-            rows = np.column_stack(list(columns.values())).tolist()
-            outs = [dict(zip(columns, row)) for row in rows]
-        for i, out in enumerate(outs, lo):
-            measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
-            records.append(TrialRecord(i, params, measures, claims, satisfied))
-    return records
+        out = (draw(streams.generator(lo)) if measure is None
+               else measure(*_draw_block(streams, lo, hi, draw)))
+        for key, values in out.items():
+            columns.setdefault(key, np.empty(trials))[lo:hi] = values
+    return columns
 
 
 def _gaussian_rows(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -279,10 +278,6 @@ def _fixed_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _column(records: list[TrialRecord], key: str) -> np.ndarray:
-    return np.array([rec.measures[key] for rec in records])
-
-
 def _frequency_cell(label: str, hits: int, trials: int, claim: float, direction: str,
                     params: dict, notes: str = "", hypotheses_ok: bool = True) -> ReportCell:
     """A claimed probability against the observed frequency hits/trials; a
@@ -312,8 +307,8 @@ def run_order_stat_audit(n: int, p: int, r: int, trials: int, seed: int) -> Expe
         # rows of x are the columns X_j; with v = e_1, |<X_j, v>| is |X[0, j]|
         return {"z_r": np.partition(np.abs(x[:, :, 0]), r - 1, axis=1)[:, r - 1]}
 
-    records = _run_trials(seed, trials, grid, draw, measure, width=n * p)
-    ks = ks_distance(_column(records, "z_r"), lambda z: analytic.order_stat_cdf(z, spec))
+    measures = _run_trials(seed, trials, draw, measure, width=n * p)
+    ks = ks_distance(measures["z_r"], lambda z: analytic.order_stat_cdf(z, spec))
     crit = ks_critical(trials)
     cell = ReportCell(
         label="order-statistic law: KS(empirical, analytic CDF)",
@@ -327,7 +322,7 @@ def run_order_stat_audit(n: int, p: int, r: int, trials: int, seed: int) -> Expe
     )
     return ExperimentReport(
         name="order-stat", grid=grid, master_seed=seed, trials=trials, cells=[cell],
-        extras={"ks": ks, "ks_critical": crit}, records=records,
+        extras={"ks": ks, "ks_critical": crit}, records=TrialTable(trials, grid, measures),
     )
 
 
@@ -351,17 +346,16 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
     claimed_prob = 1.0 - p ** float(-n)
     grid = {"n": n, "p": p}
 
-    def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:
-        mu = coherence(sample_sphere_matrix(n, p, gen))
-        return ({"coherence": mu}, {"threshold": claim_threshold},
-                {"below_threshold": mu <= claim_threshold})
+    def draw(gen: np.random.Generator) -> dict:
+        return {"coherence": coherence(sample_sphere_matrix(n, p, gen))}
 
-    records = _run_trials(seed, trials, grid, draw)
-    mus = _column(records, "coherence")
+    measures = _run_trials(seed, trials, draw)
+    mus = measures["coherence"]
+    below = mus <= claim_threshold
     ref_hits = int(np.sum(mus <= reference_scale))
     cell = _frequency_cell(
         "coherence <= p^-2/2 with probability 1 - p^-n",
-        int(np.sum(mus <= claim_threshold)), trials, claimed_prob, "at_least",
+        int(np.sum(below)), trials, claimed_prob, "at_least",
         {"threshold": claim_threshold, "n": n, "p": p},
     )
     return ExperimentReport(
@@ -372,7 +366,8 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
             "sqrt_2logp_over_n": reference_scale,
             "ci_below_sqrt_scale": list(wilson_interval(ref_hits, trials)),
         },
-        records=records,
+        records=TrialTable(trials, grid, measures, {"threshold": claim_threshold},
+                           {"below_threshold": below}),
     )
 
 
@@ -398,26 +393,22 @@ def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: 
     ]
     grid = {"n": n, "p": p, "kappa_s": kappa_s, "eps": eps}
 
-    def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:
+    def draw(gen: np.random.Generator) -> dict:
         x = sample_sphere_matrix(n, p, gen)
         v = sample_unit_vector(n, gen)
-        norm = operator_norm(submatrix(x, greedy_outer(x, v, kappa_s)).data)
-        return (
-            {"outer_norm": norm},
-            {"threshold": threshold},
-            {
-                "exceeds_threshold": norm >= threshold,
-                "at_least_one": norm >= 1.0 - 1e-12,
-                "below_frobenius": norm <= math.sqrt(kappa_s) + 1e-12,
-            },
-        )
+        return {"outer_norm": operator_norm(submatrix(x, greedy_outer(x, v, kappa_s)).data)}
 
-    records = _run_trials(seed, trials, grid, draw)
-    norms = _column(records, "outer_norm")
+    measures = _run_trials(seed, trials, draw)
+    norms = measures["outer_norm"]
+    satisfied = {
+        "exceeds_threshold": norms >= threshold,
+        "at_least_one": norms >= 1.0 - 1e-12,
+        "below_frobenius": norms <= math.sqrt(kappa_s) + 1e-12,
+    }
     max_norm = float(np.max(norms))
     cell = _frequency_cell(
         "P(|X_outer| >= threshold) <= 8 p^-n",
-        int(np.sum(norms >= threshold)), trials, claimed_prob, "at_most",
+        int(np.sum(satisfied["exceeds_threshold"])), trials, claimed_prob, "at_most",
         {"threshold": threshold},
         notes=(
             f"threshold {threshold:.6g} vs max observed norm {max_norm:.6g}; "
@@ -429,7 +420,7 @@ def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: 
         name="norm", grid=grid, master_seed=seed, trials=trials, cells=[cell],
         hypotheses=hypotheses,
         extras={"max_norm": max_norm, "threshold": threshold, "mean_norm": float(np.mean(norms))},
-        records=records,
+        records=TrialTable(trials, grid, measures, {"threshold": threshold}, satisfied),
     )
 
 
@@ -521,11 +512,8 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
             "norm_h": principal[:, 0],
         }
 
-    records = _run_trials(seed, trials, {"n": n, "p": p, "kappa": kappa, "s": s}, draw, measure,
-                          width=n * p + 4 * m * m)
-    a = _column(records, "norm_subset")
-    b = _column(records, "norm_bernoulli")
-    c = _column(records, "norm_decoupled")
+    measures = _run_trials(seed, trials, draw, measure, width=n * p + 4 * m * m)
+    a, b, c = (measures[key] for key in ("norm_subset", "norm_bernoulli", "norm_decoupled"))
 
     # one 0/1 row per (r, inequality side): |R_s H R_s| >= r, |R H R| >= r,
     # |R H R'| >= r/2
@@ -558,8 +546,8 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
         name="decoupling", grid={"n": n, "p": p, "kappa": kappa, "s": s, "r_grid": r_values},
         master_seed=seed, trials=trials, cells=cells,
         extras={"bootstrap_resamples": BOOTSTRAP_RESAMPLES,
-                "mean_norm_h": float(np.mean(_column(records, "norm_h")))},
-        records=records,
+                "mean_norm_h": float(np.mean(measures["norm_h"]))},
+        records=TrialTable(trials, {"n": n, "p": p, "kappa": kappa, "s": s}, measures),
     )
 
 
@@ -591,24 +579,21 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
     ledger = analytic.constraint_check(constants)
     grid = {"n": n, "p": p, "s": s, "rho_minus": rho_minus, "net_eps": net_eps}
 
-    def draw(gen: np.random.Generator) -> tuple[dict, dict, dict]:
+    def draw(gen: np.random.Generator) -> dict:
         est = estimate_gamma(sample_sphere_matrix(n, p, gen), cfg, net, probe_count, gen)
-        return (
-            {
-                "certificate": est.certified_upper,
-                "heuristic_lower": est.heuristic_lower,
-                "feasibility_rate": est.feasibility_rate,
-            },
-            {"gamma_bound": bound},
-            {"certificate_below_bound": est.certified_upper <= bound},
-        )
+        return {
+            "certificate": est.certified_upper,
+            "heuristic_lower": est.heuristic_lower,
+            "feasibility_rate": est.feasibility_rate,
+        }
 
-    records = _run_trials(seed, trials, grid, draw)
-    certs = _column(records, "certificate")
+    measures = _run_trials(seed, trials, draw)
+    certs = measures["certificate"]
+    below = certs <= bound
     finite_certs = certs[np.isfinite(certs)]
     cell = _frequency_cell(
         "P(gamma certificate <= 80 log(p)/p) >= claimed probability",
-        sum(rec.satisfied["certificate_below_bound"] for rec in records), trials,
+        int(np.sum(below)), trials,
         claimed_prob, "at_least", {"gamma_bound": bound, "net_size": len(net)},
         hypotheses_ok=all(row["satisfied"] for row in ledger),
     )
@@ -621,7 +606,8 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
             "net": net.descriptor(),
             "max_certificate": float(np.max(finite_certs)) if finite_certs.size else None,
         },
-        records=records,
+        records=TrialTable(trials, grid, measures, {"gamma_bound": bound},
+                           {"certificate_below_bound": below}),
     )
 
 
@@ -635,8 +621,8 @@ def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float
 
     Cells whose bound is too small for the trial budget are flagged and also
     compared in log space against the exact tail (incomplete-beta identity).
-    One record is emitted per grid cell; grid cell i draws its trials from
-    stream (seed, i).
+    The trial table holds one row per grid cell; grid cell i draws its trials
+    from stream (seed, i) in blocks, which consume it as one draw would.
     """
     if trials < 100:
         raise InvalidInput("chernoff audit needs at least 100 trials")
@@ -650,19 +636,21 @@ def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float
     eps_values = [float(e) for e in eps_grid]
     if not all(0.0 < e < 1.0 for e in eps_values):
         raise InvalidInput("eps must lie in (0, 1)")
-    records: list[TrialRecord] = []
+    q_column, eps_column = np.array(list(product(q_values, eps_values))).T
+    freqs, exacts, bounds = np.empty((3, q_column.size))
     cells: list[ReportCell] = []
-    for i, (q, eps) in enumerate(product(q_values, eps_values)):
+    for i, (q, eps) in enumerate(zip(q_column.tolist(), eps_column.tolist())):
         gen = RngStream(seed, i).generator()
         mean = count * q
         cutoff = (1.0 - eps) * mean
-        hits = int(np.sum(gen.binomial(count, q, size=trials) <= cutoff))
+        hits = 0
+        for lo in range(0, trials, _BATCH_ELEMENTS):
+            draws = gen.binomial(count, q, size=min(_BATCH_ELEMENTS, trials - lo))
+            hits += int(np.sum(draws <= cutoff))
         bound = analytic.chernoff_lower(eps, mean)
         exact = analytic.binomial_cdf(math.floor(cutoff), count, q)
         params = {"q": q, "eps": eps, "count": count}
-        freq = hits / trials
-        records.append(TrialRecord(i, params, {"frequency": freq, "exact_tail": exact},
-                                   claims={"bound": bound}, satisfied={"within_bound": freq <= bound}))
+        freqs[i], exacts[i], bounds[i] = hits / trials, exact, bound
         notes = ""
         if bound < 10.0 / trials:
             log_exact = math.log10(exact) if exact > 0.0 else -math.inf
@@ -680,5 +668,7 @@ def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float
         master_seed=seed,
         trials=trials,
         cells=cells,
-        records=records,
+        records=TrialTable(q_column.size, {"q": q_column, "eps": eps_column, "count": count},
+                           {"frequency": freqs, "exact_tail": exacts}, {"bound": bounds},
+                           {"within_bound": freqs <= bounds}),
     )

@@ -19,7 +19,6 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from orthoselect.errors import BudgetExceeded, InvalidInput
-from orthoselect.harness import TrialRecord
 from orthoselect.linalg import ColumnMatrix, operator_norm, submatrix
 from orthoselect.selection import (_PAIR_BAND, DEFAULT_BRUTE_FORCE_LIMIT, _feasible,
                                    _subset_positions, greedy_outer)
@@ -75,26 +74,39 @@ def sorted_ks(samples: np.ndarray, cdf) -> float:
     return ks_statistic(xs, np.array([cdf(float(x)) for x in xs]))
 
 
-def trial_records(seed: int, trials: int, params: dict, draw, measure=None, width: int = 1,
-                  generator=None) -> list:
+def trial_records(seed: int, trials: int, draw, measure=None, width: int = 1,
+                  generator=None) -> dict:
     """The audit trial loop one trial at a time, with `harness._run_trials`'s
     arguments: trial i runs on a new `RngStream(seed, i).generator()`, or on
     generator(i) when given.  A two-stage draw gets `sample_unit_vectors` as
     its row sampler, so the trial's sphere points are normalised (and, if
     need be, drawn again) by that function, and its measure sees a block of
-    one trial; `width` is not used.  `_run_trials` must return exactly these
-    records."""
-    records = []
+    one trial; `width` is not used.  Each trial's measures are appended to
+    Python lists, which become the measure columns; `_run_trials` must
+    return exactly these columns."""
+    columns: dict = {}
     for i in range(trials):
         gen = RngStream(seed, i).generator() if generator is None else generator(i)
         if measure is None:
             out = draw(gen)
         else:
-            columns = measure(*(np.asarray(a)[None] for a in draw(gen, sample_unit_vectors)))
-            out = {key: float(column[0]) for key, column in columns.items()}
-        measures, claims, satisfied = out if isinstance(out, tuple) else (out, {}, {})
-        records.append(TrialRecord(i, params, measures, claims, satisfied))
-    return records
+            block = measure(*(np.asarray(a)[None] for a in draw(gen, sample_unit_vectors)))
+            out = {key: float(column[0]) for key, column in block.items()}
+        for key, value in out.items():
+            columns.setdefault(key, []).append(value)
+    return {key: np.array(values) for key, values in columns.items()}
+
+
+def table_columns(table, rows=None) -> dict:
+    """Every column of a `harness.TrialTable` as a Python list over `rows`
+    (all rows by default), a shared value repeated on each row, keyed
+    group.name."""
+    rows = range(len(table)) if rows is None else rows
+    index = np.asarray(list(rows), dtype=int)
+    return {f"{group}.{key}": (column[index].tolist() if isinstance(column, np.ndarray)
+                               else [column] * index.size)
+            for group in ("params", "measures", "claims", "satisfied")
+            for key, column in getattr(table, group).items()}
 
 
 def _principal_norm(h: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:

@@ -641,7 +641,7 @@ def test_experiment_refuses_a_nan_measure_and_writes_nothing(runner, tmp_path, m
 
     def with_nan(*args, **kwargs):
         report = real(*args, **kwargs)
-        report.records[3].measures["coherence"] = math.nan
+        report.records.measures["coherence"][3] = math.nan
         return report
 
     monkeypatch.setattr(hn, "run_coherence_audit", with_nan)
@@ -660,11 +660,10 @@ def test_key_value_csv_refuses_a_nan_and_leaves_an_infinity_empty():
 
 def test_trial_table_writes_an_infinity_as_an_empty_cell():
     # a theorem trial with no feasible subset at some net point has certificate +inf
-    records = [hn.TrialRecord(0, {"p": 4}, {"certificate": math.inf, "rate": 0.5}, {},
-                              {"below": False}),
-               hn.TrialRecord(1, {"p": 4}, {"certificate": 0.25, "rate": 1}, {},
-                              {"below": True})]
-    text = records_to_csv(records, {"seed": 1})
+    table = hn.TrialTable(2, {"p": 4}, {"certificate": np.array([math.inf, 0.25]),
+                                        "rate": np.array([0.5, 1.0])},
+                          satisfied={"below": np.array([False, True])})
+    text = records_to_csv(table, {"seed": 1})
     assert text.splitlines()[1:] == [
         "trial_index,stream_index,param.p,measure.certificate,measure.rate,satisfied.below",
         "0,0,4,,0.5,0",
@@ -672,7 +671,15 @@ def test_trial_table_writes_an_infinity_as_an_empty_cell():
     ]
     assert [cli._csv_cell(v, "k") for v in (math.inf, -math.inf, np.float64(math.inf))] == [""] * 3
     with pytest.raises(DomainError, match="measure.certificate is NaN"):
-        records_to_csv([hn.TrialRecord(0, {}, {"certificate": math.nan}, {}, {})], {})
+        records_to_csv(hn.TrialTable(1, measures={"certificate": np.array([math.nan])}), {})
+
+
+def test_trial_table_text_does_not_depend_on_the_rows_formatted_at_a_time(monkeypatch):
+    report = hn.run_norm_audit(6, 32, 8, 0.5, 150, seed=73, c_kappa=2.0)
+    whole = records_to_csv(report.records, {"seed": 73})
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)  # blocks of 7 rows, the last one shorter
+    assert records_to_csv(report.records, {"seed": 73}) == whole
+    assert len(whole.splitlines()) == 152
 
 
 def test_constants_writes_an_undefined_v_split_as_null(runner):

@@ -14,7 +14,7 @@ from orthoselect import harness as hn
 from orthoselect.errors import DomainError, InvalidInput
 from orthoselect.sphere import TrialStreams
 
-from oracles import decoupling_trial_norms, trial_records
+from oracles import decoupling_trial_norms, table_columns, trial_records
 
 
 def test_wilson_interval_matches_formula_with_library_quantile():
@@ -92,6 +92,14 @@ def test_report_cell_validation():
         hn.ReportCell("x", observed=0.5, claim=0.5, direction="sideways", verdict="supported")
 
 
+def test_trial_table_refuses_a_column_of_another_length():
+    table = hn.TrialTable(3, {"p": 4}, {"x": np.zeros(3)}, satisfied={"ok": np.ones(3, dtype=bool)})
+    assert len(table) == 3
+    for column in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(InvalidInput, match="column x"):
+            hn.TrialTable(3, {"p": 4}, {"x": column})
+
+
 def test_order_stat_audit_small():
     rep = hn.run_order_stat_audit(3, 20, 5, 2000, seed=101)
     assert rep.cells[0].verdict == "supported"
@@ -110,7 +118,7 @@ def test_order_stat_audit_deterministic():
     a = hn.run_order_stat_audit(3, 15, 4, 150, seed=7)
     b = hn.run_order_stat_audit(3, 15, 4, 150, seed=7)
     assert a.to_json_dict() == b.to_json_dict()
-    assert [r.measures for r in a.records] == [r.measures for r in b.records]
+    assert table_columns(a.records) == table_columns(b.records)
 
 
 def test_coherence_audit_reports_violation():
@@ -142,9 +150,8 @@ def test_norm_audit_supported_and_bounded():
     assert cell.observed == 0.0
     assert all(h["satisfied"] for h in rep.hypotheses)
     assert "vacuous" in cell.notes
-    for rec in rep.records:
-        assert rec.satisfied["at_least_one"]
-        assert rec.satisfied["below_frobenius"]
+    assert rep.records.satisfied["at_least_one"].all()
+    assert rep.records.satisfied["below_frobenius"].all()
 
 
 def test_norm_audit_hypothesis_gate():
@@ -181,13 +188,14 @@ def test_decoupling_audit_moderate_grid():
 def test_decoupling_norms_match_the_per_trial_oracle(n, p, kappa, s):
     rep = hn.run_decoupling_audit(n, p, kappa, s, [0.4], 100, seed=81)
     zeros = 0
-    for rec in rep.records:
-        want = decoupling_trial_norms(RngStream(81, rec.trial_index).generator(), n, p, kappa, s)
-        assert rec.measures.keys() == want.keys()
+    measures = rep.records.measures
+    for i in range(len(rep.records)):
+        want = decoupling_trial_norms(RngStream(81, i).generator(), n, p, kappa, s)
+        assert measures.keys() == want.keys()
         for key, value in want.items():
-            assert rec.measures[key] == pytest.approx(value, rel=0, abs=1e-12), (rec.trial_index, key)
+            assert measures[key][i] == pytest.approx(value, rel=0, abs=1e-12), (i, key)
             if value == 0.0:
-                assert rec.measures[key] == 0.0
+                assert measures[key][i] == 0.0
                 zeros += 1
     assert (zeros > 0) == (kappa > 1.0)
 
@@ -209,7 +217,7 @@ def test_batched_measures_do_not_depend_on_the_block_size(monkeypatch, name):
     for elements in (1, 1500):  # blocks of one trial, and of a few with a short last block
         monkeypatch.setattr(hn, "_BATCH_ELEMENTS", elements)
         rep = _BLOCK_CASES[name]()
-        assert rep.records == default.records
+        assert table_columns(rep.records) == table_columns(default.records)
         assert rep.to_json_dict() == default.to_json_dict()
 
 
@@ -219,8 +227,7 @@ def test_decoupling_bootstrap_matches_the_gather_reference(monkeypatch, elements
         monkeypatch.setattr(hn, "_BOOTSTRAP_ELEMENTS", elements)
     trials, seed, grid = 150, 93, [0.2, 0.5, 0.8]
     rep = hn.run_decoupling_audit(6, 16, 4.0, 2, grid, trials, seed=seed)
-    a, b, c = (np.array([rec.measures[key] for rec in rep.records])
-               for key in ("norm_subset", "norm_bernoulli", "norm_decoupled"))
+    a, b, c = (rep.records.measures[key] for key in ("norm_subset", "norm_bernoulli", "norm_decoupled"))
     gen = RngStream(seed, hn._STREAM_BOOTSTRAP).generator()
     idx = gen.integers(0, trials, size=(hn.BOOTSTRAP_RESAMPLES, trials))
     alpha = 1.0 - hn.DEFAULT_CONFIDENCE
@@ -249,6 +256,25 @@ def test_decoupling_audit_memory_is_bounded():
     assert len(rep.cells) == 18
 
 
+def test_order_stat_audit_and_its_trial_table_grow_by_at_most_640_bytes_per_trial():
+    from orthoselect.cli import records_to_csv
+
+    peaks = []
+    for trials in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            rep = hn.run_order_stat_audit(3, 20, 5, trials, seed=1)
+            text = records_to_csv(rep.records, {"seed": 1})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == trials + 2
+        del rep, text
+    # the columns, the KS temporaries and the CSV text take about 330 B per
+    # trial; one object of four dicts per trial takes about 960 B
+    assert (peaks[1] - peaks[0]) / 80_000 <= 640
+
+
 def test_theorem_audit_untestable_with_ledger():
     rep = hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=41, probe_count=50,
                              kappa=an.KAPPA_BRANCH_CONSTANT)
@@ -259,9 +285,7 @@ def test_theorem_audit_untestable_with_ledger():
     assert "n >= 6" in names
     assert rep.extras["claimed_probability"] is not None
     assert len(rep.records) == 20
-    for rec in rep.records:
-        cert = rec.measures["certificate"]
-        assert cert is None or cert == cert  # not NaN; inf became None in JSON
+    assert not np.isnan(rep.records.measures["certificate"]).any()
 
 
 def test_theorem_audit_deterministic():
@@ -296,6 +320,21 @@ def test_chernoff_audit_cells():
     for q in (0.05, 0.1, 0.3):
         claims = [c.claim for c in rep.cells if c.params["q"] == q]
         assert claims == sorted(claims, reverse=True)
+
+
+def test_chernoff_draws_in_blocks_as_in_one_draw(monkeypatch):
+    q_grid, eps_grid = [0.0, 0.05, 0.3, 0.9, 1.0], [0.2, 0.5]
+    whole = hn.run_chernoff_audit(q_grid, eps_grid, 1000, seed=53, count=200)
+    monkeypatch.setattr(hn, "_BATCH_ELEMENTS", 7)  # blocks of 7 draws, the last one shorter
+    blocked = hn.run_chernoff_audit(q_grid, eps_grid, 1000, seed=53, count=200)
+    assert blocked.to_json_dict() == whole.to_json_dict()
+    assert table_columns(blocked.records) == table_columns(whole.records)
+    # grid cell i counts the draws of one binomial call on its stream (seed, i)
+    want = []
+    for i, (q, eps) in enumerate((q, eps) for q in q_grid for eps in eps_grid):
+        draws = RngStream(53, i).generator().binomial(200, q, size=1000)
+        want.append(int(np.sum(draws <= (1.0 - eps) * (200 * q))) / 1000)
+    assert blocked.records.measures["frequency"].tolist() == want
 
 
 def test_chernoff_audit_zero_mean_cell_is_untestable():
@@ -342,7 +381,7 @@ _PREFIX_CASES = {
 def test_trial_records_replay_from_seed_and_index_alone(name):
     short, long = (run() for run in _PREFIX_CASES[name])
     assert len(long.records) > len(short.records)
-    assert long.records[: len(short.records)] == short.records
+    assert table_columns(long.records, range(len(short.records))) == table_columns(short.records)
 
 
 _README_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -357,7 +396,7 @@ def test_readme_records_equal_the_per_trial_draw_path(monkeypatch, name):
     got = _README_TWO_STAGE[name]()
     monkeypatch.setattr(hn, "_run_trials", trial_records)
     want = _README_TWO_STAGE[name]()
-    assert got.records == want.records
+    assert table_columns(got.records) == table_columns(want.records)
     assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -411,7 +450,7 @@ def test_a_zero_row_is_drawn_again_as_sample_unit_vectors_does(monkeypatch, name
         return _ZeroFirstRow(gen) if i in _ZEROED else gen
 
     monkeypatch.setattr(hn, "_run_trials", functools.partial(trial_records, generator=generator))
-    assert got.records == run(seed).records
-    assert [a for a in got.records if a.trial_index not in _ZEROED] == \
-        [b for b in plain.records if b.trial_index not in _ZEROED]
-    assert all(math.isfinite(v) for rec in got.records for v in rec.measures.values())
+    assert table_columns(got.records) == table_columns(run(seed).records)
+    kept = [i for i in range(len(got.records)) if i not in _ZEROED]
+    assert table_columns(got.records, kept) == table_columns(plain.records, kept)
+    assert all(np.isfinite(column).all() for column in got.records.measures.values())
