@@ -30,6 +30,8 @@ from .selection import KAPPA_BRANCH_CONSTANT
 _BETACF_MAX_ITER = 500
 _BETACF_EPS = 3e-16
 _FPMIN = 1e-300
+# Entries per block of an array `order_stat_cdf`.
+_CDF_BLOCK = 1 << 14
 
 
 def _floored(v):
@@ -196,7 +198,15 @@ class OrderStatSpec:
 
 def order_stat_cdf(z, spec: OrderStatSpec):
     """F_{Z_(r)}(z) = P(Bin(p, G(z)) >= r) = I_{G(z)}(r, p - r + 1), at a
-    float z or at each entry of an array z."""
+    float z or at each entry of an array z.
+
+    An array runs in blocks of _CDF_BLOCK entries, which bounds the memory
+    of `betainc_reg`'s per-entry lists; an entry's value does not depend on
+    the other entries, so neither does it on its block.
+    """
+    if isinstance(z, np.ndarray) and z.size > _CDF_BLOCK:
+        return np.concatenate([order_stat_cdf(z[lo : lo + _CDF_BLOCK], spec)
+                               for lo in range(0, z.size, _CDF_BLOCK)])
     _check_z(z)
     g = inner_cdf(z, spec.n)
     return betainc_reg(float(spec.r), float(spec.p - spec.r + 1), g)

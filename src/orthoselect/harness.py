@@ -497,7 +497,7 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
             return h * (rows[:, :, None] & cols[:, None, :])
 
         subset = np.zeros((x.shape[0], m), dtype=bool)
-        subset[trial[:, None], _subset_positions(m, swaps)[:, :s]] = True
+        subset[trial[:, None], _subset_positions(m, swaps)] = True
         same, left, right = (u < rate).transpose(1, 0, 2)
         cross_t = masked(left, right).transpose(0, 2, 1)
         # |D H D| is the largest |eigenvalue| of the masked D H D, and

@@ -6,13 +6,17 @@ the outer set until one is well conditioned (smallest singular value at least
 rho_minus).  One batched kernel, `_pipeline`, runs this for many directions at
 once; `attained_values` and `constrained_select` (its count=1 view) read its
 results.  The outer sets come from `_outer_ranked`, which `greedy_outer`
-shares: it ranks each row block of |X^T v| (`_abs_blocks`) to its m smallest
-values (`_rank_rows`), so memory is bounded by a block per thread plus the
-(count, m) outer sets, never by the full (p, count) value matrix.  The blocks
-are ranked on every CPU the process may run on.  A row is ranked by a
-values-only partition to its m-th smallest value, then a stable sort of the
-entries at or below it; only a row tied at that value takes a full stable
-argsort.
+shares: it takes |X^T v| in blocks of directions (`_abs_blocks`), each a
+(p, rows) block as the product leaves it, and ranks every direction of a
+block to its m smallest values (`_rank_rows`), so memory is bounded by a
+block per thread plus the (count, m) outer sets, never by the full
+(p, count) value matrix.  The blocks are ranked on every CPU the process may
+run on.  A direction is ranked from a float32 copy of its values: a float32
+sort gives its m-th smallest rounded value, the entries at or below that
+value hold its first m, and when exactly m do, a sort of their float64
+values ranks them; a direction with more (a tie in float32 or in float64)
+takes a full stable argsort of its float64 values.  Each round of draws
+reads the outer sets through flat (a, s) indices and holds no (a, m) array.
 
 Each round conditions its drawn subsets in `_feasible`: the column pairs'
 Gram entries decide every subset outside a band of half-width 1e-8 around
@@ -70,6 +74,8 @@ _TILE_ROWS = 8
 # Product blocks per chunk of the exact oracle's walk, which pays a fixed
 # cost per chunk.
 _WALK_BLOCKS = 8
+# Random probes per block of `estimate_gamma`'s lower estimate.
+_PROBE_BLOCK = 1 << 16
 # Half-width of the band around 1 - rho_minus^2 in which a column pair's
 # Gram entry leaves the feasibility test to eigvalsh (see `_feasible`).
 _PAIR_BAND = 1e-8
@@ -127,31 +133,31 @@ def _directions(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
 def _row_blocks(count: int, p: int, scale: int = 1) -> list[slice]:
     """Row slices of `count` directions, `scale` product blocks each: a
     product block is the multiple of 64 rows (at least 64) that holds about
-    _RANK_ELEMENTS of the (rows, p) values, and the last slice takes what is
+    _RANK_ELEMENTS of the (p, rows) values, and the last slice takes what is
     left."""
     rows = scale * max(64, _RANK_ELEMENTS // p // 64 * 64)
     return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def _abs_blocks(matrix: ColumnMatrix, dirs: np.ndarray, blocks):
-    """Yields each row slice of `blocks` and its C-order (rows, p)
-    |<X_j, v>|, so no (p, count) array is held if the caller drops each
-    block in turn.
+    """Yields each row slice of `blocks` and its (p, rows) |<X_j, v>|, one
+    column per direction, as the product leaves it (no copy), so no
+    (p, count) array is held if the caller drops each block in turn.
 
     The padding contract: a block's direction rows are copied into a zeroed
     buffer of a multiple of _TILE_ROWS rows, X^T D^T is taken of that
-    buffer, and the padded rows are dropped.  Every row then sits in a full
-    BLAS tile, so a direction's entries are the same bits whatever the
-    call's direction count, the block, or the row's place in it (checked in
-    the tests): a one-direction call reads exactly its row of a batch.
+    buffer, and the padded columns are dropped.  Every direction then sits
+    in a full BLAS tile, so its entries are the same bits whatever the
+    call's direction count, the block, or its place in it (checked in the
+    tests): a one-direction call reads exactly its column of a batch.
     `blocks` may be an iterator that other threads draw from too.
     """
     for rows in blocks:
         d = dirs[rows]
         padded = np.zeros((-(-len(d) // _TILE_ROWS) * _TILE_ROWS, matrix.n))
         padded[: len(d)] = d
-        # (rows, p), in the X^T D^T orientation, which keeps the bits
-        yield rows, np.abs((matrix.data.T @ padded.T).T[: len(d)], order="C")
+        a = matrix.data.T @ padded.T
+        yield rows, np.abs(a, out=a)[:, : len(d)]
 
 
 def _cpu_count() -> int:
@@ -167,13 +173,13 @@ def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.nd
     |<X_j, v>|, in value order with ties to the smaller column index (the
     first m of a stable argsort), as (count, m) indices and their values.
 
-    Each row block of `_abs_blocks` is ranked by `_rank_rows` into its own
-    rows of the outputs.  One shared iterator hands the blocks to a thread
-    per CPU (`_cpu_count`), the caller among them; numpy releases the GIL
-    in a block's product, partition and sorts.  A block's ranking does not
-    depend on the thread that makes it, so neither do the outputs.  A
-    single block starts no thread, and an exception in any thread is raised
-    here once every thread has stopped.
+    Each block of `_abs_blocks` is ranked by `_rank_rows` into its own rows
+    of the outputs.  One shared iterator hands the blocks to a thread per
+    CPU (`_cpu_count`), the caller among them; numpy releases the GIL in a
+    block's product, cast and sorts.  A block's ranking does not depend on
+    the thread that makes it, so neither do the outputs.  A single block
+    starts no thread, and an exception in any thread is raised here once
+    every thread has stopped.
     """
     outer = np.empty((dirs.shape[0], m), dtype=np.intp)
     values = np.empty((dirs.shape[0], m))
@@ -199,32 +205,49 @@ def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.nd
     return outer, values
 
 
-def _rank_rows(b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first m of a stable argsort of each row of `b` (rows, p), and
-    their values.
+def _rank_rows(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first m of a stable argsort of each column of `a` (p, rows), and
+    their values, as (rows, m) arrays.  The columns of `a` are nonnegative
+    and finite (|X^T v| entries).
 
-    A values-only partition gives each row's m-th smallest value t; the
-    entries at or below t, read in index order and sorted stably by value,
-    are that row's answer.  A row with more than m such entries (a tie at t)
-    is ranked by a full stable argsort.
+    One transposing cast gives the values as C-order float32 rows, and a
+    float32 sort gives each row's m-th smallest float32 value t.  Rounding
+    to float32 is monotone (x <= y gives f(x) <= f(y)), so t is the rounding
+    of the row's m-th smallest float64 value, and every entry among the
+    row's true first m has f(x) <= t: the entries marked by f(x) <= t always
+    hold them.  A row with exactly m marks holds just its first m, so their
+    float64 values, read from `a` in index order and sorted stably, are its
+    answer.  A row with more marks has distinct float64 values that round to
+    t, or a float64 tie at its m-th value; it is ranked by a full stable
+    argsort of its float64 column.
+
+    From 8 values per row on, numpy's unstable sort is several times faster
+    than its stable one, and a row of distinct values sorts the same either
+    way, so that sort is used, and a row whose sorted values hold an equal
+    pair takes the full stable argsort too.
     """
-    p = b.shape[1]
-    marked = b <= np.partition(b, m - 1, axis=1)[:, m - 1 : m]
-    tied = np.empty(0, dtype=np.intp)
-    if np.count_nonzero(marked) > marked.shape[0] * m:
-        tied = np.flatnonzero(np.count_nonzero(marked, axis=1) > m)
+    p, rows = a.shape
+    b32 = a.T.astype(np.float32, order="C")
+    marked = b32 <= np.sort(b32, axis=1)[:, m - 1 : m]
+    tied = np.zeros(rows, dtype=bool)
+    if np.count_nonzero(marked) > rows * m:
+        tied = np.count_nonzero(marked, axis=1) > m
         # a tied row keeps m placeholder marks, so every row holds exactly m
         marked[tied] = False
         marked[tied, :m] = True
-    flat = np.flatnonzero(marked)
-    vals = b.ravel()[flat]
-    # each row's m positions in `flat`, in stable value order
-    pos = vals.reshape(-1, m).argsort(axis=1, kind="stable")
-    pos += np.arange(0, flat.size, m)[:, None]
-    idx, vals = flat[pos] % p, vals[pos]
+    row = np.arange(rows).repeat(m)
+    col = np.flatnonzero(marked) - row * p  # each row's m columns, in index order
+    vals = a[col, row].reshape(rows, m)
+    order = vals.argsort(axis=1, kind="stable" if m < 8 else None)
+    order += np.arange(0, rows * m, m)[:, None]
+    idx, vals = col.take(order), vals.take(order)
+    # an unstable sort may misorder equal values: such a row is ranked again
+    tied |= (vals[:, 1:] == vals[:, :-1]).any(axis=1)
+    tied = np.flatnonzero(tied)
     if tied.size:
-        idx[tied] = b[tied].argsort(axis=1, kind="stable")[:, :m]
-        vals[tied] = np.take_along_axis(b[tied], idx[tied], axis=1)
+        b = a[:, tied].T
+        idx[tied] = b.argsort(axis=1, kind="stable")[:, :m]
+        vals[tied] = np.take_along_axis(b, idx[tied], axis=1)
     return idx, vals
 
 
@@ -240,13 +263,22 @@ def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
 
 
 def _subset_positions(m: int, swaps: np.ndarray) -> np.ndarray:
-    """Positions 0..m-1 of each row of `swaps` (rows, k) after the partial
-    Fisher-Yates swaps i <-> swaps[row, i] for i = 0..k-1.  With swaps[:, i]
-    uniform on [i, m), the first k positions are a uniform k-subset."""
-    rows = np.arange(swaps.shape[0])
-    pos = np.tile(np.arange(m), (swaps.shape[0], 1))
-    for i, j in enumerate(swaps.T):
-        pos[rows, i], pos[rows, j] = pos[rows, j], pos[rows, i]
+    """Positions 0..k-1 of each row of `swaps` (rows, k) after the partial
+    Fisher-Yates swaps i <-> swaps[row, i] for i = 0..k-1 of the positions
+    0..m-1.  With swaps[:, i] uniform on [i, m), they are a uniform k-subset.
+
+    No (rows, m) array is built.  Position i is last written by swap i
+    (later swaps write only positions above i), which brings it the entry
+    then at swaps[:, i].  Traced back through swaps i-1, ..., 0, that
+    entry's position stays above each swap's own position j, so swap j can
+    only have brought it there from j, when swaps[:, j] is that position.
+    O(k^2) vector steps.
+    """
+    pos = swaps.copy()
+    for i in range(1, swaps.shape[1]):
+        q = pos[:, i]
+        for j in range(i - 1, -1, -1):
+            q[q == swaps[:, j]] = j
     return pos
 
 
@@ -310,9 +342,11 @@ def _pipeline(
     The outer sets and their values come from `_outer_ranked`, so only
     (count, m) arrays are kept.  Each round draws one uniform s-subset (a
     partial Fisher-Yates shuffle of positions into the direction's
-    value-ranked outer list) for every direction still without a
-    well-conditioned subset, conditions them all at once (`_feasible`), and
-    reads each accepted subset's attained value from the outer-set values.
+    value-ranked outer list, `_subset_positions`) for every direction still
+    without a well-conditioned subset, conditions them all at once
+    (`_feasible`), and reads each accepted subset's attained value from the
+    outer-set values.  A round reads the outer sets through flat indices
+    direction * m + position, so it holds only (a, s) arrays.
     Returns per direction row:
 
     - the outer columns (count, m), in value order;
@@ -344,13 +378,14 @@ def _pipeline(
             break
         a = active.size
         pos = _subset_positions(m, np.column_stack([gen.integers(i, m, size=a) for i in range(s)]))
-        chosen_cols = outer[active[:, None], pos[:, :s]]  # (a, s)
-        ok = _feasible(cols_t[chosen_cols], cfg.rho_minus)
+        pos += (active * m)[:, None]  # (a, s) flat indices into the (count, m) outputs
+        chosen = outer.take(pos)
+        ok = _feasible(cols_t.take(chosen, axis=0), cfg.rho_minus)
         if np.any(ok):
             hit = active[ok]
-            inner[hit] = chosen_cols[ok]
+            inner[hit] = chosen[ok]
             attempts[hit] = attempt
-            attained[hit] = np.max(b_outer[hit[:, None], pos[ok, :s]], axis=1)
+            attained[hit] = b_outer.take(pos[ok]).max(axis=1)
             active = active[~ok]
     return outer, inner, attempts, attained
 
@@ -551,6 +586,13 @@ def estimate_gamma(
     max ||X_j|| <= 1 + UNIT_NORM_TOL, so the max of the pipeline values over
     a net that, with its negatives, covers the sphere to `net.radius` bounds
     the sup over the sphere once `net.radius * (1 + UNIT_NORM_TOL)` is added.
+
+    The probes are drawn and evaluated in blocks of _PROBE_BLOCK, and only
+    each block's max and finite count are kept, so memory does not grow
+    with `probe_count`.  Successive blocks draw the numbers that one draw of
+    every probe would; only a near-zero row (norm at most
+    `sphere.MIN_DRAW_NORM`), which `sample_unit_vectors` redraws after its
+    block, can take its redraw from elsewhere in the stream.
     """
     if net.dimension != matrix.n:
         raise InvalidInput(f"net dimension {net.dimension} does not match matrix n={matrix.n}")
@@ -564,13 +606,15 @@ def estimate_gamma(
         certified_upper = (float(np.max(net_vals, initial=0.0))
                            + net.radius * (1.0 + UNIT_NORM_TOL))
 
-    heuristic_lower = 0.0
-    if probe_count > 0:
-        probes = sample_unit_vectors(matrix.n, probe_count, gen)
+    block_max = []
+    for lo in range(0, probe_count, _PROBE_BLOCK):
+        probes = sample_unit_vectors(matrix.n, min(_PROBE_BLOCK, probe_count - lo), gen)
         vals = exact_inf_profile(matrix, probes, cfg.s, cfg.rho_minus)
-        finite_vals = vals[np.isfinite(vals)]
-        finite += finite_vals.size
-        heuristic_lower = float(np.max(finite_vals)) if finite_vals.size else math.inf
+        vals = vals[np.isfinite(vals)]
+        finite += vals.size
+        if vals.size:
+            block_max.append(float(np.max(vals)))
+    heuristic_lower = max(block_max, default=math.inf if probe_count else 0.0)
     total = len(net) + probe_count
     return GammaEstimate(
         certified_upper=certified_upper,

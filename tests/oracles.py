@@ -7,7 +7,8 @@ instead of the batched audit kernels, a per-candidate loop instead of the
 far-candidate net construction, the full gather instead of the shortest
 feasible prefix, one eigvalsh per subset instead of a batched block, an
 eigvalsh for every drawn subset instead of the pair bounds, a full stable
-argsort instead of the partition ranking, a new generator per trial stream
+argsort instead of the float32 pre-sort ranking, a shuffle of every position
+instead of tracing the drawn ones back, a new generator per trial stream
 instead of one re-keyed Philox, and the continued fraction one float at a
 time instead of over arrays.
 """
@@ -20,8 +21,7 @@ import numpy as np
 
 from orthoselect.errors import BudgetExceeded, InvalidInput
 from orthoselect.linalg import ColumnMatrix, operator_norm, submatrix
-from orthoselect.selection import (_PAIR_BAND, DEFAULT_BRUTE_FORCE_LIMIT, _feasible,
-                                   _subset_positions, greedy_outer)
+from orthoselect.selection import _PAIR_BAND, DEFAULT_BRUTE_FORCE_LIMIT, _feasible, greedy_outer
 from orthoselect.sphere import (_CANDIDATE_CHUNK, RngStream, sample_sphere_matrix,
                                 sample_unit_vector, sample_unit_vectors)
 
@@ -275,6 +275,17 @@ def abs_products(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
     return np.abs(matrix.data.T @ padded.T).T[:count]
 
 
+def fisher_yates_positions(m: int, swaps: np.ndarray) -> np.ndarray:
+    """Positions 0..m-1 of each row of `swaps` (rows, k) after the partial
+    Fisher-Yates swaps i <-> swaps[row, i] for i = 0..k-1, each swap made on
+    a full (rows, m) array."""
+    rows = np.arange(swaps.shape[0])
+    pos = np.tile(np.arange(m), (swaps.shape[0], 1))
+    for i, j in enumerate(swaps.T):
+        pos[rows, i], pos[rows, j] = pos[rows, j], pos[rows, i]
+    return pos
+
+
 def pipeline_eigvalsh(matrix, directions: np.ndarray, cfg, gen: np.random.Generator) -> tuple:
     """The selection pipeline with an eigvalsh for every drawn subset: outer
     sets from a full stable argsort of `abs_products`, then
@@ -296,7 +307,7 @@ def pipeline_eigvalsh(matrix, directions: np.ndarray, cfg, gen: np.random.Genera
         if not active.size:
             break
         a = active.size
-        pos = _subset_positions(m, np.column_stack([gen.integers(i, m, size=a) for i in range(s)]))
+        pos = fisher_yates_positions(m, np.column_stack([gen.integers(i, m, size=a) for i in range(s)]))
         chosen = outer[active[:, None], pos[:, :s]]
         sig = eigvalsh_sigma_min(matrix.data.T[chosen])
         ok = sig >= cfg.rho_minus

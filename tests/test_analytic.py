@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ def test_order_stat_cdf_and_ks_distance_equal_the_scalar_reference():
     samples = np.abs(sample_unit_vectors(3, 20 * 3000, RngStream(4, 0))[:, 0]).reshape(3000, 20)
     z_r = np.partition(samples, 4, axis=1)[:, 4]
     assert hn.ks_distance(z_r, lambda z: an.order_stat_cdf(z, spec)) == sorted_ks(z_r, reference)
+
+
+def test_order_stat_cdf_blocks_keep_every_value_and_bound_memory(monkeypatch):
+    spec = an.OrderStatSpec(p=20, r=5, n=3)
+    samples = np.abs(sample_unit_vectors(3, 20 * 100_000, RngStream(5, 0))[:, 0]).reshape(-1, 20)
+    z_r = np.sort(np.partition(samples, 4, axis=1)[:, 4])
+    tracemalloc.start()
+    try:
+        blocked = an.order_stat_cdf(z_r, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one pass over all 1e5 entries held about 327 B each (33 MB)
+    assert peak < 12 * 2**20
+    # blocks of any size, a last block of one entry among them, give the same bits
+    for block in (4_096, 99_999, 100_000):
+        monkeypatch.setattr(an, "_CDF_BLOCK", block)
+        assert an.order_stat_cdf(z_r, spec).tobytes() == blocked.tobytes()
 
 
 def test_binomial_cdf_matches_library():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import re
 
 import jsonschema
@@ -203,6 +204,23 @@ def test_gamma_output_and_lower_bound(runner, tmp_path):
     assert payload["heuristic_lower"] <= payload["certified_upper"] + 1e-9
     assert payload["net"]["size"] >= 1
     assert payload["feasibility_rate"] > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_gamma_probe_memory_does_not_grow_with_the_probe_count(fresh_python, tmp_path):
+    # each child reports its own peak RSS; holding every probe at once costs
+    # about 70 B per probe, so 9e5 more probes would add about 60 MiB
+    m = str(tmp_path / "m.csv")
+    peaks = []
+    for probes in (100_000, 1_000_000):
+        peaks.append(int(fresh_python(f"""
+from orthoselect import cli
+cli.main(["gen", "--n", "4", "--p", "40", "--seed", "1", "--out", {m!r}], standalone_mode=False)
+cli.main(["gamma", "--matrix", {m!r}, "--probes", "{probes}", "--seed", "1",
+          "--out", {m + ".gamma"!r}], standalone_mode=False)
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM")))
+""")))
+    assert peaks[1] - peaks[0] < 16 * 1024, peaks  # kB
 
 
 def test_gamma_certificate_responds_to_net_radius(runner, tmp_path):

@@ -123,12 +123,17 @@ def test_greedy_outer_tie_break_smallest_index():
     assert greedy_outer(x, v, 2).indices == (0, 1)
 
 
+def stable_first(b, m):
+    """The first m of a full stable argsort of each row of `b`, and their
+    values."""
+    order = np.argsort(b, axis=1, kind="stable")[:, :m]
+    return order, np.take_along_axis(b, order, axis=1)
+
+
 def stable_argsort_oracle(matrix, dirs, m):
     """The sort_oracle rule for many rows: the first m of a full stable
     argsort of |X^T v|, and those entries of `oracles.abs_products`."""
-    b = oracles.abs_products(matrix, dirs)
-    order = np.argsort(b, axis=1, kind="stable")[:, :m]
-    return order, np.take_along_axis(b, order, axis=1)
+    return stable_first(oracles.abs_products(matrix, dirs), m)
 
 
 def boundary_tied(matrix, dirs, m):
@@ -166,6 +171,65 @@ def test_outer_ranked_matches_stable_argsort_across_blocks_and_ties():
         for v in dirs:
             assert greedy_outer(eye, v, m).indices == sort_oracle(eye, v, m)
     assert np.all(boundary_tied(eye, dirs, 2))
+
+
+def collided(p, rows, seed):
+    """A (p, rows) block, half of whose entries sit on seven float32 values
+    k/16, each moved by -2..2 float64 steps of 2^-40 or not at all: distinct
+    float64 values that round to one float32 value, and exact ties.  The
+    other half are uniform on [0, 1)."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(1, 8, size=(p, rows)) / 16
+    grid = base + rng.integers(-2, 3, size=(p, rows)) * 2.0**-40
+    assert np.array_equal(grid.astype(np.float32), base)  # each rounds to its k/16
+    return np.where(rng.random((p, rows)) < 0.5, grid, rng.random((p, rows)))
+
+
+def collision_kinds(b, m):
+    """How many rows of `b` (rows, p) have distinct float64 values that round
+    to one float32 value across, at or below their m-th smallest, and how
+    many have an exact tie among their first m + 1."""
+    s64 = np.sort(b, axis=1)[:, : m + 1]
+    s32 = s64.astype(np.float32)
+    merged = (s32[:, 1:] == s32[:, :-1]) & (s64[:, 1:] != s64[:, :-1])  # (rows, m)
+    split = s32[:, m - 1] < s32[:, m]
+    return {
+        "across": np.count_nonzero(merged[:, m - 1]),
+        "at": np.count_nonzero(merged[:, m - 2] & split),
+        "below": np.count_nonzero(merged[:, : m - 2].any(axis=1) & split),
+        "exact": np.count_nonzero((s64[:, 1:] == s64[:, :-1]).any(axis=1)),
+    }
+
+
+@pytest.mark.parametrize("p, m", [(12, 1), (12, 3), (12, 6), (12, 11), (12, 12), (200, 15),
+                                  (200, 100)])
+def test_rank_rows_sees_through_float32_rounding_and_ties(p, m):
+    rows = 4_000
+    wide = np.zeros((p, rows + 5))
+    wide[:, :rows] = collided(p, rows, p * 1000 + m)
+    a = wide[:, :rows]  # a view of a wider product, as `_abs_blocks` yields
+    expected = stable_first(a.T, m)
+    idx, vals = selection._rank_rows(a, m)
+    assert np.array_equal(idx, expected[0]) and np.array_equal(vals, expected[1])
+    # one row at a time
+    for k in range(0, rows, 101):
+        idx, vals = selection._rank_rows(a[:, k : k + 1], m)
+        assert np.array_equal(idx[0], expected[0][k]) and np.array_equal(vals[0], expected[1][k])
+    if 3 <= m < p:
+        kinds = collision_kinds(a.T, m)
+        assert all(kinds.values()), kinds
+
+
+def test_subset_positions_match_a_full_fisher_yates_shuffle():
+    gen = np.random.default_rng(67)
+    for s in range(1, 6):
+        for m in range(s, 31):
+            swaps = np.column_stack([gen.integers(i, m, size=200) for i in range(s)])
+            # the extreme targets too: no swap, and a swap with the last position
+            swaps[0], swaps[1] = np.arange(s), m - 1
+            got = selection._subset_positions(m, swaps)
+            assert got.shape == (200, s)
+            assert np.array_equal(got, oracles.fisher_yates_positions(m, swaps)[:, :s])
 
 
 @pytest.fixture
@@ -226,7 +290,9 @@ def test_more_threads_than_cores_rank_each_block_once(monkeypatch):
     set_cpus(monkeypatch, 16)
     ranked = []
     real = selection._rank_rows
-    monkeypatch.setattr(selection, "_rank_rows", lambda b, m: ranked.append(len(b)) or real(b, m))
+    # a block is (p, rows): one column per direction
+    monkeypatch.setattr(selection, "_rank_rows",
+                        lambda b, m: ranked.append(b.shape[1]) or real(b, m))
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -669,9 +735,9 @@ def reranked(monkeypatch):
     counts = []
     real = selection._rank_rows
 
-    def spy(b, m):
-        if m == b.shape[1] > selection._PREFIX_COLUMNS:
-            counts.append(len(b))
+    def spy(b, m):  # b is (p, rows)
+        if m == b.shape[0] > selection._PREFIX_COLUMNS:
+            counts.append(b.shape[1])
         return real(b, m)
 
     monkeypatch.setattr(selection, "_rank_rows", spy)
