@@ -384,6 +384,12 @@ def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: 
         raise InvalidInput("kappa_s must not exceed p")
     if n < 1:
         raise InvalidInput("n must be at least 1")
+    if p < 2:
+        raise InvalidInput("p must be at least 2")
+    if not 0.0 < eps < 1.0:
+        raise InvalidInput("epsilon must lie in (0, 1)")
+    if not (math.isfinite(c_kappa) and c_kappa > 0.0):
+        raise InvalidInput("c_kappa must be finite and positive")
     k_eps = analytic.k_epsilon(eps, c_kappa)
     threshold = analytic.norm_threshold_u(n, kappa_s, eps, _C_SUBGAUSS, k_eps, p)
     claimed_prob = 8.0 * p ** float(-n)
@@ -568,7 +574,13 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
         raise InvalidInput("theorem audit needs at least 20 trials")
     if not 0.0 < net_eps < 1.0:
         raise InvalidInput("net_eps must lie in (0, 1)")
+    if p < 2:
+        raise InvalidInput("p must be at least 2")
+    if probe_count < 0:
+        raise InvalidInput("probes must be nonnegative")
     cfg = SelectionConfig(s=s, rho_minus=rho_minus, kappa=kappa)
+    if math.ceil(kappa * s) > p:
+        raise InvalidInput("kappa*s must not exceed p")
     net = cube_grid(n, net_eps)
     bound = analytic.claimed_gamma_bound(p)
     lp = math.log(p)

@@ -28,8 +28,10 @@ eigvalsh of every subset accepts.  The kernel keeps no sigma_min;
 The exact oracle, `exact_inf_profile`, takes the min over every s-subset
 that `_feasible` accepts of max_{j in S} |<X_j, v>|, for every s by one walk:
 in each direction's value order, the answer is the value of the first column
-that closes such a subset with s-1 earlier columns, each subset decided once
-while a fixed-size table (`_Decided`) holds it.  It reads the pipeline's
+that closes such a subset with s-1 earlier columns.  While C(p, s) is at
+most 2^23, `_Decided` keeps one int8 answer per s-subset (8 MiB at most), so
+each subset is decided once per call; past that it keeps no table and
+decides each subset where the walk meets it.  It reads the pipeline's
 |X^T v| entries, bit for bit, and a direction still open once its prefix
 holds more than DEFAULT_BRUTE_FORCE_LIMIT s-subsets raises BudgetExceeded.
 
@@ -62,8 +64,9 @@ DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
 # Columns of each direction that the exact oracle ranks before its walk.
 _PREFIX_COLUMNS = 4
-# Slots of the exact oracle's table of decided subsets (at most).
-_MEMO_SLOTS = 1 << 17
+# Subsets the exact oracle's table of decided answers holds at most (8 MiB
+# of int8); past it, the oracle keeps no table.
+_TABLE_SUBSETS = 1 << 23
 # Values per product block of |X^T v| (0.5 MiB of float64): a multiple of 64
 # direction rows, whose product takes them zero-padded to a multiple of
 # _TILE_ROWS, so a direction's entries do not depend on its block (see
@@ -431,49 +434,39 @@ def brute_force_inf(matrix: ColumnMatrix, v: np.ndarray, s: int, rho_minus: floa
 
 
 class _Decided:
-    """`_feasible`'s answer for column subsets, each decided once while it
-    keeps its slot in a direct-mapped table.
+    """`_feasible`'s answer for column subsets: each decided once per call
+    while C(p, s) <= _TABLE_SUBSETS, and wherever it is met past that, where
+    no table is built.
 
-    A subset c_0 < ... < c_{s-1} takes the slot of its combinatorial rank
-    sum_i C(c_i, i+1), from an (s, p) binomial table (s <= n, so no larger
-    than the matrix), wrapped to the table's size: a power of two, at least
-    min(C(p, s), _MEMO_SLOTS).  While C(p, s) fits, no two subsets share a
-    slot; otherwise a slot also keeps the subset it holds.  A subset whose
-    slot has no answer for it is decided and stored, one per slot and round,
-    until every subset of the call has its answer.
+    The table is an int8 array of exactly C(p, s) answers (-1 undecided),
+    one per subset c_0 < ... < c_{s-1}, at its combinatorial rank
+    sum_i C(c_i, i+1) < C(p, s), read from an (s, p) binomial table (s <= n,
+    so no larger than the matrix).  Each term of a rank is at most the rank,
+    so every entry a subset reads is exact.
     """
 
     def __init__(self, cols_t: np.ndarray, s: int, rho_minus: float) -> None:
         p = cols_t.shape[0]
-        self.binom = np.zeros((s, p), dtype=np.intp)  # binom[i, c] = C(c, i+1), wrapping
-        self.binom[0] = np.arange(p)
-        for i in range(1, s):
-            np.cumsum(self.binom[i - 1, :-1], out=self.binom[i, 1:])
-        size = 1 << (min(math.comb(p, s), _MEMO_SLOTS) - 1).bit_length()
-        self.state = np.full(size, -1, dtype=np.int8)  # -1 undecided, else the answer
-        self.keys = np.full((s if math.comb(p, s) > size else 0, size), -1)  # held subsets
-        self.cols_t, self.rho_minus = cols_t, rho_minus
+        self.cols_t, self.rho_minus, self.state = cols_t, rho_minus, None
+        if math.comb(p, s) <= _TABLE_SUBSETS:
+            self.binom = np.zeros((s, p), dtype=np.intp)  # binom[i, c] = C(c, i+1)
+            self.binom[0] = np.arange(p)
+            for i in range(1, s):
+                np.cumsum(self.binom[i - 1, :-1], out=self.binom[i, 1:])
+            self.state = np.full(math.comb(p, s), -1, dtype=np.int8)
 
     def __call__(self, sub: np.ndarray) -> np.ndarray:
         """The answer for each column of `sub` (s, a), a subset in index order."""
-        slot = sum(b.take(c) for b, c in zip(self.binom, sub)) & (len(self.state) - 1)
-        ok = self.state.take(slot) == 1
-        miss = np.flatnonzero(self._stale(slot, sub))
-        while miss.size:
-            # decide the first missing subset of each slot and store it
-            first = miss[np.unique(slot[miss], return_index=True)[1]]
-            self.keys[:, slot[first]] = sub[: len(self.keys), first]
-            self.state[slot[first]] = _feasible(self.cols_t[sub[:, first].T], self.rho_minus)
-            ok[miss] = self.state[slot[miss]] == 1
-            miss = miss[self._stale(slot[miss], sub[:, miss])]
-        return ok
-
-    def _stale(self, slot: np.ndarray, sub: np.ndarray) -> np.ndarray:
-        """Whether each slot holds no answer for the column of `sub`."""
-        stale = self.state.take(slot) < 0
-        for k, c in zip(self.keys, sub):
-            stale |= k.take(slot) != c
-        return stale
+        if self.state is None:
+            return _feasible(self.cols_t[sub.T], self.rho_minus)
+        rank = sum(b.take(c) for b, c in zip(self.binom, sub))
+        state = self.state.take(rank)
+        miss = np.flatnonzero(state < 0)
+        if miss.size:
+            new, first = np.unique(rank[miss], return_index=True)
+            self.state[new] = _feasible(self.cols_t[sub[:, miss[first]].T], self.rho_minus)
+            state[miss] = self.state.take(rank[miss])
+        return state == 1
 
 
 def _closes(decided: _Decided, prefix: np.ndarray, s: int) -> np.ndarray:
@@ -535,7 +528,7 @@ def exact_inf_profile(
     ranks a chunk's first _PREFIX_COLUMNS columns from the pipeline's |X^T v|
     entries, and `_walk` walks them; the rows still open are ranked in full
     from their entries taken again, the same bits, and walked on.  Only the
-    rankings run on every CPU: the walks share one `_Decided` table, so they
+    rankings run on every CPU: the walks share one `_Decided`, so they
     run in the caller's thread."""
     dirs = _directions(matrix, directions)
     if not 1 <= s <= matrix.p:

@@ -394,6 +394,15 @@ def test_experiment_rejects_flags_it_does_not_read(runner, tmp_path, name, flags
     ("chernoff", ["--eps-grid", "0"]),
     ("chernoff", ["--eps-grid", "0.5,0"]),
     ("chernoff", ["--eps-grid", "1.2"]),
+    ("norm", ["--epsilon", "1.5"]),
+    ("norm", ["--epsilon", "nan"]),
+    ("norm", ["--c-kappa", "0"]),
+    ("norm", ["--c-kappa", "nan"]),
+    ("theorem", ["--p", "1"]),
+    ("theorem", ["--probes", "-1"]),
+    ("norm", ["--c-kappa", "inf"]),
+    ("norm", ["--p", "1", "--kappa-s", "1"]),
+    ("theorem", ["--p", "14"]),
 ])
 def test_experiment_out_of_range_parameters_are_usage_errors(runner, tmp_path, name, flags):
     result = runner.invoke(main, ["experiment", name, *flags, "--out", str(tmp_path / "x")])

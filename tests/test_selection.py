@@ -838,12 +838,53 @@ def test_exact_inf_profile_decides_each_subset_once(monkeypatch):
     assert np.array_equal(got, exact_inf_gather(x, dirs, 4, 0.5))
     vecs = np.concatenate(decided).reshape(-1, 16)
     assert len(np.unique(vecs, axis=0)) == len(vecs) <= math.comb(12, 4)
-    # a table of 16 slots shares them: subsets are decided again, to the
-    # same values
+    # a cap of 16 subsets, below C(12, 4), keeps no table: subsets are
+    # decided again wherever the walk meets them, to the same values
     decided.clear()
-    monkeypatch.setattr(selection, "_MEMO_SLOTS", 16)
+    monkeypatch.setattr(selection, "_TABLE_SUBSETS", 16)
     assert np.array_equal(exact_inf_profile(x, dirs, 4, 0.5), got)
     assert sum(map(len, decided)) > math.comb(12, 4)
+
+
+def test_exact_inf_profile_table_and_no_table_agree_at_s_equal_n(monkeypatch):
+    # n = s = 4, p = 60: C(60, 4) = 487 635 subsets, in the table at its cap
+    # and decided where the walk meets them with the cap below C(60, 4)
+    x = sample_sphere_matrix(4, 60, RngStream(1, 0))
+    dirs = sample_unit_vectors(4, 200, RngStream(2, 0))
+    monkeypatch.setattr(oracles, "DEFAULT_BRUTE_FORCE_LIMIT", math.comb(60, 4))
+    want = exact_inf_gather(x, dirs, 4, 0.5)
+    assert np.all(np.isfinite(want))
+    decided = []
+    real = selection._feasible
+    monkeypatch.setattr(selection, "_feasible", lambda v, rho: decided.append(v) or real(v, rho))
+    assert np.array_equal(exact_inf_profile(x, dirs, 4, 0.5), want)
+    # each decided subset's columns, found by their first entries (distinct)
+    order = np.argsort(x.data[0])
+    cols = order[np.searchsorted(x.data[0, order], np.concatenate(decided)[:, :, 0])]
+    keys = np.sort(cols, axis=1) @ 60 ** np.arange(4)
+    assert len(np.unique(keys)) == len(keys)  # each subset decided at most once
+    monkeypatch.setattr(selection, "_feasible", real)
+    monkeypatch.setattr(selection, "_TABLE_SUBSETS", math.comb(60, 4) - 1)
+    assert np.array_equal(exact_inf_profile(x, dirs, 4, 0.5), want)
+
+
+def test_exact_inf_profile_table_bound_at_its_edge():
+    # s = 3: C(370, 3) = 8 373 840 <= 2^23 holds one int8 per subset, and
+    # C(371, 3) = 8 442 105 holds no table
+    assert math.comb(370, 3) <= selection._TABLE_SUBSETS < math.comb(371, 3)
+    dirs = sample_unit_vectors(4, 64, RngStream(78, 1))
+    peaks = {}
+    for p in (370, 371):
+        x = sample_sphere_matrix(4, p, RngStream(78, 0))
+        tracemalloc.start()
+        try:
+            got = exact_inf_profile(x, dirs, 3, 0.5)
+            peaks[p] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(got))
+    assert peaks[370] >= math.comb(370, 3)
+    assert peaks[371] < 4 * 2**20
 
 
 def test_exact_inf_profile_memory_at_large_p():
