@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matrixio
 from .errors import BudgetExceeded, DomainError, FormatError, InvalidInput
-from .linalg import UNIT_NORM_TOL
+from .linalg import unit_rows
 from .matrixio import _jsonable
 from .selection import (DEFAULT_MAX_ATTEMPTS, SelectionConfig, brute_force_inf,
                         constrained_select, estimate_gamma)
@@ -294,12 +294,10 @@ def select(matrix_path, v_file, v_random, out, oracle, fmt, config_path, **flags
         raise click.UsageError("--v-file and --v-random are mutually exclusive")
     if v_file is not None:
         v = matrixio.load_vector(v_file)
-        if v.shape[0] != matrix.n:
-            raise FormatError(f"direction has {v.shape[0]} entries, matrix has n={matrix.n}")
-        if not np.all(np.isfinite(v)):
-            raise FormatError("direction vector entries must be finite")
-        if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
-            raise FormatError(f"direction vector must have unit norm (within {UNIT_NORM_TOL})")
+        try:
+            unit_rows(np.reshape(v, (1, -1)), matrix.n)
+        except InvalidInput as exc:
+            raise FormatError(f"--v-file: {exc}") from exc
     else:
         v = sample_unit_vector(matrix.n, RngStream(c["seed"], _STREAM_DIRECTION))
     cfg = SelectionConfig(s=c["s"], rho_minus=c["rho"], kappa=c["kappa"],

@@ -341,6 +341,8 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
         raise InvalidInput("coherence audit needs at least 100 trials")
     if n < 1:
         raise InvalidInput("n must be at least 1")
+    if p < 2:
+        raise InvalidInput("p must be at least 2")
     claim_threshold = 0.5 * p**-2
     reference_scale = math.sqrt(2.0 * math.log(p) / n)
     claimed_prob = 1.0 - p ** float(-n)
@@ -380,8 +382,8 @@ def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: 
     """Tail of |X_outer| against the claimed threshold and 8 p^-n probability."""
     if trials < 100:
         raise InvalidInput("norm audit needs at least 100 trials")
-    if kappa_s > p:
-        raise InvalidInput("kappa_s must not exceed p")
+    if not 1 <= kappa_s <= p:
+        raise InvalidInput("kappa_s must lie in [1, p]")
     if n < 1:
         raise InvalidInput("n must be at least 1")
     if p < 2:
@@ -470,6 +472,8 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
     """
     if trials < 100:
         raise InvalidInput("decoupling audit needs at least 100 trials")
+    if n < 1:
+        raise InvalidInput("n must be at least 1")
     if not r_grid:
         raise InvalidInput("r_grid must be nonempty")
     if s < 1:
@@ -485,12 +489,13 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
     swap_low = np.arange(s)
 
     def draw(gen: np.random.Generator, rows: Callable) -> tuple[np.ndarray, ...]:
-        # the matrix, the direction, the s Fisher-Yates swap targets and the
-        # three Bernoulli uniforms, in the order the trial consumes them
-        return (rows(n, p, gen), sample_unit_vector(n, gen),
-                gen.integers(swap_low, m), gen.random((3, m)))
+        # the p columns and the direction v as p + 1 sphere rows (v last),
+        # the s Fisher-Yates swap targets and the three Bernoulli uniforms, in
+        # the order the trial consumes them
+        return rows(n, p + 1, gen), gen.integers(swap_low, m), gen.random((3, m))
 
-    def measure(x: np.ndarray, v: np.ndarray, swaps: np.ndarray, u: np.ndarray) -> dict:
+    def measure(xv: np.ndarray, swaps: np.ndarray, u: np.ndarray) -> dict:
+        x, v = xv[:, :p], xv[:, p]
         trial = np.arange(x.shape[0])
         # greedy_outer's set (the m smallest |<X_j, v>|, ties to the smaller
         # index), listed by index; the rows of x are the columns X_j

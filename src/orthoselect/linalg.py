@@ -4,7 +4,8 @@ Everything here is deterministic and operates on matrices whose columns are
 unit vectors.  Spectra are computed by symmetric eigendecomposition of the
 smaller of the two crossproduct matrices (Gram X^T X, or X X^T when there are
 more columns than rows), which is exact enough for the desk-scale sizes this
-package targets (|S| <= 64, n <= 10^3).
+package targets (|S| <= 64, n <= 10^3).  `unit_rows` is the package's one
+check of a direction or a batch of them, `select --v-file` included.
 """
 from __future__ import annotations
 
@@ -153,19 +154,21 @@ def gram_deviation(matrix: ColumnMatrix) -> float:
     return float(max(abs(float(lam[0])), abs(float(lam[-1]))))
 
 
-def check_unit_vector(v: np.ndarray) -> np.ndarray:
-    vec = np.asarray(v, dtype=float).reshape(-1)
-    if not abs(float(np.linalg.norm(vec)) - 1.0) <= UNIT_NORM_TOL:
-        raise InvalidInput("direction vector must be finite with unit norm")
-    return vec
+def unit_rows(directions: np.ndarray, n: int) -> np.ndarray:
+    """`directions` as a (count, n) float array of finite unit rows; the one
+    check of a direction's shape and norm."""
+    dirs = np.asarray(directions, dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != n:
+        raise InvalidInput(f"directions must be a (count, {n}) array, got shape {dirs.shape}")
+    if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= UNIT_NORM_TOL):
+        raise InvalidInput(f"directions must be finite with unit norm within {UNIT_NORM_TOL}")
+    return dirs
 
 
 def inf_norm_against(matrix: ColumnMatrix, subset: IndexSet, v: np.ndarray) -> float:
     """Max over j in the subset of |<X_j, v>| for a unit direction v."""
     if len(subset) == 0:
         raise InvalidInput("inf_norm_against over an empty index set")
-    vec = check_unit_vector(v)
-    if vec.shape[0] != matrix.n:
-        raise InvalidInput(f"direction has dimension {vec.shape[0]}, matrix has n={matrix.n}")
+    vec = unit_rows(np.reshape(v, (1, -1)), matrix.n)[0]
     subset.validate_for(matrix)
     return float(np.max(np.abs(matrix.data[:, list(subset.indices)].T @ vec)))

@@ -54,7 +54,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidInput
-from .linalg import UNIT_NORM_TOL, ColumnMatrix, IndexSet, check_unit_vector
+from .linalg import UNIT_NORM_TOL, ColumnMatrix, IndexSet, unit_rows
 from .sphere import EpsNet, RngStream, _as_generator, sample_unit_vectors
 
 #: First branch of the kappa formula, the constant 4 e^{-2(ln 2 - 1)}, and
@@ -121,16 +121,6 @@ class SelectionOutcome:
     sigma_min_achieved: float | None
     attained_value: float
     attempts_used: int
-
-
-def _directions(matrix: ColumnMatrix, directions: np.ndarray) -> np.ndarray:
-    """`directions` as a (count, n) float array of finite unit rows."""
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != matrix.n:
-        raise InvalidInput("directions must be a (count, n) array")
-    if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= UNIT_NORM_TOL):
-        raise InvalidInput(f"directions must be finite with unit norm within {UNIT_NORM_TOL}")
-    return dirs
 
 
 def _row_blocks(count: int, p: int, scale: int = 1) -> list[slice]:
@@ -261,7 +251,7 @@ def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
     """
     if not 1 <= m <= matrix.p:
         raise InvalidInput(f"outer size m={m} must satisfy 1 <= m <= p={matrix.p}")
-    outer, _ = _outer_ranked(matrix, _directions(matrix, np.reshape(v, (1, -1))), m)
+    outer, _ = _outer_ranked(matrix, unit_rows(np.reshape(v, (1, -1)), matrix.n), m)
     return IndexSet.from_iterable(outer[0])
 
 
@@ -361,7 +351,7 @@ def _pipeline(
         raise InvalidInput(
             f"ceil(kappa*s)={math.ceil(cfg.kappa * cfg.s)} exceeds p={matrix.p}"
         )
-    dirs = _directions(matrix, directions)
+    dirs = unit_rows(directions, matrix.n)
     count = dirs.shape[0]
     m = cfg.outer_size(matrix.p)
     s = cfg.s
@@ -430,7 +420,7 @@ def attained_values(
 def brute_force_inf(matrix: ColumnMatrix, v: np.ndarray, s: int, rho_minus: float) -> float:
     """Exact inf over well-conditioned s-subsets of max_j |<X_j, v>|, +inf
     if none is: the one-direction view of `exact_inf_profile`."""
-    return float(exact_inf_profile(matrix, check_unit_vector(v)[None], s, rho_minus)[0])
+    return float(exact_inf_profile(matrix, np.reshape(v, (1, -1)), s, rho_minus)[0])
 
 
 class _Decided:
@@ -530,7 +520,7 @@ def exact_inf_profile(
     from their entries taken again, the same bits, and walked on.  Only the
     rankings run on every CPU: the walks share one `_Decided`, so they
     run in the caller's thread."""
-    dirs = _directions(matrix, directions)
+    dirs = unit_rows(directions, matrix.n)
     if not 1 <= s <= matrix.p:
         raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")
     out = np.full(dirs.shape[0], math.inf)

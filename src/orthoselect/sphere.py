@@ -7,6 +7,12 @@ distinct stream indices can be consumed concurrently without coordination.
 serves the streams (seed, 0), (seed, 1), ... of an audit's trials from one
 Philox whose key it resets, which yields the same numbers for less work.
 
+Every sphere point (a matrix column, a direction, a probe, a net candidate)
+is a row of `sample_unit_vectors`: Gaussian rows divided by their norms,
+taken along the rows in numpy, not by BLAS.  So a point's bits follow from
+its Gaussian numbers alone, whatever batch it is drawn in and whatever BLAS
+kernel the CPU selects.
+
 `cube_grid` is the certificate's net: the projected cell centres of a grid
 on the d faces x_i = +1 of the cube [-1, 1]^d.  Its covering radius is
 proven in closed form, and it takes no random numbers.
@@ -80,18 +86,6 @@ def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     return rng
 
 
-def sample_unit_vector(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Uniform point on S^{n-1}: a standard Gaussian vector, normalized."""
-    if n < 1:
-        raise InvalidInput("dimension must be at least 1")
-    gen = _as_generator(rng)
-    while True:
-        g = gen.standard_normal(n)
-        norm = float(np.linalg.norm(g))
-        if norm > MIN_DRAW_NORM:
-            return g / norm
-
-
 def sample_unit_vectors(n: int, count: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """`count` independent uniform sphere points, one per row."""
     if n < 1:
@@ -105,6 +99,12 @@ def sample_unit_vectors(n: int, count: int, rng: RngStream | np.random.Generator
         norms = np.linalg.norm(out, axis=1)
         bad = norms <= MIN_DRAW_NORM
     return out / norms[:, None]
+
+
+def sample_unit_vector(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """One uniform point on S^{n-1}: the one row of `sample_unit_vectors`,
+    so it takes the same numbers and has the same bits as that row."""
+    return sample_unit_vectors(n, 1, rng)[0]
 
 
 def sample_sphere_matrix(n: int, p: int, rng: RngStream | np.random.Generator) -> ColumnMatrix:

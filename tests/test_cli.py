@@ -403,6 +403,9 @@ def test_experiment_rejects_flags_it_does_not_read(runner, tmp_path, name, flags
     ("norm", ["--c-kappa", "inf"]),
     ("norm", ["--p", "1", "--kappa-s", "1"]),
     ("theorem", ["--p", "14"]),
+    ("decoupling", ["--n", "0"]),
+    ("coherence", ["--p", "1"]),
+    ("norm", ["--kappa-s", "0"]),
 ])
 def test_experiment_out_of_range_parameters_are_usage_errors(runner, tmp_path, name, flags):
     result = runner.invoke(main, ["experiment", name, *flags, "--out", str(tmp_path / "x")])

@@ -205,6 +205,22 @@ def test_decoupling_rejects_an_empty_subset_size():
         hn.run_decoupling_audit(5, 12, 2.0, 0, [0.4], 100, seed=82)
 
 
+class _NoDraws(TrialStreams):
+    def __init__(self, master_seed):
+        raise AssertionError("the audit drew before it checked its parameters")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: hn.run_decoupling_audit(0, 12, 2.0, 2, [0.4], 100, seed=83),
+    lambda: hn.run_coherence_audit(4, 1, 100, seed=83),
+    lambda: hn.run_norm_audit(4, 12, 0, 0.5, 100, seed=83, c_kappa=1.0),
+], ids=["decoupling-n", "coherence-p", "norm-kappa_s"])
+def test_out_of_range_audit_parameters_raise_before_any_draw(monkeypatch, run):
+    monkeypatch.setattr(hn, "TrialStreams", _NoDraws)
+    with pytest.raises(InvalidInput):
+        run()
+
+
 _BLOCK_CASES = {
     "order-stat": lambda: hn.run_order_stat_audit(3, 12, 3, 130, seed=91),
     "decoupling": lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=92),
@@ -400,18 +416,18 @@ def test_readme_records_equal_the_per_trial_draw_path(monkeypatch, name):
     assert got.to_json_dict() == want.to_json_dict()
 
 
-class _ZeroFirstRow:
-    """A stream whose first Gaussian block has its first row zeroed, which
+class _ZeroRow:
+    """A stream whose first Gaussian block has row `row` zeroed, which
     `sample_unit_vectors` must draw again."""
 
-    def __init__(self, gen):
-        self._gen, self._first = gen, True
+    def __init__(self, gen, row):
+        self._gen, self._row = gen, row
 
     def standard_normal(self, size=None):
         out = self._gen.standard_normal(size)
-        if self._first:
-            out[0] = 0.0
-        self._first = False
+        if self._row is not None:
+            out[self._row] = 0.0
+        self._row = None
         return out
 
     def __getattr__(self, name):
@@ -423,31 +439,42 @@ _ZEROED = {2, 57}
 
 
 class _ZeroingStreams(TrialStreams):
+    def __init__(self, master_seed, row):
+        super().__init__(master_seed)
+        self._row = row
+
     def generator(self, stream_index):
         gen = super().generator(stream_index)
-        return _ZeroFirstRow(gen) if stream_index in _ZEROED else gen
+        return _ZeroRow(gen, self._row) if stream_index in _ZEROED else gen
 
 
+def _decoupling(seed):
+    return hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=seed)
+
+
+# (seed, zeroed row, run)
 _ZERO_ROW_CASES = {
     # the largest |<X_j, e_1>|, which a NaN row would take
-    "order-stat": (94, lambda seed: hn.run_order_stat_audit(3, 12, 12, 130, seed=seed)),
-    "decoupling": (95, lambda seed: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=seed)),
+    "order-stat": (94, 0, lambda seed: hn.run_order_stat_audit(3, 12, 12, 130, seed=seed)),
+    "decoupling": (95, 0, _decoupling),
+    # the direction v, the last of the p + 1 rows
+    "decoupling-v": (95, -1, _decoupling),
 }
 
 
 @pytest.mark.parametrize("elements", [None, 1500])
 @pytest.mark.parametrize("name", sorted(_ZERO_ROW_CASES))
 def test_a_zero_row_is_drawn_again_as_sample_unit_vectors_does(monkeypatch, name, elements):
-    seed, run = _ZERO_ROW_CASES[name]
+    seed, row, run = _ZERO_ROW_CASES[name]
     if elements is not None:
         monkeypatch.setattr(hn, "_BATCH_ELEMENTS", elements)
     plain = run(seed)
-    monkeypatch.setattr(hn, "TrialStreams", _ZeroingStreams)
+    monkeypatch.setattr(hn, "TrialStreams", functools.partial(_ZeroingStreams, row=row))
     got = run(seed)
 
     def generator(i):
         gen = RngStream(seed, i).generator()
-        return _ZeroFirstRow(gen) if i in _ZEROED else gen
+        return _ZeroRow(gen, row) if i in _ZEROED else gen
 
     monkeypatch.setattr(hn, "_run_trials", functools.partial(trial_records, generator=generator))
     assert table_columns(got.records) == table_columns(run(seed).records)

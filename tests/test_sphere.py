@@ -60,6 +60,15 @@ def test_sample_unit_vector_basics():
         assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_point_is_the_row_of_a_batch_bit_for_bit(n):
+    for seed in range(2000):
+        one = sample_unit_vector(n, RngStream(seed, n))
+        assert np.array_equal(one, sample_unit_vectors(n, 1, RngStream(seed, n))[0]), seed
+        # the first row of a larger batch takes the same normals
+        assert np.array_equal(one, sample_unit_vectors(n, 3, RngStream(seed, n))[0]), seed
+
+
 def test_first_coordinate_uniform_in_three_dimensions():
     # Archimedes: the first coordinate of a uniform point on S^2 is uniform
     # on [-1, 1]
