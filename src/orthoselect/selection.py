@@ -11,12 +11,14 @@ shares: it takes |X^T v| in blocks of directions (`_abs_blocks`), each a
 block to its m smallest values (`_rank_rows`), so memory is bounded by a
 block per thread plus the (count, m) outer sets, never by the full
 (p, count) value matrix.  The blocks are ranked on every CPU the process may
-run on.  A direction is ranked from a float32 copy of its values: a float32
-sort gives its m-th smallest rounded value, the entries at or below that
-value hold its first m, and when exactly m do, a sort of their float64
-values ranks them; a direction with more (a tie in float32 or in float64)
-takes a full stable argsort of its float64 values.  Each round of draws
-reads the outer sets through flat (a, s) indices and holds no (a, m) array.
+run on.  A direction is ranked by sorting keys: each entry's float32 bits,
+read as an unsigned integer, with their low bits replaced by the column
+index, so the first m keys name its first m columns.  A direction whose
+first m + 1 keys tie once the index bits are dropped is ranked again from
+float64 keys, and, if those tie too, by a full stable argsort of its float64
+values.  Directions of more than _FLOAT32_KEY_COLUMNS columns start at
+float64 keys.  Each round of draws reads the outer sets through flat (a, s)
+indices and holds no (a, m) array.
 
 Each round conditions its drawn subsets in `_feasible`: the column pairs'
 Gram entries decide every subset outside a band of half-width 1e-8 around
@@ -72,6 +74,10 @@ _TABLE_SUBSETS = 1 << 23
 # _TILE_ROWS, so a direction's entries do not depend on its block (see
 # `_abs_blocks`).
 _RANK_ELEMENTS = 1 << 16
+# Columns up to which `_rank_rows` starts at float32 keys and sorts them in
+# full; longer rows start at float64 keys and partition them (see
+# `_rank_rows`).
+_FLOAT32_KEY_COLUMNS = 512
 # Direction rows per BLAS tile of the product.
 _TILE_ROWS = 8
 # Product blocks per chunk of the exact oracle's walk, which pays a fixed
@@ -203,45 +209,72 @@ def _rank_rows(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     their values, as (rows, m) arrays.  The columns of `a` are nonnegative
     and finite (|X^T v| entries).
 
-    One transposing cast gives the values as C-order float32 rows, and a
-    float32 sort gives each row's m-th smallest float32 value t.  Rounding
-    to float32 is monotone (x <= y gives f(x) <= f(y)), so t is the rounding
-    of the row's m-th smallest float64 value, and every entry among the
-    row's true first m has f(x) <= t: the entries marked by f(x) <= t always
-    hold them.  A row with exactly m marks holds just its first m, so their
-    float64 values, read from `a` in index order and sorted stably, are its
-    answer.  A row with more marks has distinct float64 values that round to
-    t, or a float64 tie at its m-th value; it is ranked by a full stable
-    argsort of its float64 column.
+    Each row is ranked by keys (`_key_ranks`): an entry's key is its float32
+    or float64 bit pattern, read as a uint32 or uint64, with the low
+    b = (p-1).bit_length() bits replaced by its column index.  The bit
+    pattern of a nonnegative finite float sorts like its value, and both
+    the rounding to float32 and the clearing of low bits are monotone
+    (x <= y gives f(x) <= f(y)), so where two keys' value parts differ they
+    order the entries as their float64 values do.  The keys of a row are
+    distinct and sort by (value part, column), so its first m keys are its
+    answer unless two of its first m + 1 share a value part: a tie at the
+    m-th and (m+1)-th leaves the set undecided, a tie among the first m
+    leaves their order undecided, and the row goes on to the next stage.
 
-    From 8 values per row on, numpy's unstable sort is several times faster
-    than its stable one, and a row of distinct values sorts the same either
-    way, so that sort is used, and a row whose sorted values hold an equal
-    pair takes the full stable argsort too.
+    A row passes through at most three stages, each taking only the rows
+    the one before left undecided: float32 keys, float64 keys, and a full
+    stable argsort of its float64 values.  Rows of at most
+    _FLOAT32_KEY_COLUMNS = 512 columns start at float32 keys, which keep at
+    least 15 of float32's 24 significand bits; longer rows start at float64
+    keys, because float32 keys keep so few value bits there that most rows
+    tie once m is large (61% at p = 1000, m = 200, against 0.4% at m = 15),
+    and float64 keys alone rank them faster.  The stage a call starts at
+    depends on p only.  The values are read from `a` last, the same bits
+    whichever stage ranked a row.
     """
     p, rows = a.shape
-    b32 = a.T.astype(np.float32, order="C")
-    marked = b32 <= np.sort(b32, axis=1)[:, m - 1 : m]
-    tied = np.zeros(rows, dtype=bool)
-    if np.count_nonzero(marked) > rows * m:
-        tied = np.count_nonzero(marked, axis=1) > m
-        # a tied row keeps m placeholder marks, so every row holds exactly m
-        marked[tied] = False
-        marked[tied, :m] = True
-    row = np.arange(rows).repeat(m)
-    col = np.flatnonzero(marked) - row * p  # each row's m columns, in index order
-    vals = a[col, row].reshape(rows, m)
-    order = vals.argsort(axis=1, kind="stable" if m < 8 else None)
-    order += np.arange(0, rows * m, m)[:, None]
-    idx, vals = col.take(order), vals.take(order)
-    # an unstable sort may misorder equal values: such a row is ranked again
-    tied |= (vals[:, 1:] == vals[:, :-1]).any(axis=1)
-    tied = np.flatnonzero(tied)
-    if tied.size:
-        b = a[:, tied].T
-        idx[tied] = b.argsort(axis=1, kind="stable")[:, :m]
-        vals[tied] = np.take_along_axis(b, idx[tied], axis=1)
-    return idx, vals
+    first = np.uint32 if p <= _FLOAT32_KEY_COLUMNS else np.uint64
+    idx, tied = _key_ranks(a, m, first)
+    todo = np.flatnonzero(tied)
+    if todo.size and first is np.uint32:
+        idx[todo], tied = _key_ranks(a[:, todo], m, np.uint64)
+        todo = todo[tied]
+    if todo.size:
+        idx[todo] = np.argsort(a[:, todo].T, axis=1, kind="stable")[:, :m]
+    return idx, a[idx, np.arange(rows)[:, None]]
+
+
+def _key_ranks(b: np.ndarray, m: int, key: type) -> tuple[np.ndarray, np.ndarray]:
+    """The first m columns of each direction in `b` (p, rows, one column
+    per direction) by its keys of type `key` (uint32 keys from float32
+    values, uint64 from float64; see `_rank_rows`), as (rows, m) indices,
+    and whether each direction's ranking is undecided.
+
+    The values are cast into the (rows, p) keys in slabs of about
+    _RANK_ELEMENTS values, so each slab's transposing reads stay in cache.
+    Rows of at most _FLOAT32_KEY_COLUMNS columns sort their keys in full;
+    longer rows partition them at m and sort only the first m, which is
+    several times faster there.
+    """
+    p, rows = b.shape
+    bits = (p - 1).bit_length()
+    k = np.empty((rows, p), dtype=np.float32 if key is np.uint32 else np.float64)
+    step = max(1, _RANK_ELEMENTS // max(rows, 1))
+    for lo in range(0, p, step):
+        k[:, lo : lo + step] = b[lo : lo + step].T
+    k = k.view(key)
+    k &= ~key((1 << bits) - 1)
+    k |= np.arange(p, dtype=key)
+    if p > _FLOAT32_KEY_COLUMNS and m < p:
+        k.partition(m, axis=1)
+        k[:, :m].sort(axis=1)
+    else:
+        k.sort(axis=1)
+    idx = k[:, :m].astype(np.intp)
+    idx &= (1 << bits) - 1
+    head = k[:, : m + 1]
+    head >>= key(bits)  # the value parts
+    return idx, (head[:, 1:] == head[:, :-1]).any(axis=1)
 
 
 def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
@@ -303,14 +336,14 @@ def _feasible(vecs: np.ndarray, rho_minus: float) -> np.ndarray:
     """
     a, s, _ = vecs.shape
     bound = 1.0 - rho_minus * rho_minus
-    radius = np.zeros((a, s))
+    radius = np.zeros((s, a))
     widest = np.zeros(a)
     for i, j in combinations(range(s), 2):
         g = np.abs(np.einsum("kn,kn->k", vecs[:, i], vecs[:, j]))
-        radius[:, i] += g
-        radius[:, j] += g
+        radius[i] += g
+        radius[j] += g
         np.maximum(widest, g, out=widest)
-    ok = radius.max(axis=1) <= bound - _PAIR_BAND
+    ok = radius.max(axis=0) <= bound - _PAIR_BAND
     undecided = np.flatnonzero(~ok & (widest < bound + _PAIR_BAND))
     if undecided.size:
         ok[undecided] = _sigma_min(vecs[undecided]) >= rho_minus
@@ -378,7 +411,7 @@ def _pipeline(
             hit = active[ok]
             inner[hit] = chosen[ok]
             attempts[hit] = attempt
-            attained[hit] = b_outer.take(pos[ok]).max(axis=1)
+            attained[hit] = b_outer.take(pos[ok].T).max(axis=0)
             active = active[~ok]
     return outer, inner, attempts, attained
 

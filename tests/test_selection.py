@@ -173,44 +173,90 @@ def test_outer_ranked_matches_stable_argsort_across_blocks_and_ties():
     assert np.all(boundary_tied(eye, dirs, 2))
 
 
+def first_key(p):
+    """The unsigned type of the keys `selection._rank_rows` ranks p columns
+    by first, and the low bits a key's column index takes."""
+    return np.uint32 if p <= selection._FLOAT32_KEY_COLUMNS else np.uint64, (p - 1).bit_length()
+
+
 def collided(p, rows, seed):
-    """A (p, rows) block, half of whose entries sit on seven float32 values
-    k/16, each moved by -2..2 float64 steps of 2^-40 or not at all: distinct
+    """A (p, rows) block whose entries mostly sit near seven values k/16 (a
+    fraction min(1/3, 50/p) are uniform on [0, 1)).  Half of the rest are
+    moved by -w..w float64 steps of 2^-40 or not at all, w = max(2, p // 50)
+    so that the m smallest still hold several steps at large p: distinct
     float64 values that round to one float32 value, and exact ties.  The
-    other half are uniform on [0, 1)."""
+    other half take one of those values, or its float32 rounding, and add a
+    random number below 2^bits to its low bits, bits as `first_key` gives:
+    distinct values whose keys of that width keep the same value part."""
     rng = np.random.default_rng(seed)
     base = rng.integers(1, 8, size=(p, rows)) / 16
-    grid = base + rng.integers(-2, 3, size=(p, rows)) * 2.0**-40
+    w = max(2, min(1000, p // 5))
+    grid = base + rng.integers(-w, w + 1, size=(p, rows)) * 2.0**-40
     assert np.array_equal(grid.astype(np.float32), base)  # each rounds to its k/16
-    return np.where(rng.random((p, rows)) < 0.5, grid, rng.random((p, rows)))
+    low = rng.integers(0, 1 << first_key(p)[1], size=(p, rows))
+    keyed = np.where(rng.random((p, rows)) < 0.5,
+                     (base.astype(np.float32).view(np.uint32) + low.astype(np.uint32)).view(np.float32),
+                     (grid.view(np.uint64) + low.astype(np.uint64)).view(np.float64))
+    pick = rng.random((p, rows))
+    uniform = min(1 / 3, 50 / p)
+    return np.where(pick < uniform, rng.random((p, rows)),
+                    np.where(pick < (1 + uniform) / 2, grid, keyed))
 
 
 def collision_kinds(b, m):
-    """How many rows of `b` (rows, p) have distinct float64 values that round
-    to one float32 value across, at or below their m-th smallest, and how
-    many have an exact tie among their first m + 1."""
+    """How many rows of `b` (rows, p) have distinct values of the first
+    key's float type whose keys keep the same value part across and below
+    their m-th smallest, and how many have an exact tie among their first
+    m + 1.  Where the first keys are float32 ones, also how many have
+    distinct float64 values that round to one float32 value across, at or
+    below their m-th smallest."""
+    key, bits = first_key(b.shape[1])
     s64 = np.sort(b, axis=1)[:, : m + 1]
     s32 = s64.astype(np.float32)
-    merged = (s32[:, 1:] == s32[:, :-1]) & (s64[:, 1:] != s64[:, :-1])  # (rows, m)
-    split = s32[:, m - 1] < s32[:, m]
-    return {
-        "across": np.count_nonzero(merged[:, m - 1]),
-        "at": np.count_nonzero(merged[:, m - 2] & split),
-        "below": np.count_nonzero(merged[:, : m - 2].any(axis=1) & split),
+    first = s32 if key is np.uint32 else s64
+    part = first.view(key) >> key(bits)
+    shared = (part[:, 1:] == part[:, :-1]) & (first[:, 1:] != first[:, :-1])  # (rows, m)
+    kinds = {
+        "key across": np.count_nonzero(shared[:, m - 1]),
+        "key below": np.count_nonzero(shared[:, : m - 1].any(axis=1)),
         "exact": np.count_nonzero((s64[:, 1:] == s64[:, :-1]).any(axis=1)),
     }
+    if key is np.uint32:
+        merged = (s32[:, 1:] == s32[:, :-1]) & (s64[:, 1:] != s64[:, :-1])
+        split = s32[:, m - 1] < s32[:, m]
+        kinds.update(across=np.count_nonzero(merged[:, m - 1]),
+                     at=np.count_nonzero(merged[:, m - 2] & split),
+                     below=np.count_nonzero(merged[:, : m - 2].any(axis=1) & split))
+    return kinds
 
 
 @pytest.mark.parametrize("p, m", [(12, 1), (12, 3), (12, 6), (12, 11), (12, 12), (200, 15),
-                                  (200, 100)])
-def test_rank_rows_sees_through_float32_rounding_and_ties(p, m):
-    rows = 4_000
+                                  (200, 100), (200, 200), (5000, 15), (5000, 200), (5000, 5000)])
+def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
+    rows = min(4_000, 2_000_000 // p)
     wide = np.zeros((p, rows + 5))
     wide[:, :rows] = collided(p, rows, p * 1000 + m)
     a = wide[:, :rows]  # a view of a wider product, as `_abs_blocks` yields
     expected = stable_first(a.T, m)
+    # each stage's input block and the rows it leaves undecided (None for
+    # the final stable argsort, whose input is (rows, p))
+    stages = []
+    key_ranks, argsort = selection._key_ranks, np.argsort
+    monkeypatch.setattr(selection, "_key_ranks", lambda b, m, key: stages.append(
+        (key, b, key_ranks(b, m, key))) or stages[-1][2])
+    monkeypatch.setattr(np, "argsort", lambda b, *args, **kw: stages.append(
+        (None, b.T, None)) or argsort(b, *args, **kw))
     idx, vals = selection._rank_rows(a, m)
+    monkeypatch.undo()
     assert np.array_equal(idx, expected[0]) and np.array_equal(vals, expected[1])
+    # every stage takes exactly the rows the one before left undecided
+    left = np.arange(rows)
+    for key, b, ranked in stages:
+        assert np.array_equal(b, a[:, left])
+        if ranked is not None:
+            left = left[ranked[1]]
+    assert [key for key, _, _ in stages] == [np.uint32, np.uint64, None][-len(stages):]
+    assert stages[0][0] is first_key(p)[0] and stages[-1][0] is None or not left.size
     # one row at a time
     for k in range(0, rows, 101):
         idx, vals = selection._rank_rows(a[:, k : k + 1], m)
@@ -218,6 +264,7 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m):
     if 3 <= m < p:
         kinds = collision_kinds(a.T, m)
         assert all(kinds.values()), kinds
+        assert len(stages) == (3 if first_key(p)[0] is np.uint32 else 2)  # every stage has rows
 
 
 def test_subset_positions_match_a_full_fisher_yates_shuffle():
