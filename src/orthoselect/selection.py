@@ -259,7 +259,7 @@ def _key_ranks(b: np.ndarray, m: int, key: type) -> tuple[np.ndarray, np.ndarray
     p, rows = b.shape
     bits = (p - 1).bit_length()
     k = np.empty((rows, p), dtype=np.float32 if key is np.uint32 else np.float64)
-    step = max(1, _RANK_ELEMENTS // max(rows, 1))
+    step = max(1, _RANK_ELEMENTS // rows)
     for lo in range(0, p, step):
         k[:, lo : lo + step] = b[lo : lo + step].T
     k = k.view(key)

@@ -238,25 +238,34 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
     wide[:, :rows] = collided(p, rows, p * 1000 + m)
     a = wide[:, :rows]  # a view of a wider product, as `_abs_blocks` yields
     expected = stable_first(a.T, m)
-    # each stage's input block and the rows it leaves undecided (None for
-    # the final stable argsort, whose input is (rows, p))
+    # each stage's key type (None for the final stable argsort), input block
+    # and the rows it leaves undecided
     stages = []
-    key_ranks, argsort = selection._key_ranks, np.argsort
-    monkeypatch.setattr(selection, "_key_ranks", lambda b, m, key: stages.append(
-        (key, b, key_ranks(b, m, key))) or stages[-1][2])
-    monkeypatch.setattr(np, "argsort", lambda b, *args, **kw: stages.append(
-        (None, b.T, None)) or argsort(b, *args, **kw))
+    real_key_ranks, real_argsort = selection._key_ranks, np.argsort
+
+    def key_ranks(b, m, key):
+        ranked = real_key_ranks(b, m, key)
+        stages.append((key, b, ranked[1]))
+        return ranked
+
+    def argsort(b, *args, **kwargs):
+        stages.append((None, b.T, np.zeros(b.shape[0], dtype=bool)))
+        return real_argsort(b, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "_key_ranks", key_ranks)
+    monkeypatch.setattr(np, "argsort", argsort)
     idx, vals = selection._rank_rows(a, m)
     monkeypatch.undo()
     assert np.array_equal(idx, expected[0]) and np.array_equal(vals, expected[1])
     # every stage takes exactly the rows the one before left undecided
     left = np.arange(rows)
-    for key, b, ranked in stages:
+    for _, b, tied in stages:
         assert np.array_equal(b, a[:, left])
-        if ranked is not None:
-            left = left[ranked[1]]
-    assert [key for key, _, _ in stages] == [np.uint32, np.uint64, None][-len(stages):]
-    assert stages[0][0] is first_key(p)[0] and stages[-1][0] is None or not left.size
+        left = left[tied]
+    assert not left.size
+    order = [np.uint32, np.uint64, None]
+    order = order[order.index(first_key(p)[0]) :]
+    assert [key for key, _, _ in stages] == order[: len(stages)]
     # one row at a time
     for k in range(0, rows, 101):
         idx, vals = selection._rank_rows(a[:, k : k + 1], m)
@@ -264,7 +273,7 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
     if 3 <= m < p:
         kinds = collision_kinds(a.T, m)
         assert all(kinds.values()), kinds
-        assert len(stages) == (3 if first_key(p)[0] is np.uint32 else 2)  # every stage has rows
+        assert len(stages) == len(order)  # every stage took rows
 
 
 def test_subset_positions_match_a_full_fisher_yates_shuffle():
