@@ -19,11 +19,14 @@ proven in closed form, and it takes no random numbers.
 
 `build_eps_net` judges uniform candidates in chunks: one product per chunk
 finds the few candidates far from every earlier point, and only those are
-visited one at a time.  Every chunk's product is written into one reused
-workspace, which grows only when the point buffer does, so a build maps new
-memory a handful of times rather than once per chunk.  The net stops growing
-after a run of rejections, so it is not proven to cover the sphere to
-radius eps.
+visited one at a time.  That product is a float32 screen, taken in
+cache-sized blocks, with a proven margin around the acceptance cut; a chunk
+with any candidate inside the margin takes the exact float64 product
+instead, so the net is bit for bit the one the float64 product builds.  The
+buffers are reused and grow only when the point buffer does, so a build
+maps new memory a handful of times rather than once per chunk.  The net
+stops growing after a run of rejections, so it is not proven to cover the
+sphere to radius eps.
 """
 from __future__ import annotations
 
@@ -37,6 +40,10 @@ from .linalg import ColumnMatrix
 
 NET_DIMENSION_CAP = 8
 _CANDIDATE_CHUNK = 512
+#: Product values per block of the float32 screen (256 KiB).
+_SCREEN_ELEMENTS = 1 << 16
+#: Half-width of the band around 1 - eps^2/2 where the screen decides nothing.
+_SCREEN_MARGIN = 2e-6
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
 #: Most points `cube_grid` builds: 64 MiB of float64 at d = 8.
 _GRID_POINT_LIMIT = 1 << 20
@@ -221,6 +228,23 @@ def cube_grid(d: int, eps: float) -> EpsNet:
     return EpsNet(d, math.sqrt(d - 1) / k, points.reshape(-1, d), mode="proven", k=k)
 
 
+def _screen_max(points32: np.ndarray, chunk32: np.ndarray, screen: np.ndarray) -> np.ndarray:
+    """Each candidate's largest float32 dot with the points.
+
+    `points32` is (size, d) and `chunk32` the (d, chunk) transpose of the
+    candidates, both float32 and C-contiguous.  The products are taken in
+    blocks of `screen.shape[0]` points, so each block stays in cache; any
+    blocking gives values within the margin `build_eps_net` proves.
+    """
+    best = np.full(chunk32.shape[1], -np.inf, dtype=np.float32)
+    rows = screen.shape[0]
+    for lo in range(0, len(points32), rows):
+        part = points32[lo : lo + rows]
+        dots = np.matmul(part, chunk32, out=screen[: len(part)])
+        np.maximum(best, dots.max(axis=0), out=best)
+    return best
+
+
 def build_eps_net(
     d: int, eps: float, rng: RngStream | np.random.Generator, stall_budget: int = 1000
 ) -> EpsNet:
@@ -233,13 +257,39 @@ def build_eps_net(
     Cardinality explodes with d, so dimensions above NET_DIMENSION_CAP are
     refused.
 
-    Candidates come in chunks of _CANDIDATE_CHUNK.  One product per chunk
-    against the points accepted before it marks the candidates far from all
-    of them; the others are rejections, counted by position, and each far
-    one is then checked against the points accepted earlier in its chunk.
-    The product goes into a C-contiguous view of one workspace sized for the
-    whole point buffer, so it is the same gemm on the same operands as a
-    fresh `chunk @ points.T`, without a new mapping per chunk.
+    Candidates come in chunks of _CANDIDATE_CHUNK.  A candidate c is far
+    from the points accepted before its chunk iff 2 - 2 * max(dots) > eps^2
+    on the float64 gemm `chunk @ points.T`; the others are rejections,
+    counted by position, and each far one is then checked against the
+    points accepted earlier in its chunk.
+
+    The float32 screen.  `_screen_max` takes each candidate's largest dot S
+    from a float32 mirror of the points, in cache-sized blocks.  With
+    t = 1 - eps^2/2 and the margin delta = _SCREEN_MARGIN, S < t - delta
+    marks c far and S > t + delta marks it near.  If any candidate of a
+    chunk has S within delta of t, the whole chunk takes the exact path:
+    the float64 gemm above, written into a C-contiguous view of one
+    workspace sized for the point buffer (allocated on first need), so it
+    is the same gemm on the same operands as a fresh `chunk @ points.T`.
+
+    Why a screened decision equals the exact one, whatever the BLAS kernel
+    or blocking.  Let u = 2^-24 and c, x be unit float64 vectors (norms
+    within a few ulps of 1).  Rounding a coordinate to float32 moves it by
+    a relative u at most, so the float32 operands' exact dot is within
+    (2u + u^2) sum|c_i x_i| of c.x; a float32 sum of the d products, in any
+    order, with or without fused multiply-adds, adds at most
+    d u / (1 - d u) times (1 + u)^2 sum|c_i x_i|, and sum|c_i x_i| <= |c||x|.
+    (A subnormal coordinate or product, or one flushed to zero, errs by
+    under 2^-126, far below what follows.)  So each float32 dot is within
+    (d+2) u (1 + 1e-6) < 6e-7 of c.x for d <= 8, the float64 gemm's dot is
+    within 8 * 2^-53 < 1e-15 of it, and, as a maximum moves no more than its
+    entries, S and the gemm's max G differ by under 6e-7 < delta/2 = 1e-6.
+    The bounds t - delta and t + delta are computed within 2^-51.  So
+    S < t - delta gives G < t - delta/2 and 2 - 2G > eps^2 + delta, and
+    S > t + delta gives 2 - 2G < eps^2 - delta.  Doubling is exact and
+    2 - 2G rounds by at most 2^-52, so the float test 2 - 2G > eps^2 decides
+    the same way, and the net is the one the float64 product alone builds,
+    bit for bit.
     """
     _check_net_args(d, eps)
     if stall_budget < 1:
@@ -248,21 +298,34 @@ def build_eps_net(
         return EpsNet(1, eps, np.array([[-1.0], [1.0]]), mode="exact")
 
     gen = _as_generator(rng)
-    # The accepted points are the first `top` rows of a C-contiguous buffer;
-    # the first `size` of them were accepted before the current chunk.
+    # The accepted points are the first `top` rows of a C-contiguous buffer
+    # and of its float32 mirror; the first `size` of them were accepted
+    # before the current chunk.
     buf = np.empty((_CANDIDATE_CHUNK, d))
-    work = np.empty(_CANDIDATE_CHUNK * buf.shape[0])
+    buf32 = np.empty((_CANDIDATE_CHUNK, d), dtype=np.float32)
+    screen = np.empty((_SCREEN_ELEMENTS // _CANDIDATE_CHUNK, _CANDIDATE_CHUNK), dtype=np.float32)
+    work = None
     size = top = 0
     rejections = 0
     threshold = eps * eps
+    # float64 bounds, so the float32 maxima are compared in float64
+    below = np.float64(1.0 - threshold / 2.0 - _SCREEN_MARGIN)
+    above = np.float64(1.0 - threshold / 2.0 + _SCREEN_MARGIN)
     while rejections < stall_budget:
         chunk = sample_unit_vectors(d, _CANDIDATE_CHUNK, gen)
         if size:
-            # 2x is exact and 2 - y rounds monotonically, so this is
-            # min(2 - 2 * dots) > threshold, bit for bit
-            dots = np.matmul(chunk, buf[:size].T,
-                             out=work[: _CANDIDATE_CHUNK * size].reshape(_CANDIDATE_CHUNK, size))
-            far = np.flatnonzero(2.0 - 2.0 * np.max(dots, axis=1) > threshold)
+            chunk32 = np.ascontiguousarray(chunk.T, dtype=np.float32)
+            screened = _screen_max(buf32[:size], chunk32, screen)
+            if np.all((screened < below) | (screened > above)):
+                far = np.flatnonzero(screened < below)
+            else:
+                if work is None:
+                    work = np.empty(_CANDIDATE_CHUNK * buf.shape[0])
+                # 2x is exact and 2 - y rounds monotonically, so this is
+                # min(2 - 2 * dots) > threshold, bit for bit
+                dots = np.matmul(chunk, buf[:size].T,
+                                 out=work[: _CANDIDATE_CHUNK * size].reshape(_CANDIDATE_CHUNK, size))
+                far = np.flatnonzero(2.0 - 2.0 * np.max(dots, axis=1) > threshold)
         else:
             far = np.arange(_CANDIDATE_CHUNK)
         # Candidates near the old points are rejections, so only the far
@@ -279,8 +342,10 @@ def build_eps_net(
                 continue
             if top == buf.shape[0]:
                 buf = np.concatenate([buf, np.empty_like(buf)])
-                work = np.empty(_CANDIDATE_CHUNK * buf.shape[0])
+                buf32 = np.concatenate([buf32, np.empty_like(buf32)])
+                work = None
             buf[top] = cand
+            buf32[top] = cand
             top += 1
             rejections = 0
         else:

@@ -44,7 +44,13 @@ def test_betainc_arrays_equal_the_scalar_reference_bit_for_bit():
                              gen.uniform(0.0, 1.0, 200)])
         want = [betainc_scalar(a, b, float(x)) for x in xs]
         assert an.betainc_reg(a, b, xs).tobytes() == np.array(want).tobytes()
-        assert [an.betainc_reg(a, b, float(x)) for x in xs] == want
+        # a Python float, a numpy scalar and a one-entry array, bit for bit
+        floats = [an.betainc_reg(a, b, float(x)) for x in xs]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == np.array(want).tobytes()
+        assert np.array([an.betainc_reg(a, b, x) for x in xs]).tobytes() == np.array(want).tobytes()
+        assert np.concatenate([an.betainc_reg(a, b, xs[i : i + 1]) for i in range(len(xs))]).tobytes() \
+            == np.array(want).tobytes()
 
 
 def test_order_stat_cdf_and_ks_distance_equal_the_scalar_reference():

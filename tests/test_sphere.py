@@ -16,7 +16,9 @@ from orthoselect import (
     sample_unit_vectors,
 )
 
-from orthoselect.sphere import _GRID_POINT_LIMIT, TrialStreams, grid_cells
+from orthoselect import sphere
+from orthoselect.sphere import (_CANDIDATE_CHUNK, _GRID_POINT_LIMIT, _SCREEN_ELEMENTS,
+                                _SCREEN_MARGIN, TrialStreams, _screen_max, grid_cells)
 
 from oracles import covering_radius_of, eps_net_points, separation_ok, sorted_ks
 
@@ -126,10 +128,13 @@ def test_net_separation_and_coverage_probe():
         assert covering_radius_of(net.points, probes) <= eps
 
 
-@pytest.mark.parametrize("d, eps_grid", [
+NET_CASES = [
     (2, (0.1, 0.5, 1.2)), (3, (0.3, 0.8)), (4, (0.5, 1.0)), (5, (0.8, 1.3)), (6, (1.0, 1.5)),
-])
-def test_net_points_match_the_per_candidate_reference(d, eps_grid):
+    (7, (0.9, 1.3)), (8, (1.0, 1.4)),
+]
+
+
+def assert_nets_match_the_reference(d, eps_grid):
     # stall budgets below, at and above the 512-candidate chunk, so runs
     # stop at the start, in the middle and at the end of a chunk
     for eps in eps_grid:
@@ -141,11 +146,55 @@ def test_net_points_match_the_per_candidate_reference(d, eps_grid):
             assert np.array_equal(net.points, expected)
 
 
+@pytest.mark.parametrize("d, eps_grid", NET_CASES)
+def test_net_points_match_the_per_candidate_reference(d, eps_grid):
+    assert_nets_match_the_reference(d, eps_grid)
+
+
+@pytest.mark.parametrize("d, eps_grid", NET_CASES)
+def test_exact_path_net_points_match_the_per_candidate_reference(d, eps_grid, monkeypatch):
+    # every largest dot lies in [-1, 1], inside this band around any cut,
+    # so every chunk after the first takes the float64 product
+    monkeypatch.setattr(sphere, "_SCREEN_MARGIN", 4.0)
+    assert_nets_match_the_reference(d, eps_grid)
+
+
 def test_acceptance_net_matches_the_per_candidate_reference():
     net = build_eps_net(4, 0.25, RngStream(1000, 0), stall_budget=10_000)
     expected = eps_net_points(4, 0.25, RngStream(1000, 0).generator(), 10_000)
     assert len(net) == 798
     assert np.array_equal(net.points, expected)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_float32_screen_max_is_within_half_the_margin(d):
+    # the premise of the screen's proof, on random points and on candidates
+    # placed next to them, where the largest dots come close to 1
+    gen = RngStream(77, d).generator()
+    screen = np.empty((_SCREEN_ELEMENTS // _CANDIDATE_CHUNK, _CANDIDATE_CHUNK), dtype=np.float32)
+    for size in (1, 127, 128, 129, 1000):
+        points = sample_unit_vectors(d, size, gen)
+        chunk = sample_unit_vectors(d, _CANDIDATE_CHUNK, gen)
+        near = points[gen.integers(0, size, _CANDIDATE_CHUNK // 2)]
+        near = near + 1e-3 * gen.standard_normal(near.shape)
+        chunk[::2] = near / np.linalg.norm(near, axis=1)[:, None]
+        top32 = _screen_max(points.astype(np.float32), np.ascontiguousarray(chunk.T, dtype=np.float32),
+                            screen)
+        top64 = np.max(chunk @ points.T, axis=1)
+        assert np.max(np.abs(top32 - top64)) < _SCREEN_MARGIN / 2
+
+
+def test_net_draws_exactly_the_reference_numbers():
+    def state(gen):
+        s = gen.bit_generator.state
+        return {**s, "buffer": s["buffer"].tolist(),
+                "state": {k: v.tolist() for k, v in s["state"].items()}}
+
+    for d, eps, stall in ((3, 0.5, 513), (4, 0.5, 1000), (8, 1.0, 2000)):
+        gen, ref = RngStream(79, d).generator(), RngStream(79, d).generator()
+        build_eps_net(d, eps, gen, stall_budget=stall)
+        eps_net_points(d, eps, ref, stall)
+        assert state(gen) == state(ref)
 
 
 def test_net_rejects_large_dimension():
