@@ -81,8 +81,8 @@ def _betacf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _betacf_float(a: float, b: float, x: float) -> float:
-    """The continued fraction of `_betacf` at floats a, b and x, with each
-    flooring written out, which takes half the time of array-style calls."""
+    """The continued fraction of `_betacf` at floats a, b and x.  The
+    floorings are written out: a call per flooring doubles the time."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0

@@ -40,8 +40,9 @@ from .linalg import ColumnMatrix
 
 NET_DIMENSION_CAP = 8
 _CANDIDATE_CHUNK = 512
-#: Product values per block of the float32 screen (256 KiB).
-_SCREEN_ELEMENTS = 1 << 16
+#: Points per block of the float32 screen: 128 x 512 products, 256 KiB,
+#: which stay in cache.
+_SCREEN_ROWS = 128
 #: Half-width of the band around 1 - eps^2/2 where the screen decides nothing.
 _SCREEN_MARGIN = 2e-6
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
@@ -303,7 +304,7 @@ def build_eps_net(
     # before the current chunk.
     buf = np.empty((_CANDIDATE_CHUNK, d))
     buf32 = np.empty((_CANDIDATE_CHUNK, d), dtype=np.float32)
-    screen = np.empty((_SCREEN_ELEMENTS // _CANDIDATE_CHUNK, _CANDIDATE_CHUNK), dtype=np.float32)
+    screen = np.empty((_SCREEN_ROWS, _CANDIDATE_CHUNK), dtype=np.float32)
     work = None
     size = top = 0
     rejections = 0

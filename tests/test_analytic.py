@@ -49,8 +49,8 @@ def test_betainc_arrays_equal_the_scalar_reference_bit_for_bit():
         assert all(type(v) is float for v in floats)
         assert np.array(floats).tobytes() == np.array(want).tobytes()
         assert np.array([an.betainc_reg(a, b, x) for x in xs]).tobytes() == np.array(want).tobytes()
-        assert np.concatenate([an.betainc_reg(a, b, xs[i : i + 1]) for i in range(len(xs))]).tobytes() \
-            == np.array(want).tobytes()
+        singles = np.concatenate([an.betainc_reg(a, b, xs[i : i + 1]) for i in range(len(xs))])
+        assert singles.tobytes() == np.array(want).tobytes()
 
 
 def test_order_stat_cdf_and_ks_distance_equal_the_scalar_reference():

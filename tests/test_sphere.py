@@ -17,8 +17,8 @@ from orthoselect import (
 )
 
 from orthoselect import sphere
-from orthoselect.sphere import (_CANDIDATE_CHUNK, _GRID_POINT_LIMIT, _SCREEN_ELEMENTS,
-                                _SCREEN_MARGIN, TrialStreams, _screen_max, grid_cells)
+from orthoselect.sphere import (_CANDIDATE_CHUNK, _GRID_POINT_LIMIT, _SCREEN_MARGIN, _SCREEN_ROWS,
+                                TrialStreams, _screen_max, grid_cells)
 
 from oracles import covering_radius_of, eps_net_points, separation_ok, sorted_ks
 
@@ -171,7 +171,7 @@ def test_float32_screen_max_is_within_half_the_margin(d):
     # the premise of the screen's proof, on random points and on candidates
     # placed next to them, where the largest dots come close to 1
     gen = RngStream(77, d).generator()
-    screen = np.empty((_SCREEN_ELEMENTS // _CANDIDATE_CHUNK, _CANDIDATE_CHUNK), dtype=np.float32)
+    screen = np.empty((_SCREEN_ROWS, _CANDIDATE_CHUNK), dtype=np.float32)
     for size in (1, 127, 128, 129, 1000):
         points = sample_unit_vectors(d, size, gen)
         chunk = sample_unit_vectors(d, _CANDIDATE_CHUNK, gen)
