@@ -160,7 +160,8 @@ def unit_rows(directions: np.ndarray, n: int) -> np.ndarray:
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != n:
         raise InvalidInput(f"directions must be a (count, {n}) array, got shape {dirs.shape}")
-    if not np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= UNIT_NORM_TOL):
+    norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
+    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
         raise InvalidInput(f"directions must be finite with unit norm within {UNIT_NORM_TOL}")
     return dirs
 

@@ -6,19 +6,22 @@ the outer set until one is well conditioned (smallest singular value at least
 rho_minus).  One batched kernel, `_pipeline`, runs this for many directions at
 once; `attained_values` and `constrained_select` (its count=1 view) read its
 results.  The outer sets come from `_outer_ranked`, which `greedy_outer`
-shares: it takes |X^T v| in blocks of directions (`_abs_blocks`), each a
-(p, rows) block as the product leaves it, and ranks every direction of a
-block to its m smallest values (`_rank_rows`), so memory is bounded by a
-block per thread plus the (count, m) outer sets, never by the full
+shares: it takes X^T v in blocks of directions (`_product_blocks`), each a
+padded (p, width) block as the product leaves it, and ranks every direction
+of a block to its m smallest |<X_j, v>| (`_rank_rows`), writing them
+straight into the block's rows of the (count, m) outputs.  So memory is
+bounded by a block per thread plus the outputs, never by the full
 (p, count) value matrix.  The blocks are ranked on every CPU the process may
 run on.  A direction is ranked by sorting keys: each entry's float32 bits,
-read as an unsigned integer, with their low bits replaced by the column
-index, so the first m keys name its first m columns.  A direction whose
-first m + 1 keys tie once the index bits are dropped is ranked again from
-float64 keys, and, if those tie too, by a full stable argsort of its float64
-values.  Directions of more than _FLOAT32_KEY_COLUMNS columns start at
-float64 keys.  Each round of draws reads the outer sets through flat (a, s)
-indices and holds no (a, m) array.
+read as an unsigned integer, with the sign bit cleared and the low bits
+replaced by the column index, so the first m keys name its first m columns.
+A direction whose first m + 1 keys tie once the index bits are dropped is
+ranked again from float64 keys, and, if those tie too, by a full stable
+argsort of its |float64| values.  Directions of more than
+_FLOAT32_KEY_COLUMNS columns start at float64 keys.  The values are read
+last, by one flat take on the block, and only then made absolute.  Each
+round of draws reads the outer sets through flat (a, s) indices and holds
+no (a, m) array.
 
 Each round conditions its drawn subsets in `_feasible`: the column pairs'
 Gram entries decide every subset outside a band of half-width 1e-8 around
@@ -69,10 +72,10 @@ _PREFIX_COLUMNS = 4
 # Subsets the exact oracle's table of decided answers holds at most (8 MiB
 # of int8); past it, the oracle keeps no table.
 _TABLE_SUBSETS = 1 << 23
-# Values per product block of |X^T v| (0.5 MiB of float64): a multiple of 64
+# Values per product block of X^T v (0.5 MiB of float64): a multiple of 64
 # direction rows, whose product takes them zero-padded to a multiple of
 # _TILE_ROWS, so a direction's entries do not depend on its block (see
-# `_abs_blocks`).
+# `_product_blocks`).
 _RANK_ELEMENTS = 1 << 16
 # Columns up to which `_rank_rows` starts at float32 keys and sorts them in
 # full; longer rows start at float64 keys and partition them (see
@@ -138,25 +141,26 @@ def _row_blocks(count: int, p: int, scale: int = 1) -> list[slice]:
     return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
-def _abs_blocks(matrix: ColumnMatrix, dirs: np.ndarray, blocks):
-    """Yields each row slice of `blocks` and its (p, rows) |<X_j, v>|, one
-    column per direction, as the product leaves it (no copy), so no
-    (p, count) array is held if the caller drops each block in turn.
+def _product_blocks(matrix: ColumnMatrix, dirs: np.ndarray, blocks):
+    """Yields each row slice of `blocks` and the C-contiguous (p, width)
+    <X_j, v> of its directions, as the product leaves it (no copy, no
+    absolute value: `_rank_rows` takes magnitudes): its first len(slice)
+    columns hold one direction each, and the rest are padding.  No (p, count)
+    array is held if the caller drops each block in turn.
 
     The padding contract: a block's direction rows are copied into a zeroed
-    buffer of a multiple of _TILE_ROWS rows, X^T D^T is taken of that
-    buffer, and the padded columns are dropped.  Every direction then sits
-    in a full BLAS tile, so its entries are the same bits whatever the
-    call's direction count, the block, or its place in it (checked in the
-    tests): a one-direction call reads exactly its column of a batch.
-    `blocks` may be an iterator that other threads draw from too.
+    buffer of a multiple of _TILE_ROWS rows, and X^T D^T is taken of that
+    buffer.  Every direction then sits in a full BLAS tile, so its entries
+    are the same bits whatever the call's direction count, the block, or its
+    place in it (checked in the tests): a one-direction call reads exactly
+    its column of a batch.  `blocks` may be an iterator that other threads
+    draw from too.
     """
     for rows in blocks:
         d = dirs[rows]
         padded = np.zeros((-(-len(d) // _TILE_ROWS) * _TILE_ROWS, matrix.n))
         padded[: len(d)] = d
-        a = matrix.data.T @ padded.T
-        yield rows, np.abs(a, out=a)[:, : len(d)]
+        yield rows, matrix.data.T @ padded.T
 
 
 def _cpu_count() -> int:
@@ -172,10 +176,10 @@ def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.nd
     |<X_j, v>|, in value order with ties to the smaller column index (the
     first m of a stable argsort), as (count, m) indices and their values.
 
-    Each block of `_abs_blocks` is ranked by `_rank_rows` into its own rows
-    of the outputs.  One shared iterator hands the blocks to a thread per
-    CPU (`_cpu_count`), the caller among them; numpy releases the GIL in a
-    block's product, cast and sorts.  A block's ranking does not depend on
+    Each block of `_product_blocks` is ranked by `_rank_rows` into its own
+    rows of the outputs.  One shared iterator hands the blocks to a thread
+    per CPU (`_cpu_count`), the caller among them; numpy releases the GIL in
+    a block's product, cast and sorts.  A block's ranking does not depend on
     the thread that makes it, so neither do the outputs.  A single block
     starts no thread, and an exception in any thread is raised here once
     every thread has stopped.
@@ -188,8 +192,8 @@ def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.nd
 
     def rank() -> None:
         try:
-            for rows, b in _abs_blocks(matrix, dirs, shared):
-                outer[rows], values[rows] = _rank_rows(b, m)
+            for rows, a in _product_blocks(matrix, dirs, shared):
+                _rank_rows(a, outer[rows], values[rows])
         except BaseException as exc:  # raised by the caller, after the join
             errors.append(exc)
 
@@ -204,13 +208,17 @@ def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.nd
     return outer, values
 
 
-def _rank_rows(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first m of a stable argsort of each column of `a` (p, rows), and
-    their values, as (rows, m) arrays.  The columns of `a` are nonnegative
-    and finite (|X^T v| entries).
+def _rank_rows(a: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """Writes into `idx` and `values` (rows, m) the first m of a stable
+    argsort of the magnitudes in each of the first `rows` columns of `a`
+    (p, width), and those magnitudes.  Those columns of `a` are finite
+    (X^T v entries); any further ones are padding, which is not read.  `idx`
+    and `values` may be row slices of larger outputs: no other row is
+    written.
 
     Each row is ranked by keys (`_key_ranks`): an entry's key is its float32
-    or float64 bit pattern, read as a uint32 or uint64, with the low
+    or float64 bit pattern, read as a uint32 or uint64, with the sign bit
+    cleared, which makes it the pattern of its magnitude, and the low
     b = (p-1).bit_length() bits replaced by its column index.  The bit
     pattern of a nonnegative finite float sorts like its value, and both
     the rounding to float32 and the clearing of low bits are monotone
@@ -223,58 +231,85 @@ def _rank_rows(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     A row passes through at most three stages, each taking only the rows
     the one before left undecided: float32 keys, float64 keys, and a full
-    stable argsort of its float64 values.  Rows of at most
+    stable argsort of its float64 magnitudes.  Rows of at most
     _FLOAT32_KEY_COLUMNS = 512 columns start at float32 keys, which keep at
     least 15 of float32's 24 significand bits; longer rows start at float64
     keys, because float32 keys keep so few value bits there that most rows
     tie once m is large (61% at p = 1000, m = 200, against 0.4% at m = 15),
     and float64 keys alone rank them faster.  The stage a call starts at
     depends on p only.  The values are read from `a` last, the same bits
-    whichever stage ranked a row.
+    whichever stage ranked a row, by one take on `a` flattened in C order
+    at idx * width + row, and made absolute in place.
     """
-    p, rows = a.shape
+    rows, m = idx.shape
+    p, width = a.shape
+    b = a[:, :rows]
     first = np.uint32 if p <= _FLOAT32_KEY_COLUMNS else np.uint64
-    idx, tied = _key_ranks(a, m, first)
-    todo = np.flatnonzero(tied)
+    todo = _key_ranks(b, first, idx)
     if todo.size and first is np.uint32:
-        idx[todo], tied = _key_ranks(a[:, todo], m, np.uint64)
-        todo = todo[tied]
+        again = np.empty((todo.size, m), dtype=np.intp)
+        left = _key_ranks(b[:, todo], np.uint64, again)
+        idx[todo] = again
+        todo = todo[left]
     if todo.size:
-        idx[todo] = np.argsort(a[:, todo].T, axis=1, kind="stable")[:, :m]
-    return idx, a[idx, np.arange(rows)[:, None]]
+        idx[todo] = np.argsort(np.abs(b[:, todo]).T, axis=1, kind="stable")[:, :m]
+    flat = idx * width
+    flat += np.arange(rows)[:, None]
+    # every index is in range; "clip" writes straight into `values`, where
+    # the default mode would buffer it
+    a.take(flat, out=values, mode="clip")
+    np.abs(values, out=values)
 
 
-def _key_ranks(b: np.ndarray, m: int, key: type) -> tuple[np.ndarray, np.ndarray]:
-    """The first m columns of each direction in `b` (p, rows, one column
-    per direction) by its keys of type `key` (uint32 keys from float32
-    values, uint64 from float64; see `_rank_rows`), as (rows, m) indices,
-    and whether each direction's ranking is undecided.
+def _key_ranks(b: np.ndarray, key: type, idx: np.ndarray) -> np.ndarray:
+    """Writes into `idx` (rows, m) the first m columns of each direction in
+    `b` (p, rows, one column per direction) by its keys of type `key`
+    (uint32 keys from float32 values, uint64 from float64; see
+    `_rank_rows`), and returns the positions of the directions whose
+    ranking is undecided.
 
-    The values are cast into the (rows, p) keys in slabs of about
+    The keys are copied into their (rows, p) array in slabs of about
     _RANK_ELEMENTS values, so each slab's transposing reads stay in cache.
-    Rows of at most _FLOAT32_KEY_COLUMNS columns sort their keys in full;
-    longer rows partition them at m and sort only the first m, which is
-    several times faster there.
+    Float32 keys are cast and marked before that copy, in b's layout, whose
+    rows (one per column index) are the long ones at p <= 512, so the copy
+    moves half the bytes; float64 keys (p > 512, or a block's few tied
+    directions) are marked after it, along the keys' own rows.  Rows of at
+    most _FLOAT32_KEY_COLUMNS columns sort their keys in full; longer rows
+    partition them at m and sort only the first m, which is several times
+    faster there.  The ties are found in one pass over the first m + 1 keys
+    of every row laid end to end: two neighbours share a value part when
+    their xor is below 2^b, and a pair that spans two rows is dropped.
     """
     p, rows = b.shape
+    m = idx.shape[1]
     bits = (p - 1).bit_length()
-    k = np.empty((rows, p), dtype=np.float32 if key is np.uint32 else np.float64)
+    # the bits above the column index, less the sign bit: the keys order |b|
+    keep = key((1 << (8 * np.dtype(key).itemsize - 1)) - (1 << bits))
+    cols = np.arange(p, dtype=key)
+    if key is np.uint32:
+        b = b.astype(np.float32).view(key)
+        b &= keep
+        b |= cols[:, None]
+    k = np.empty((rows, p), dtype=key)
     step = max(1, _RANK_ELEMENTS // rows)
     for lo in range(0, p, step):
-        k[:, lo : lo + step] = b[lo : lo + step].T
-    k = k.view(key)
-    k &= ~key((1 << bits) - 1)
-    k |= np.arange(p, dtype=key)
+        k[:, lo : lo + step] = b[lo : lo + step].view(key).T
+    if key is np.uint64:
+        k &= keep
+        k |= cols
     if p > _FLOAT32_KEY_COLUMNS and m < p:
         k.partition(m, axis=1)
         k[:, :m].sort(axis=1)
     else:
         k.sort(axis=1)
-    idx = k[:, :m].astype(np.intp)
-    idx &= (1 << bits) - 1
-    head = k[:, : m + 1]
-    head >>= key(bits)  # the value parts
-    return idx, (head[:, 1:] == head[:, :-1]).any(axis=1)
+    head = np.ascontiguousarray(k[:, : m + 1])
+    width = head.shape[1]
+    keys = head.reshape(-1)
+    tied = np.flatnonzero((keys[1:] ^ keys[:-1]) < (1 << bits))
+    tied = tied[tied % width != width - 1]
+    keys &= key((1 << bits) - 1)
+    idx[...] = head[:, :m]
+    return np.unique(tied // width)
 
 
 def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
@@ -407,11 +442,12 @@ def _pipeline(
         pos += (active * m)[:, None]  # (a, s) flat indices into the (count, m) outputs
         chosen = outer.take(pos)
         ok = _feasible(cols_t.take(chosen, axis=0), cfg.rho_minus)
-        if np.any(ok):
-            hit = active[ok]
-            inner[hit] = chosen[ok]
+        accepted = np.flatnonzero(ok)
+        if accepted.size:
+            hit = active[accepted]
+            inner[hit] = chosen[accepted]
             attempts[hit] = attempt
-            attained[hit] = b_outer.take(pos[ok].T).max(axis=0)
+            attained[hit] = b_outer.take(pos[accepted].T).max(axis=0)
             active = active[~ok]
     return outer, inner, attempts, attained
 
@@ -486,26 +522,32 @@ class _Decided:
         state = self.state.take(rank)
         miss = np.flatnonzero(state < 0)
         if miss.size:
-            new, first = np.unique(rank[miss], return_index=True)
-            self.state[new] = _feasible(self.cols_t[sub[:, miss[first]].T], self.rho_minus)
+            # each new rank once, in rank order; any of its columns is the same
+            # subset, so the sort need not be stable
+            order = miss[rank[miss].argsort()]
+            first = order[np.flatnonzero(np.diff(rank[order], prepend=-1))]
+            self.state[rank[first]] = _feasible(self.cols_t[sub[:, first].T], self.rho_minus)
             state[miss] = self.state.take(rank[miss])
         return state == 1
 
 
 def _closes(decided: _Decided, prefix: np.ndarray, s: int) -> np.ndarray:
-    """Whether the last column of each row of `prefix` (a, k+1) forms a
-    subset `_feasible` accepts with s-1 of the row's earlier columns.  Rows
-    run in slices of about _WALK_BLOCKS * _RANK_ELEMENTS // s candidates; one
-    row's C(k, s-1) candidates are bounded through the budget."""
-    k = prefix.shape[1] - 1
+    """Whether the last column of each direction of `prefix` (k+1, a), its
+    first k+1 ranked columns, forms a subset `_feasible` accepts with s-1 of
+    its earlier columns.  Directions run in slices of about
+    _WALK_BLOCKS * _RANK_ELEMENTS // s candidates; one direction's C(k, s-1)
+    candidates are bounded through the budget."""
+    k = prefix.shape[0] - 1
     earlier = np.array(list(combinations(range(k), s - 1)), dtype=np.intp)  # (e, s-1)
     step = max(1, _WALK_BLOCKS * _RANK_ELEMENTS // (len(earlier) * s))
-    closes = np.empty(prefix.shape[0], dtype=bool)
-    for lo in range(0, prefix.shape[0], step):
-        pre = np.sort(prefix[lo : lo + step, :k], axis=1).T.copy()  # (k, rows)
-        last = prefix[lo : lo + step, k]
+    closes = np.empty(prefix.shape[1], dtype=bool)
+    for lo in range(0, prefix.shape[1], step):
+        pre = prefix[:k, lo : lo + step]
+        if s > 2:  # at s = 2 each candidate has one earlier column: no order needed
+            pre = np.sort(pre, axis=0)
+        last = prefix[k, lo : lo + step]
         # a candidate's i-th column in index order is max(min(a_i, last), a_{i-1}),
-        # a_i its i-th earlier column (a_{-1} = -inf, a_{s-1} = +inf)
+        # a_i its i-th earlier column in index order (a_{-1} = -inf, a_{s-1} = +inf)
         sub = np.empty((s, len(earlier), len(last)), dtype=np.intp)
         sub[:-1], sub[-1] = pre[earlier.T], last
         for i in range(s - 1, 0, -1):
@@ -525,6 +567,7 @@ def _walk(decided: _Decided, ranked: tuple[np.ndarray, np.ndarray], s: int,
     largest value at or after b_(k*).  A row still open at a position k with
     C(k+1, s) > DEFAULT_BRUTE_FORCE_LIMIT raises BudgetExceeded."""
     idx, vals = ranked
+    ranks = np.ascontiguousarray(idx.T)  # a position's columns in one row, for takes
     value = np.full(idx.shape[0], math.inf)
     open_rows = np.arange(idx.shape[0])
     for k in range(max(start, s - 1), idx.shape[1]):
@@ -535,8 +578,9 @@ def _walk(decided: _Decided, ranked: tuple[np.ndarray, np.ndarray], s: int,
                 f"a direction is still open after {k} ranked columns, and C({k + 1},{s})="
                 f"{math.comb(k + 1, s)} exceeds the budget {DEFAULT_BRUTE_FORCE_LIMIT}"
             )
-        closes = _closes(decided, idx[open_rows, : k + 1], s)
-        value[open_rows[closes]] = vals[open_rows[closes], k]
+        closes = _closes(decided, ranks[: k + 1].take(open_rows, axis=1), s)
+        shut = open_rows[closes]
+        value[shut] = vals[shut, k]
         open_rows = open_rows[~closes]
     return value, open_rows
 

@@ -15,7 +15,9 @@ from orthoselect import (
     sigma_min,
     submatrix,
 )
-from orthoselect.sphere import RngStream, sample_sphere_matrix, sample_unit_vector
+from orthoselect.linalg import UNIT_NORM_TOL, unit_rows
+from orthoselect.sphere import (RngStream, sample_sphere_matrix, sample_unit_vector,
+                                sample_unit_vectors)
 
 from oracles import power_iteration_norm
 
@@ -197,3 +199,32 @@ def test_inf_norm_against_matches_loop_oracle():
     subset = IndexSet((0, 3, 4, 9))
     expected = max(abs(float(x.data[:, j] @ v)) for j in subset)
     assert inf_norm_against(x, subset, v) == pytest.approx(expected, abs=1e-14)
+
+
+def test_unit_rows_accepts_norms_within_the_tolerance_and_rejects_the_rest():
+    v = sample_unit_vectors(4, 1000, RngStream(79, 0))
+    assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) < 1e-15)
+    for scale in (1.0, 1.0 + 0.9 * UNIT_NORM_TOL, 1.0 - 0.9 * UNIT_NORM_TOL):
+        got = unit_rows(v * scale, 4)
+        assert np.array_equal(got, v * scale)
+        assert got.dtype == np.float64 and got.shape == (1000, 4)
+    assert unit_rows(np.zeros((0, 4)), 4).shape == (0, 4)
+    assert np.array_equal(unit_rows([[0, 1, 0, 0]], 4), [[0.0, 1.0, 0.0, 0.0]])
+    for scale in (1.0 + 1.1 * UNIT_NORM_TOL, 1.0 - 1.1 * UNIT_NORM_TOL):
+        for row in (0, 517, 999):  # one bad row anywhere fails the batch
+            bad = v.copy()
+            bad[row] *= scale
+            with pytest.raises(InvalidInput):
+                unit_rows(bad, 4)
+    for value in (math.nan, math.inf, -math.inf):
+        bad = v.copy()
+        bad[3, 1] = value
+        with pytest.raises(InvalidInput):
+            unit_rows(bad, 4)
+    bad = v.copy()
+    bad[5] = 0.0
+    with pytest.raises(InvalidInput):
+        unit_rows(bad, 4)
+    for shape in ((1000, 3), (1000, 5), (4,), (1, 1, 4)):  # unit rows of the wrong shape
+        with pytest.raises(InvalidInput):
+            unit_rows(np.full(shape, 1.0 / math.sqrt(shape[-1])), 4)

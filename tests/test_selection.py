@@ -130,6 +130,14 @@ def stable_first(b, m):
     return order, np.take_along_axis(b, order, axis=1)
 
 
+def rank_rows(a, rows, m):
+    """`selection._rank_rows` of the first `rows` columns of `a`, into
+    fresh (rows, m) outputs."""
+    idx, vals = np.empty((rows, m), dtype=np.intp), np.empty((rows, m))
+    selection._rank_rows(a, idx, vals)
+    return idx, vals
+
+
 def stable_argsort_oracle(matrix, dirs, m):
     """The sort_oracle rule for many rows: the first m of a full stable
     argsort of |X^T v|, and those entries of `oracles.abs_products`."""
@@ -236,25 +244,25 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
     rows = min(4_000, 2_000_000 // p)
     wide = np.zeros((p, rows + 5))
     wide[:, :rows] = collided(p, rows, p * 1000 + m)
-    a = wide[:, :rows]  # a view of a wider product, as `_abs_blocks` yields
+    a = wide[:, :rows]  # the directions of a padded product, as `_product_blocks` yields
     expected = stable_first(a.T, m)
     # each stage's key type (None for the final stable argsort), input block
-    # and the rows it leaves undecided
+    # and the positions of the rows it leaves undecided
     stages = []
     real_key_ranks, real_argsort = selection._key_ranks, np.argsort
 
-    def key_ranks(b, m, key):
-        ranked = real_key_ranks(b, m, key)
-        stages.append((key, b, ranked[1]))
-        return ranked
+    def key_ranks(b, key, idx):
+        tied = real_key_ranks(b, key, idx)
+        stages.append((key, b, tied))
+        return tied
 
     def argsort(b, *args, **kwargs):
-        stages.append((None, b.T, np.zeros(b.shape[0], dtype=bool)))
+        stages.append((None, b.T, np.zeros(0, dtype=np.intp)))
         return real_argsort(b, *args, **kwargs)
 
     monkeypatch.setattr(selection, "_key_ranks", key_ranks)
     monkeypatch.setattr(np, "argsort", argsort)
-    idx, vals = selection._rank_rows(a, m)
+    idx, vals = rank_rows(wide, rows, m)
     monkeypatch.undo()
     assert np.array_equal(idx, expected[0]) and np.array_equal(vals, expected[1])
     # every stage takes exactly the rows the one before left undecided
@@ -268,12 +276,65 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
     assert [key for key, _, _ in stages] == order[: len(stages)]
     # one row at a time
     for k in range(0, rows, 101):
-        idx, vals = selection._rank_rows(a[:, k : k + 1], m)
+        idx, vals = rank_rows(a[:, k : k + 1], 1, m)
         assert np.array_equal(idx[0], expected[0][k]) and np.array_equal(vals[0], expected[1][k])
     if 3 <= m < p:
         kinds = collision_kinds(a.T, m)
         assert all(kinds.values()), kinds
         assert len(stages) == len(order)  # every stage took rows
+
+
+@pytest.mark.parametrize("p, m", [(12, 4), (12, 12), (200, 15), (200, 200), (600, 15), (600, 600)])
+def test_rank_rows_writes_the_fancy_gather_into_its_rows_only(p, m):
+    rows = 300
+    rng = np.random.default_rng(p + m)
+    wide = np.zeros((p, rows + 7))  # zero padding, as `_product_blocks` leaves it
+    # signed entries, ranked by magnitude: a product's signs, and zeros of both signs
+    wide[:, :rows] = collided(p, rows, p + m) * rng.choice([-1.0, 1.0], size=(p, rows))
+    wide[:, :rows][rng.random((p, rows)) < 0.02] = -0.0
+    wide[:, :rows][rng.random((p, rows)) < 0.02] = 0.0
+    a = wide[:, :rows]
+
+    def check(block, count, outer, values):
+        """`block`'s first `count` columns ranked into `outer` and `values`:
+        the stable argsort of their magnitudes, and the magnitudes of the 2-D
+        fancy gather, bit for bit."""
+        assert np.array_equal(outer, stable_first(np.abs(block[:, :count]).T, m)[0])
+        assert np.array_equal(values.view(np.uint64),
+                              np.abs(block[outer, np.arange(count)[:, None]]).view(np.uint64))
+
+    # the padded product, a column copy as a later stage takes, one row
+    copied = a[:, ::-3].copy()
+    cases = [(wide, rows), (copied, copied.shape[1]), (a[:, 7:8], 1)]
+    for block, count in cases:
+        check(block, count, *rank_rows(block, count, m))
+    # row slices of shared outputs: the rows around a slice keep their bytes
+    outer = np.full((rows + 20, m), -7, dtype=np.intp)
+    values = np.full((rows + 20, m), -0.5)
+    selection._rank_rows(wide, outer[10 : rows + 10], values[10 : rows + 10])
+    check(wide, rows, outer[10 : rows + 10], values[10 : rows + 10])
+    assert np.all(outer[:10] == -7) and np.all(outer[rows + 10 :] == -7)
+    assert np.all(values[:10] == -0.5) and np.all(values[rows + 10 :] == -0.5)
+    # two threads fill disjoint blocks of one pair of outputs, a gap left between
+    blocks = [np.ascontiguousarray(a[:, lo : lo + 50]) for lo in range(0, rows, 50)]
+    outer = np.full((len(blocks) * 60, m), -7, dtype=np.intp)
+    values = np.full((len(blocks) * 60, m), -0.5)
+
+    def fill(ids):
+        for i in ids:
+            own = slice(60 * i, 60 * i + 50)
+            selection._rank_rows(blocks[i], outer[own], values[own])
+
+    threads = [threading.Thread(target=fill, args=(range(t, len(blocks), 2),)) for t in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for i, block in enumerate(blocks):
+        check(block, 50, outer[60 * i : 60 * i + 50], values[60 * i : 60 * i + 50])
+        assert np.all(outer[60 * i + 50 : 60 * i + 60] == -7)
+        assert np.all(values[60 * i + 50 : 60 * i + 60] == -0.5)
 
 
 def test_subset_positions_match_a_full_fisher_yates_shuffle():
@@ -346,9 +407,8 @@ def test_more_threads_than_cores_rank_each_block_once(monkeypatch):
     set_cpus(monkeypatch, 16)
     ranked = []
     real = selection._rank_rows
-    # a block is (p, rows): one column per direction
     monkeypatch.setattr(selection, "_rank_rows",
-                        lambda b, m: ranked.append(b.shape[1]) or real(b, m))
+                        lambda a, idx, values: ranked.append(len(idx)) or real(a, idx, values))
     got = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -374,10 +434,10 @@ def test_an_error_in_any_block_is_raised_by_the_caller(monkeypatch):
     calls = itertools.count()
     real = selection._rank_rows
 
-    def second_fails(b, m):
+    def second_fails(a, idx, values):
         if next(calls) == 1:
             raise RuntimeError("second block")
-        return real(b, m)
+        real(a, idx, values)
 
     monkeypatch.setattr(selection, "_rank_rows", second_fails)
     before = threading.active_count()
@@ -791,10 +851,10 @@ def reranked(monkeypatch):
     counts = []
     real = selection._rank_rows
 
-    def spy(b, m):  # b is (p, rows)
-        if m == b.shape[0] > selection._PREFIX_COLUMNS:
-            counts.append(b.shape[1])
-        return real(b, m)
+    def spy(a, idx, values):  # a is (p, width), idx (rows, m)
+        if idx.shape[1] == a.shape[0] > selection._PREFIX_COLUMNS:
+            counts.append(len(idx))
+        real(a, idx, values)
 
     monkeypatch.setattr(selection, "_rank_rows", spy)
     return counts
