@@ -305,11 +305,13 @@ def _key_ranks(b: np.ndarray, key: type, idx: np.ndarray) -> np.ndarray:
     head = np.ascontiguousarray(k[:, : m + 1])
     width = head.shape[1]
     keys = head.reshape(-1)
-    tied = np.flatnonzero((keys[1:] ^ keys[:-1]) < (1 << bits))
-    tied = tied[tied % width != width - 1]
+    same = (keys[1:] ^ keys[:-1]) < (1 << bits)
+    same[width - 1 :: width] = False  # the pairs that span two rows
     keys &= key((1 << bits) - 1)
     idx[...] = head[:, :m]
-    return np.unique(tied // width)
+    undecided = np.zeros(rows, dtype=bool)
+    undecided[np.flatnonzero(same) // width] = True
+    return np.flatnonzero(undecided)
 
 
 def greedy_outer(matrix: ColumnMatrix, v: np.ndarray, m: int) -> IndexSet:
