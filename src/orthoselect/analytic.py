@@ -337,12 +337,17 @@ def claimed_gamma_bound(p: float) -> float:
     return 80.0 * math.log(p) / p
 
 
+def _check_c_subgauss(c_subgauss: float) -> None:
+    if not (math.isfinite(c_subgauss) and c_subgauss > 0.0):
+        raise DomainError("c_subgauss must be finite and positive")
+
+
 def k_epsilon(eps: float, c_kappa: float) -> float:
     """K_eps = (sqrt(2 pi)/6) ((1+C_k) log(1+2/eps) + C_k + log(C_k/4))."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    if c_kappa <= 0.0:
-        raise DomainError("c_kappa must be positive")
+    if not (math.isfinite(c_kappa) and c_kappa > 0.0):
+        raise DomainError("c_kappa must be finite and positive")
     return (
         math.sqrt(2.0 * math.pi)
         / 6.0
@@ -357,8 +362,7 @@ def kappa_branches(
     the log^2(p) log(C_k n) branch."""
     if not 0.0 < rho_minus < 1.0:
         raise DomainError("rho_minus must lie in (0, 1)")
-    if c_subgauss <= 0.0:
-        raise DomainError("c_subgauss must be positive")
+    _check_c_subgauss(c_subgauss)
     if p < 2:
         raise DomainError("p must be at least 2")
     if c_kappa * n <= 0.0:
@@ -377,6 +381,7 @@ def kappa_branches(
 
 def c_s_constant(rho_minus: float, eps: float, c_kappa: float, c_subgauss: float) -> float:
     """C_s = c^2 (1-rho)^2 (1-eps)^8 / (4 e^3) * C_k / ((1+K_eps)^2 (1+C_k)^2)."""
+    _check_c_subgauss(c_subgauss)
     k_eps = k_epsilon(eps, c_kappa)
     return (
         c_subgauss**2
@@ -411,8 +416,7 @@ def norm_threshold_u(
         raise DomainError("p must be at least 2")
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    if c_subgauss <= 0.0:
-        raise DomainError("c_subgauss must be positive")
+    _check_c_subgauss(c_subgauss)
     return (1.0 + k_eps) / (c_subgauss * (1.0 - eps) ** 4) * (n + kappa_s) / n * math.log(p)
 
 

@@ -4,8 +4,10 @@ and the experiment audits, with stable self-describing file formats.
 Exit codes: 0 success, 2 usage error, 3 format/IO error, 4 domain error.
 Every artifact embeds the effective configuration and master seed, and any
 command rerun with identical flags and seed produces byte-identical output.
-`constants` and `experiment` import `analytic` and `harness` when they run,
-so the other commands never load them.
+Each command, and each audit under `experiment <name>`, declares and resolves
+its settings from one (key, cast, default) table.  `constants` and the audits
+import `analytic` and `harness` when they run, so the other commands, and
+any command's --help, never load them.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ def _guard(fn):
             raise _ExitError(f"format error: {exc}", 3) from exc
         except OSError as exc:
             raise _ExitError(f"io error: {exc}", 3) from exc
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:
             raise _ExitError(f"domain error: {exc}", 4) from exc
         except (InvalidInput, BudgetExceeded) as exc:
             raise click.UsageError(str(exc)) from exc
@@ -99,8 +101,7 @@ def _emit(out: str | None, fmt: str, payload: dict, text: list[str]) -> None:
         _write_text(out, _dump_json(payload))
 
 
-# The help of every setting key, whichever commands read it; `experiment`
-# lists its flags in this order.
+# The help of every setting key, whichever commands read it.
 _HELP = {
     "n": "Row count (ambient dimension).",
     "p": "Column count.",
@@ -124,21 +125,19 @@ _HELP = {
 }
 
 
-def _flags(rows, read_by: dict | None = None):
+def _flags(rows):
     """Declare `--key` for each (key, cast, default) row, then --config.
 
-    The help is the key's `_HELP`, followed by the names in read_by[key]
-    when given.  The options default to None, so `_settings` can tell a given
-    flag from an omitted one; a cast other than int or float takes text.
+    The help is the key's `_HELP`.  The options default to None, so
+    `_settings` can tell a given flag from an omitted one; a cast other than
+    int or float takes text.
     """
 
     def decorate(fn):
         fn = click.option("--config", "config_path", default=None,
                           type=click.Path(exists=True, dir_okay=False))(fn)
         for key, cast, _ in reversed(rows):
-            readers = f" Read by {', '.join(read_by[key])}." if read_by else ""
-            fn = click.option(f"--{key.replace('_', '-')}", key, default=None,
-                              help=_HELP[key] + readers,
+            fn = click.option(f"--{key.replace('_', '-')}", key, default=None, help=_HELP[key],
                               type=cast if cast in (int, float) else str)(fn)
         return fn
 
@@ -387,100 +386,69 @@ def constants(out, fmt, config_path, **flags):
         _write_text(out, "\n".join(lines) + "\n")
 
 
-def _run_theorem(h, c: dict) -> ExperimentReport:
-    _check_net(c["n"], c["net_eps"], "--n (or config key n)")
-    return h.run_theorem_audit(c["n"], c["p"], c["s"], c["rho"], c["net_eps"], c["trials"],
-                               c["seed"], probe_count=c["probes"], kappa=c["kappa"])
-
-
-# name -> ((key, cast, default) rows, runner over the harness module and the
-# effective config).  Every experiment also reads seed.  Runners look each
-# audit up on the harness module when they run, so a wrapper installed on it
-# sees the call.
+# name -> (key, cast, default) rows; every audit also reads seed, and its
+# keys are the parameters of harness.run_<name>_audit.
 _EXPERIMENTS = {
-    "order-stat": (
-        (("n", int, 3), ("p", int, 20), ("r", int, 5), ("trials", int, 10000)),
-        lambda h, c: h.run_order_stat_audit(c["n"], c["p"], c["r"], c["trials"], c["seed"]),
-    ),
-    "coherence": (
-        (("n", int, 6), ("p", int, 50), ("trials", int, 1000)),
-        lambda h, c: h.run_coherence_audit(c["n"], c["p"], c["trials"], c["seed"]),
-    ),
-    "norm": (
-        (("n", int, 8), ("p", int, 64), ("kappa_s", int, 12), ("epsilon", float, 0.5),
-         ("c_kappa", float, 2.0), ("trials", int, 200)),
-        lambda h, c: h.run_norm_audit(c["n"], c["p"], c["kappa_s"], c["epsilon"], c["trials"],
-                                      c["seed"], c_kappa=c["c_kappa"]),
-    ),
-    "decoupling": (
-        (("n", int, 8), ("p", int, 24), ("kappa", float, 4.0), ("s", int, 3),
-         ("r_grid", _grid, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]), ("trials", int, 5000)),
-        lambda h, c: h.run_decoupling_audit(c["n"], c["p"], c["kappa"], c["s"], c["r_grid"],
-                                            c["trials"], c["seed"]),
-    ),
-    "theorem": (
-        (("n", int, 4), ("p", int, 120), ("s", int, 2), ("rho", float, SelectionConfig.rho_minus),
-         ("net_eps", float, 0.5), ("probes", int, 50), ("kappa", float, SelectionConfig.kappa),
-         ("trials", int, 20)),
-        _run_theorem,
-    ),
-    "chernoff": (
-        (("count", int, 1000), ("q_grid", _grid, [0.05, 0.1, 0.3]),
-         ("eps_grid", _grid, [0.2, 0.5, 0.8]), ("trials", int, 2000)),
-        lambda h, c: h.run_chernoff_audit(c["q_grid"], c["eps_grid"], c["trials"], c["seed"],
-                                          count=c["count"]),
-    ),
+    "order-stat": (("n", int, 3), ("p", int, 20), ("r", int, 5), ("trials", int, 10000)),
+    "coherence": (("n", int, 6), ("p", int, 50), ("trials", int, 1000)),
+    "norm": (("n", int, 8), ("p", int, 64), ("kappa_s", int, 12), ("epsilon", float, 0.5),
+             ("c_kappa", float, 2.0), ("trials", int, 200)),
+    "decoupling": (("n", int, 8), ("p", int, 24), ("kappa", float, 4.0), ("s", int, 3),
+                   ("r_grid", _grid, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+                   ("trials", int, 5000)),
+    "theorem": (("n", int, 4), ("p", int, 120), ("s", int, 2),
+                ("rho", float, SelectionConfig.rho_minus), ("net_eps", float, 0.5),
+                ("probes", int, 50), ("kappa", float, SelectionConfig.kappa), ("trials", int, 20)),
+    "chernoff": (("count", int, 1000), ("q_grid", _grid, [0.05, 0.1, 0.3]),
+                 ("eps_grid", _grid, [0.2, 0.5, 0.8]), ("trials", int, 2000)),
 }
 
 
-def _experiment_flags() -> tuple[tuple, dict]:
-    """One row per key any audit reads, in `_HELP` order, and the audits that
-    read each key."""
-    rows, read_by = {}, {}
-    for name, (keys, _) in _EXPERIMENTS.items():
-        for row in keys + (_SEED,):
-            rows.setdefault(row[0], row)
-            read_by.setdefault(row[0], []).append(name)
-    return tuple(rows[key] for key in _HELP if key in rows), read_by
-
-
-@main.command()
-@click.argument("name", type=click.Choice(list(_EXPERIMENTS)))
-@_flags(*_experiment_flags())
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Base path; writes <out>.report.json and <out>.trials.csv "
-                   "(default: experiment-<name> in the working directory).")
-@_guard
-def experiment(name, out, config_path, **flags):
+@main.group()
+def experiment():
     """Run one named audit and write its report JSON and trial CSV."""
-    from . import harness
 
-    rows, run = _EXPERIMENTS[name]
+
+def _audit_command(name: str, rows: tuple) -> None:
+    """Register `experiment <name>`, which reads exactly `rows` and seed."""
     rows += (_SEED,)
-    read = {row[0] for row in rows}
-    unread = [f"--{k.replace('_', '-')}" for k, v in flags.items() if v is not None and k not in read]
-    if unread:
-        raise click.UsageError(f"experiment {name} does not read {', '.join(unread)}")
-    settings = _settings(rows, flags, config_path)
-    report = run(harness, settings)
-    # repr round-trips, so replaying the echoed config runs the same grid
-    config = {"name": name, **{key: ",".join(map(repr, value)) if isinstance(value, list) else value
-                               for key, value in settings.items()}}
-    base = Path(f"experiment-{name}" if out is None else out)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    report_path = base.with_name(base.name + ".report.json")
-    trials_path = base.with_name(base.name + ".trials.csv")
-    # both texts first, so a refused NaN leaves neither file behind
-    report_text = report_to_json(report, config)
-    trials_text = records_to_csv(report.records, config)
-    report_path.write_text(report_text, encoding="utf-8")
-    trials_path.write_text(trials_text, encoding="utf-8")
-    counts = Counter(cell.verdict for cell in report.cells)
-    click.echo(
-        f"{name}: {len(report.cells)} cells "
-        f"(supported={counts['supported']}, violated={counts['violated']}, "
-        f"untestable={counts['untestable-at-scale']}) -> {report_path}"
-    )
+
+    @experiment.command(name, help=f"Run the {name} audit.")
+    @_flags(rows)
+    @click.option("--out", type=click.Path(dir_okay=False), default=None,
+                  help="Base path; writes <out>.report.json and <out>.trials.csv "
+                       f"(default: experiment-{name} in the working directory).")
+    @_guard
+    def run(out, config_path, **flags):
+        from . import harness
+
+        settings = _settings(rows, flags, config_path)
+        if "net_eps" in settings:
+            _check_net(settings["n"], settings["net_eps"], "--n (or config key n)")
+        # looked up when it runs, so a wrapper installed on the module sees the call
+        report = getattr(harness, f"run_{name.replace('-', '_')}_audit")(**settings)
+        # repr round-trips, so replaying the echoed config runs the same grid
+        config = {"name": name, **{key: ",".join(map(repr, value)) if isinstance(value, list)
+                                   else value for key, value in settings.items()}}
+        base = Path(f"experiment-{name}" if out is None else out)
+        base.parent.mkdir(parents=True, exist_ok=True)
+        report_path = base.with_name(base.name + ".report.json")
+        trials_path = base.with_name(base.name + ".trials.csv")
+        # both texts first, so a refused NaN leaves neither file behind
+        report_text = report_to_json(report, config)
+        trials_text = records_to_csv(report.records, config)
+        report_path.write_text(report_text, encoding="utf-8")
+        trials_path.write_text(trials_text, encoding="utf-8")
+        counts = Counter(cell.verdict for cell in report.cells)
+        click.echo(
+            f"{name}: {len(report.cells)} cells "
+            f"(supported={counts['supported']}, violated={counts['violated']}, "
+            f"untestable={counts['untestable-at-scale']}) -> {report_path}"
+        )
+
+
+for _name, _rows in _EXPERIMENTS.items():
+    _audit_command(_name, _rows)
 
 
 if __name__ == "__main__":

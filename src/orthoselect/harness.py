@@ -44,6 +44,8 @@ from .sphere import (MIN_DRAW_NORM, RngStream, TrialStreams, cube_grid, sample_s
 
 DEFAULT_CONFIDENCE = 0.95
 BOOTSTRAP_RESAMPLES = 2000
+# Every verdict a report cell may carry, as the module docstring defines them.
+VERDICTS = ("supported", "violated", "untestable-at-scale")
 # Float64 values per trial block of a two-stage audit (2 MiB), binomial draws
 # per chernoff block, and bootstrap indices per replicate block.
 _BATCH_ELEMENTS = 1 << 18
@@ -138,7 +140,7 @@ class ReportCell:
     def __post_init__(self) -> None:
         if self.direction not in ("at_most", "at_least"):
             raise InvalidInput(f"unknown claim direction {self.direction!r}")
-        if self.verdict not in ("supported", "violated", "untestable-at-scale"):
+        if self.verdict not in VERDICTS:
             raise InvalidInput(f"unknown verdict {self.verdict!r}")
         if self.observed_kind == "frequency" and self.observed is not None:
             if not 0.0 <= self.observed <= 1.0:
@@ -188,7 +190,7 @@ REPORT_SCHEMA = {
                     "ci_high": {"type": ["number", "null"]},
                     "claim": {"type": ["number", "null"]},
                     "direction": {"enum": ["at_most", "at_least"]},
-                    "verdict": {"enum": ["supported", "violated", "untestable-at-scale"]},
+                    "verdict": {"enum": list(VERDICTS)},
                     "params": {"type": "object"},
                     "notes": {"type": "string"},
                 },
@@ -377,7 +379,7 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
 # operator norm of the outer matrix
 # ---------------------------------------------------------------------------
 
-def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: int,
+def run_norm_audit(n: int, p: int, kappa_s: int, epsilon: float, trials: int, seed: int,
                    c_kappa: float) -> ExperimentReport:
     """Tail of |X_outer| against the claimed threshold and 8 p^-n probability."""
     if trials < 100:
@@ -388,18 +390,18 @@ def run_norm_audit(n: int, p: int, kappa_s: int, eps: float, trials: int, seed: 
         raise InvalidInput("n must be at least 1")
     if p < 2:
         raise InvalidInput("p must be at least 2")
-    if not 0.0 < eps < 1.0:
+    if not 0.0 < epsilon < 1.0:
         raise InvalidInput("epsilon must lie in (0, 1)")
     if not (math.isfinite(c_kappa) and c_kappa > 0.0):
         raise InvalidInput("c_kappa must be finite and positive")
-    k_eps = analytic.k_epsilon(eps, c_kappa)
-    threshold = analytic.norm_threshold_u(n, kappa_s, eps, _C_SUBGAUSS, k_eps, p)
+    k_eps = analytic.k_epsilon(epsilon, c_kappa)
+    threshold = analytic.norm_threshold_u(n, kappa_s, epsilon, _C_SUBGAUSS, k_eps, p)
     claimed_prob = 8.0 * p ** float(-n)
     hypotheses = [
         analytic.p_minimum_row(p),
         analytic.ledger_row("kappa_s <= c_kappa * n", kappa_s, c_kappa * n, kappa_s <= c_kappa * n),
     ]
-    grid = {"n": n, "p": p, "kappa_s": kappa_s, "eps": eps}
+    grid = {"n": n, "p": p, "kappa_s": kappa_s, "eps": epsilon}
 
     def draw(gen: np.random.Generator) -> dict:
         x = sample_sphere_matrix(n, p, gen)
@@ -566,8 +568,8 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
 # headline guarantee
 # ---------------------------------------------------------------------------
 
-def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, trials: int,
-                      seed: int, probe_count: int, kappa: float) -> ExperimentReport:
+def run_theorem_audit(n: int, p: int, s: int, rho: float, net_eps: float, trials: int,
+                      seed: int, probes: int, kappa: float) -> ExperimentReport:
     """Certificate vs the claimed 80 log(p)/p bound, with the hypothesis ledger.
 
     The headline probability 1 - 5n/(p log(p)^{n-1}) - 9 p^-n is evaluated
@@ -581,9 +583,9 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
         raise InvalidInput("net_eps must lie in (0, 1)")
     if p < 2:
         raise InvalidInput("p must be at least 2")
-    if probe_count < 0:
+    if probes < 0:
         raise InvalidInput("probes must be nonnegative")
-    cfg = SelectionConfig(s=s, rho_minus=rho_minus, kappa=kappa)
+    cfg = SelectionConfig(s=s, rho_minus=rho, kappa=kappa)
     if math.ceil(kappa * s) > p:
         raise InvalidInput("kappa*s must not exceed p")
     net = cube_grid(n, net_eps)
@@ -591,13 +593,13 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
     lp = math.log(p)
     claimed_prob = 1.0 - 5.0 * n / (p * lp ** (n - 1)) - 9.0 * p ** float(-n)
     constants = analytic.derive_constants(
-        n, p, s, rho_minus, _THEOREM_EPSILON, _THEOREM_C_KAPPA, _C_SUBGAUSS
+        n, p, s, rho, _THEOREM_EPSILON, _THEOREM_C_KAPPA, _C_SUBGAUSS
     )
     ledger = analytic.constraint_check(constants)
-    grid = {"n": n, "p": p, "s": s, "rho_minus": rho_minus, "net_eps": net_eps}
+    grid = {"n": n, "p": p, "s": s, "rho_minus": rho, "net_eps": net_eps}
 
     def draw(gen: np.random.Generator) -> dict:
-        est = estimate_gamma(sample_sphere_matrix(n, p, gen), cfg, net, probe_count, gen)
+        est = estimate_gamma(sample_sphere_matrix(n, p, gen), cfg, net, probes, gen)
         return {
             "certificate": est.certified_upper,
             "heuristic_lower": est.heuristic_lower,
@@ -632,7 +634,7 @@ def run_theorem_audit(n: int, p: int, s: int, rho_minus: float, net_eps: float, 
 # binomial concentration
 # ---------------------------------------------------------------------------
 
-def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float], trials: int,
+def run_chernoff_audit(q_grid: Sequence[float], eps_grid: Sequence[float], trials: int,
                        seed: int, count: int) -> ExperimentReport:
     """Empirical binomial lower tails against exp(-eps^2 mean / 2).
 
@@ -643,11 +645,11 @@ def run_chernoff_audit(p_success_grid: Sequence[float], eps_grid: Sequence[float
     """
     if trials < 100:
         raise InvalidInput("chernoff audit needs at least 100 trials")
-    if not p_success_grid or not eps_grid:
+    if not q_grid or not eps_grid:
         raise InvalidInput("grids must be nonempty")
     if count < 0:
         raise InvalidInput("count must be nonnegative")
-    q_values = [float(q) for q in p_success_grid]
+    q_values = [float(q) for q in q_grid]
     if not all(0.0 <= q <= 1.0 for q in q_values):
         raise InvalidInput("success probabilities must lie in [0, 1]")
     eps_values = [float(e) for e in eps_grid]

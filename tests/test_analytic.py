@@ -314,6 +314,17 @@ def test_norm_threshold_u_scaling():
     assert u2 == pytest.approx(u1 * 2.0, rel=1e-12)  # log(p^2) = 2 log(p)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constants_refuse_a_non_finite_c_kappa_or_c_subgauss(bad):
+    k_eps = an.k_epsilon(0.5, 1.0)
+    for call in (lambda: an.k_epsilon(0.5, bad),
+                 lambda: an.kappa_branches(0.5, 0.5, 1.0, 100, 10, bad),
+                 lambda: an.c_s_constant(0.5, 0.5, 1.0, bad),
+                 lambda: an.norm_threshold_u(10, 20.0, 0.5, bad, k_eps, 100)):
+        with pytest.raises(DomainError, match="finite and positive"):
+            call()
+
+
 def test_derive_constants_recomputes_consistently():
     c = an.derive_constants(100, 1000, 1, 0.5, 0.5, 1.0, 0.5)
     assert c.k_epsilon == pytest.approx(an.k_epsilon(0.5, 1.0), rel=1e-15)

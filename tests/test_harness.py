@@ -292,7 +292,7 @@ def test_order_stat_audit_and_its_trial_table_grow_by_at_most_640_bytes_per_tria
 
 
 def test_theorem_audit_untestable_with_ledger():
-    rep = hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=41, probe_count=50,
+    rep = hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=41, probes=50,
                              kappa=an.KAPPA_BRANCH_CONSTANT)
     cell = rep.cells[0]
     assert cell.verdict == "untestable-at-scale"
@@ -305,7 +305,7 @@ def test_theorem_audit_untestable_with_ledger():
 
 
 def test_theorem_audit_deterministic():
-    a, b = (hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=42, probe_count=50,
+    a, b = (hn.run_theorem_audit(4, 120, 2, 0.5, 0.5, 20, seed=42, probes=50,
                                  kappa=an.KAPPA_BRANCH_CONSTANT) for _ in range(2))
     assert a.to_json_dict() == b.to_json_dict()
 
@@ -313,14 +313,14 @@ def test_theorem_audit_deterministic():
 def test_theorem_audit_rejects_net_eps_outside_unit_interval():
     for net_eps in (0.0, 1.0, 1.5):
         with pytest.raises(InvalidInput):
-            hn.run_theorem_audit(4, 120, 2, 0.5, net_eps, 20, seed=44, probe_count=50,
+            hn.run_theorem_audit(4, 120, 2, 0.5, net_eps, 20, seed=44, probes=50,
                                  kappa=an.KAPPA_BRANCH_CONSTANT)
 
 
 def test_theorem_audit_negative_claimed_probability_is_vacuous():
     # at (n=3, p=5) the claimed probability 1 - 5n/(p log^{n-1} p) - 9 p^-n
     # is negative, which alone forces untestable-at-scale
-    rep = hn.run_theorem_audit(3, 5, 1, 0.5, 0.5, 20, seed=43, probe_count=10, kappa=2.0)
+    rep = hn.run_theorem_audit(3, 5, 1, 0.5, 0.5, 20, seed=43, probes=10, kappa=2.0)
     assert rep.extras["claimed_probability"] < 0.0
     assert rep.cells[0].verdict == "untestable-at-scale"
 
@@ -364,7 +364,7 @@ def test_report_schema_validates_all_audits():
         hn.run_coherence_audit(5, 20, 150, seed=62),
         hn.run_norm_audit(6, 32, 8, 0.5, 150, seed=63, c_kappa=2.0),
         hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 150, seed=64),
-        hn.run_theorem_audit(4, 100, 2, 0.5, 0.5, 20, seed=65, probe_count=50,
+        hn.run_theorem_audit(4, 100, 2, 0.5, 0.5, 20, seed=65, probes=50,
                              kappa=an.KAPPA_BRANCH_CONSTANT),
         hn.run_chernoff_audit([0.1], [0.5], 150, seed=66, count=1000),
     ]
@@ -386,8 +386,8 @@ _PREFIX_CASES = {
              lambda: hn.run_norm_audit(6, 32, 8, 0.5, 130, seed=73, c_kappa=2.0)),
     "decoupling": (lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 100, seed=74),
                    lambda: hn.run_decoupling_audit(5, 12, 3.0, 2, [0.4], 130, seed=74)),
-    "theorem": (lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 20, seed=75, probe_count=5, kappa=3.0),
-                lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 25, seed=75, probe_count=5, kappa=3.0)),
+    "theorem": (lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 20, seed=75, probes=5, kappa=3.0),
+                lambda: hn.run_theorem_audit(3, 30, 2, 0.5, 0.6, 25, seed=75, probes=5, kappa=3.0)),
     "chernoff": (lambda: hn.run_chernoff_audit([0.1], [0.2, 0.5], 150, seed=76, count=1000),
                  lambda: hn.run_chernoff_audit([0.1, 0.3], [0.2, 0.5], 150, seed=76, count=1000)),
 }
