@@ -20,13 +20,14 @@ and a Python float goes straight to the float loop.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidInput
 # re-exported: the first branch of the kappa formula, 4 e^{-2(ln 2 - 1)}
-from .selection import KAPPA_BRANCH_CONSTANT
+from .config import KAPPA_BRANCH_CONSTANT
 
 _BETACF_MAX_ITER = 500
 _BETACF_EPS = 3e-16
@@ -355,6 +356,17 @@ def k_epsilon(eps: float, c_kappa: float) -> float:
     )
 
 
+@contextmanager
+def _overflow_names(constant: str, **inputs: float):
+    """Raise a float overflow inside as a DomainError that names `constant`
+    and the inputs it was derived from."""
+    try:
+        yield
+    except OverflowError as exc:
+        given = ", ".join(f"{key}={value!r}" for key, value in inputs.items())
+        raise DomainError(f"{constant} overflows float64 at {given}") from exc
+
+
 def kappa_branches(
     rho_minus: float, eps: float, c_kappa: float, p: int, n: int, c_subgauss: float
 ) -> tuple[float, float]:
@@ -368,14 +380,16 @@ def kappa_branches(
     if c_kappa * n <= 0.0:
         raise DomainError("c_kappa * n must be positive")
     k_eps = k_epsilon(eps, c_kappa)
-    branch2 = (
-        4.0
-        * math.exp(3.0)
-        / (1.0 - rho_minus) ** 2
-        * ((1.0 + k_eps) * (1.0 + c_kappa) / (c_subgauss * (1.0 - eps) ** 4)) ** 2
-        * math.log(p) ** 2
-        * math.log(c_kappa * n)
-    )
+    with _overflow_names("kappa_branch2", rho_minus=rho_minus, eps=eps, c_kappa=c_kappa, p=p, n=n,
+                         c_subgauss=c_subgauss):
+        branch2 = (
+            4.0
+            * math.exp(3.0)
+            / (1.0 - rho_minus) ** 2
+            * ((1.0 + k_eps) * (1.0 + c_kappa) / (c_subgauss * (1.0 - eps) ** 4)) ** 2
+            * math.log(p) ** 2
+            * math.log(c_kappa * n)
+        )
     return KAPPA_BRANCH_CONSTANT, branch2
 
 
@@ -383,14 +397,16 @@ def c_s_constant(rho_minus: float, eps: float, c_kappa: float, c_subgauss: float
     """C_s = c^2 (1-rho)^2 (1-eps)^8 / (4 e^3) * C_k / ((1+K_eps)^2 (1+C_k)^2)."""
     _check_c_subgauss(c_subgauss)
     k_eps = k_epsilon(eps, c_kappa)
-    return (
-        c_subgauss**2
-        * (1.0 - rho_minus) ** 2
-        * (1.0 - eps) ** 8
-        / (4.0 * math.exp(3.0))
-        * c_kappa
-        / ((1.0 + k_eps) ** 2 * (1.0 + c_kappa) ** 2)
-    )
+    with _overflow_names("c_s", rho_minus=rho_minus, eps=eps, c_kappa=c_kappa,
+                         c_subgauss=c_subgauss):
+        return (
+            c_subgauss**2
+            * (1.0 - rho_minus) ** 2
+            * (1.0 - eps) ** 8
+            / (4.0 * math.exp(3.0))
+            * c_kappa
+            / ((1.0 + k_eps) ** 2 * (1.0 + c_kappa) ** 2)
+        )
 
 
 def s_max(
@@ -463,6 +479,7 @@ def derive_constants(
     k_eps = k_epsilon(epsilon, c_kappa)
     branch1, branch2 = kappa_branches(rho_minus, epsilon, c_kappa, p, n, c_subgauss)
     kappa = max(branch1, branch2)
+    c_s = c_s_constant(rho_minus, epsilon, c_kappa, c_subgauss)
     r_prime = (1.0 - rho_minus) / 2.0
     u_norm = norm_threshold_u(n, kappa * s, epsilon, c_subgauss, k_eps, p)
     c_v = math.log(c_kappa * n) if c_kappa * n > 0 else math.nan
@@ -489,7 +506,7 @@ def derive_constants(
         kappa=kappa,
         kappa_branch1=branch1,
         kappa_branch2=branch2,
-        c_s=c_s_constant(rho_minus, epsilon, c_kappa, c_subgauss),
+        c_s=c_s,
         c_v=c_v,
         u_norm=u_norm,
         v_split=v_split,

@@ -5,30 +5,31 @@ Exit codes: 0 success, 2 usage error, 3 format/IO error, 4 domain error.
 Every artifact embeds the effective configuration and master seed, and any
 command rerun with identical flags and seed produces byte-identical output.
 Each command, and each audit under `experiment <name>`, declares and resolves
-its settings from one (key, cast, default) table.  `constants` and the audits
-import `analytic` and `harness` when they run, so the other commands, and
-any command's --help, never load them.
+its settings from one (key, cast, default) table.
+
+This module imports only click, the standard library and the numpy-free
+`errors` and `config`, so importing it, every --help page and every usage
+error that click raises load no numpy.  Each command imports the library
+modules it runs when it runs (`gen` loads `sphere` and `matrixio`, the
+audits `harness`), then freezes the collector once per process, so the
+run's full collections and the one at exit skip every import-time object.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import matrixio
+from .config import DEFAULT_MAX_ATTEMPTS, SelectionConfig
 from .errors import BudgetExceeded, DomainError, FormatError, InvalidInput
-from .linalg import unit_rows
-from .matrixio import _jsonable
-from .selection import (DEFAULT_MAX_ATTEMPTS, SelectionConfig, brute_force_inf,
-                        constrained_select, estimate_gamma)
-from .sphere import (NET_DIMENSION_CAP, RngStream, cube_grid, grid_cells, sample_sphere_matrix,
-                     sample_unit_vector)
 
 if TYPE_CHECKING:
     from .harness import ExperimentReport, TrialTable
@@ -65,10 +66,42 @@ def _guard(fn):
     return wrapper
 
 
+def _freeze() -> None:
+    """Move every object alive now, the command's modules among them, out of
+    the collector's reach, so the run's full collections and the one at exit
+    skip them.  Only a process's first call freezes, so in-process calls
+    after it leave what earlier ones made to the collector."""
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+
+
+@contextlib.contextmanager
+def _allocatable(settings: dict, arrays: tuple[tuple[str, ...], ...]):
+    """Refuse, as a usage error naming the flags, sizes whose arrays do not fit.
+
+    Each tuple of `arrays` names the settings whose product is the float64
+    count of one array the run holds.  A product past what numpy can index
+    is refused before the run, and a failed allocation when it happens.
+    """
+    def named(keys) -> str:
+        return " ".join(f"--{key.replace('_', '-')} {settings[key]}" for key in keys)
+
+    for array in arrays:
+        if math.prod(settings[key] for key in array) > sys.maxsize // 8:
+            raise click.UsageError(f"{named(array)}: an array of {' * '.join(array)} float64 "
+                                   "values is past numpy's index range")
+    try:
+        yield
+    except MemoryError as exc:
+        raise click.UsageError(f"{named(k for array in arrays for k in array)}: {exc}") from exc
+
+
 def _check_net(n: int, net_eps: float, source: str) -> None:
     """Reject, before any net work, a radius outside (0, 1) and a certificate
     grid the library refuses: a dimension over the cap, or a grid over its
     point limit."""
+    from .sphere import NET_DIMENSION_CAP, grid_cells
+
     if not 0.0 < net_eps < 1.0:
         raise click.UsageError("--net-eps must lie in (0, 1)")
     if n > NET_DIMENSION_CAP:
@@ -81,6 +114,8 @@ def _check_net(n: int, net_eps: float, source: str) -> None:
 
 
 def _dump_json(obj: dict) -> str:
+    from .matrixio import _jsonable
+
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
@@ -150,7 +185,11 @@ def _settings(rows, flags: dict, config_path: str | None) -> dict:
     Flag values pass through cast too, so a text flag parses like its config
     value.
     """
-    cfg = matrixio.load_config_file(config_path) if config_path else {}
+    cfg = {}
+    if config_path:
+        from .matrixio import load_config_file
+
+        cfg = load_config_file(config_path)
     settings = {}
     for key, cast, default in rows:
         raw = cfg.get(key) if flags[key] is None else flags[key]
@@ -173,6 +212,10 @@ def _csv_cell(value, key: str) -> str:
     """One CSV cell: empty for None and for an infinite float (JSON's null),
     1 or 0 for a bool, a list's cells space-joined; a NaN raises DomainError
     naming `key`."""
+    import numpy as np
+
+    from .matrixio import format_float
+
     if value is None:
         return ""
     if isinstance(value, (list, tuple)):
@@ -182,7 +225,7 @@ def _csv_cell(value, key: str) -> str:
     if isinstance(value, (float, np.floating)):
         if math.isnan(value):
             raise DomainError(f"{key} is NaN")
-        return "" if math.isinf(value) else matrixio.format_float(float(value))
+        return "" if math.isinf(value) else format_float(float(value))
     return str(value)
 
 
@@ -203,13 +246,17 @@ def _csv_column(key: str, column, lo: int, hi: int) -> list[str]:
     """Cells lo..hi-1 of one trial-table column: floats as `_csv_cell` writes
     them, ints and bools as integers; a value every row shares is formatted
     once and repeated."""
+    import numpy as np
+
+    from .matrixio import format_float
+
     if not isinstance(column, np.ndarray):
         return [_csv_cell(column, key)] * (hi - lo)
     values = column[lo:hi]
     if values.dtype.kind == "f":
         if np.isnan(values).any():
             raise DomainError(f"{key} is NaN")
-        return [matrixio.format_float(v) if math.isfinite(v) else "" for v in values.tolist()]
+        return [format_float(v) if math.isfinite(v) else "" for v in values.tolist()]
     return list(map(str, values.astype(int).tolist()))
 
 
@@ -219,6 +266,8 @@ def records_to_csv(table: TrialTable, metadata: dict) -> str:
 
     Trial i draws from stream (seed, i), so its stream_index column is i.
     """
+    import numpy as np
+
     index = np.arange(len(table))
     columns = [("trial_index", index), ("stream_index", index)]
     columns += [(f"{prefix}.{key}", group[key])
@@ -265,13 +314,18 @@ _CONSTANTS = (("n", int, 100), ("p", int, 1000), ("s", int, 1), ("rho", float, 0
 @_guard
 def gen(out, config_path, **flags):
     """Generate a matrix with i.i.d. uniform unit-sphere columns."""
+    from .matrixio import matrix_to_csv
+    from .sphere import RngStream, sample_sphere_matrix
+
+    _freeze()
     c = _settings(_GEN, flags, config_path)
     if c["n"] is None or c["p"] is None:
         raise click.UsageError("--n and --p are required")
     if c["n"] < 1 or c["p"] < 1:
         raise click.UsageError("--n and --p must be positive")
-    matrix = sample_sphere_matrix(c["n"], c["p"], RngStream(c["seed"], 0))
-    _write_text(out, matrixio.matrix_to_csv(matrix, c))
+    with _allocatable(c, (("n", "p"),)):
+        text = matrix_to_csv(sample_sphere_matrix(c["n"], c["p"], RngStream(c["seed"], 0)), c)
+    _write_text(out, text)
 
 
 @main.command()
@@ -285,6 +339,12 @@ def gen(out, config_path, **flags):
 @_guard
 def select(matrix_path, v_file, v_random, out, oracle, fmt, config_path, **flags):
     """Run the selection pipeline for one direction."""
+    from . import matrixio
+    from .linalg import unit_rows
+    from .selection import brute_force_inf, constrained_select
+    from .sphere import RngStream, sample_unit_vector
+
+    _freeze()
     c = _settings(_SELECT, flags, config_path)
     matrix, _ = matrixio.load_matrix(matrix_path)
     if v_file is None and not v_random:
@@ -294,7 +354,7 @@ def select(matrix_path, v_file, v_random, out, oracle, fmt, config_path, **flags
     if v_file is not None:
         v = matrixio.load_vector(v_file)
         try:
-            unit_rows(np.reshape(v, (1, -1)), matrix.n)
+            unit_rows(v.reshape(1, -1), matrix.n)
         except InvalidInput as exc:
             raise FormatError(f"--v-file: {exc}") from exc
     else:
@@ -327,6 +387,11 @@ def select(matrix_path, v_file, v_random, out, oracle, fmt, config_path, **flags
 @_guard
 def gamma(matrix_path, out, fmt, config_path, **flags):
     """Certified upper / heuristic lower estimates of the selection value."""
+    from . import matrixio
+    from .selection import estimate_gamma
+    from .sphere import RngStream, cube_grid
+
+    _freeze()
     c = _settings(_GAMMA, flags, config_path)
     matrix, _ = matrixio.load_matrix(matrix_path)
     _check_net(matrix.n, c["net_eps"], f"matrix {matrix_path}")
@@ -363,6 +428,7 @@ def constants(out, fmt, config_path, **flags):
     """Evaluate every derived constant and the hypothesis ledger."""
     from . import analytic
 
+    _freeze()
     c = _settings(_CONSTANTS, flags, config_path)
     consts = analytic.derive_constants(c["n"], c["p"], c["s"], c["rho"], c["epsilon"],
                                        c["c_kappa"], c["c"])
@@ -412,6 +478,10 @@ def experiment():
 def _audit_command(name: str, rows: tuple) -> None:
     """Register `experiment <name>`, which reads exactly `rows` and seed."""
     rows += (_SEED,)
+    keys = {key for key, _, _ in rows}
+    # the arrays an audit holds: its trials' measure columns, and the n x p
+    # matrices of every audit but chernoff
+    arrays = tuple(array for array in (("n", "p"), ("trials",)) if keys.issuperset(array))
 
     @experiment.command(name, help=f"Run the {name} audit.")
     @_flags(rows)
@@ -422,11 +492,13 @@ def _audit_command(name: str, rows: tuple) -> None:
     def run(out, config_path, **flags):
         from . import harness
 
+        _freeze()
         settings = _settings(rows, flags, config_path)
         if "net_eps" in settings:
             _check_net(settings["n"], settings["net_eps"], "--n (or config key n)")
         # looked up when it runs, so a wrapper installed on the module sees the call
-        report = getattr(harness, f"run_{name.replace('-', '_')}_audit")(**settings)
+        with _allocatable(settings, arrays):
+            report = getattr(harness, f"run_{name.replace('-', '_')}_audit")(**settings)
         # repr round-trips, so replaying the echoed config runs the same grid
         config = {"name": name, **{key: ",".join(map(repr, value)) if isinstance(value, list)
                                    else value for key, value in settings.items()}}

@@ -58,14 +58,12 @@ from itertools import combinations
 
 import numpy as np
 
+# stated without numpy in `config`, for the CLI's flag tables; re-exported here
+from .config import DEFAULT_MAX_ATTEMPTS, KAPPA_BRANCH_CONSTANT, SelectionConfig  # noqa: F401
 from .errors import BudgetExceeded, InvalidInput
 from .linalg import UNIT_NORM_TOL, ColumnMatrix, IndexSet, unit_rows
 from .sphere import EpsNet, RngStream, _as_generator, sample_unit_vectors
 
-#: First branch of the kappa formula, the constant 4 e^{-2(ln 2 - 1)}, and
-#: the default outer-set inflation factor; `analytic` re-exports it.
-KAPPA_BRANCH_CONSTANT = 4.0 * math.exp(-2.0 * (math.log(2.0) - 1.0))
-DEFAULT_MAX_ATTEMPTS = 1000
 DEFAULT_BRUTE_FORCE_LIMIT = 200_000
 # Columns of each direction that the exact oracle ranks before its walk.
 _PREFIX_COLUMNS = 4
@@ -91,30 +89,6 @@ _PROBE_BLOCK = 1 << 16
 # Half-width of the band around 1 - rho_minus^2 in which a column pair's
 # Gram entry leaves the feasibility test to eigvalsh (see `_feasible`).
 _PAIR_BAND = 1e-8
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Tunable scalars of the selection method."""
-
-    s: int
-    rho_minus: float = 0.5
-    kappa: float = KAPPA_BRANCH_CONSTANT
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise InvalidInput("target cardinality s must be at least 1")
-        if not 0.0 < self.rho_minus < 1.0:
-            raise InvalidInput("rho_minus must lie in (0, 1)")
-        if not (math.isfinite(self.kappa) and self.kappa >= 1.0):
-            raise InvalidInput("kappa must be finite and at least 1")
-        if self.max_attempts < 1:
-            raise InvalidInput("max_attempts must be at least 1")
-
-    def outer_size(self, p: int) -> int:
-        """m = min(ceil(kappa*s), floor(p/2))."""
-        return min(math.ceil(self.kappa * self.s), p // 2)
 
 
 @dataclass(frozen=True)

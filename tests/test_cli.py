@@ -57,6 +57,82 @@ print(json.dumps(seen))
     assert json.loads(seen.splitlines()[-1]) == [[], [], [], [], [], [], ["orthoselect.analytic"]]
 
 
+def test_import_every_help_page_and_a_usage_error_load_no_numpy(fresh_python, tmp_path):
+    m = str(tmp_path / "m.csv")
+    seen = fresh_python(f"""
+import json, sys
+import click
+from orthoselect import cli
+seen = ["numpy" in sys.modules]
+for args in ([], ["gen"], ["select"], ["gamma"], ["constants"], ["experiment"],
+             *(["experiment", name] for name in cli._EXPERIMENTS)):
+    cli.main([*args, "--help"], standalone_mode=False)
+    seen.append("numpy" in sys.modules)
+try:
+    cli.main(["gamma", "--s", "abc"], standalone_mode=False)
+except click.UsageError:
+    seen.append("numpy" in sys.modules)
+cli.main(["gen", "--n", "4", "--p", "12", "--out", {m!r}], standalone_mode=False)
+seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+""")
+    # the import, 12 help pages and the usage error, then `gen`
+    assert json.loads(seen.splitlines()[-1]) == [False] * 14 + [True]
+
+
+def test_package_exports_resolve_to_their_submodules_objects():
+    import importlib
+    import sys
+
+    import orthoselect
+
+    for name in orthoselect.__all__:
+        value = getattr(orthoselect, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert value.__module__.startswith("orthoselect.")
+    assert set(orthoselect.__all__) <= set(dir(orthoselect))
+    namespace = {}
+    exec("from orthoselect import *", namespace)
+    assert set(orthoselect.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(orthoselect, name) for name in orthoselect.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        orthoselect.no_such_name
+    with pytest.raises(ImportError):
+        exec("from orthoselect import no_such_name", {})
+    assert importlib.import_module("orthoselect.harness") is orthoselect.harness
+
+
+def test_package_export_reads_the_submodule_each_time(monkeypatch):
+    import orthoselect
+    from orthoselect import selection
+
+    original = selection.attained_values
+    monkeypatch.setattr(selection, "attained_values", lambda *a, **k: "patched")
+    assert orthoselect.attained_values is selection.attained_values
+    assert orthoselect.attained_values() == "patched"
+    monkeypatch.undo()
+    assert orthoselect.attained_values is original
+
+
+def test_commands_freeze_the_collector_once_per_process(fresh_python, tmp_path):
+    m = str(tmp_path / "m.csv")
+    calls = fresh_python(f"""
+import gc, json
+calls = []
+freeze = gc.freeze
+gc.freeze = lambda: (calls.append(gc.get_freeze_count()), freeze())
+from orthoselect import cli
+seen = [len(calls)]
+for args in (["gen", "--n", "4", "--p", "12", "--out", {m!r}], ["gen", "--n", "4", "--p", "12"],
+             ["constants"], ["gen", "--help"]):
+    cli.main(args, standalone_mode=False)
+    seen.append(len(calls))
+print(json.dumps([seen, calls]))
+""")
+    # one freeze, by the first command, of a process that had frozen nothing
+    assert json.loads(calls.splitlines()[-1]) == [[0, 1, 1, 1, 1], [0]]
+
+
 # --- gen ----------------------------------------------------------------------
 
 def test_gen_deterministic_and_round_trip(runner, tmp_path):
@@ -76,6 +152,32 @@ def test_gen_deterministic_and_round_trip(runner, tmp_path):
 def test_gen_usage_error_exit_code(runner):
     result = runner.invoke(main, ["gen", "--n", "0", "--p", "5"])
     assert result.exit_code == 2
+
+
+# Each case runs in a fresh interpreter whose address space is capped at
+# 8 GiB, so a size that slipped past the refusal fails there, not the host.
+@pytest.mark.parametrize("args, flags", [
+    (["gen", "--n", "4", "--p", "9" * 400], "--n 4 --p " + "9" * 400),
+    (["experiment", "order-stat", "--p", "9" * 400], "--n 3 --p " + "9" * 400),
+    (["gen", "--n", "4", "--p", "100000000000"], "--n 4 --p 100000000000"),
+], ids=["gen-past-index-range", "order-stat-past-index-range", "gen-out-of-memory"])
+def test_sizes_that_cannot_be_allocated_are_usage_errors_naming_the_flag(fresh_python, tmp_path,
+                                                                        args, flags):
+    out = tmp_path / "out"
+    result = fresh_python(f"""
+import json, resource
+import click
+resource.setrlimit(resource.RLIMIT_AS, (8 << 30, 8 << 30))
+from orthoselect import cli
+try:
+    cli.main({[*args, "--out", str(out)]!r}, standalone_mode=False)
+except click.ClickException as exc:
+    print(json.dumps([exc.exit_code, exc.format_message()]))
+""")
+    code, message = json.loads(result.splitlines()[-1])
+    assert code == 2
+    assert message.startswith(flags + ":")
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_writes_to_stdout_without_out(runner):
@@ -342,6 +444,11 @@ def test_constants_non_finite_or_overflowing_input_is_a_domain_error(runner, tmp
     result = runner.invoke(main, ["constants", *flags, "--out", str(tmp_path / "c.txt")])
     assert result.exit_code == 4, result.output
     assert "domain error" in result.output
+    # an overflow names the derived constant and the input it came from
+    named = {("--c-kappa", "1e308"): ("c_s overflows", "c_kappa=1e+308"),
+             ("--c", "1e-300"): ("kappa_branch2 overflows", "c_subgauss=1e-300")}
+    for text in named.get(tuple(flags), ()):
+        assert text in result.output
     assert "Traceback" not in result.output
     assert not list(tmp_path.iterdir())
 
