@@ -20,8 +20,8 @@ and a Python float goes straight to the float loop.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -335,7 +335,7 @@ def claimed_gamma_bound(p: float) -> float:
     """The headline bound 80 log(p) / p on the selection value."""
     if p < 2:
         raise DomainError("p must be at least 2")
-    return 80.0 * math.log(p) / p
+    return _overflow_names("gamma_bound", lambda: 80.0 * math.log(p) / p, p=p)
 
 
 def _check_c_subgauss(c_subgauss: float) -> None:
@@ -349,22 +349,27 @@ def k_epsilon(eps: float, c_kappa: float) -> float:
         raise DomainError("eps must lie in (0, 1)")
     if not (math.isfinite(c_kappa) and c_kappa > 0.0):
         raise DomainError("c_kappa must be finite and positive")
-    return (
-        math.sqrt(2.0 * math.pi)
-        / 6.0
-        * ((1.0 + c_kappa) * math.log(1.0 + 2.0 / eps) + c_kappa + math.log(c_kappa / 4.0))
+    return _overflow_names(
+        "k_epsilon",
+        lambda: math.sqrt(2.0 * math.pi) / 6.0
+        * ((1.0 + c_kappa) * math.log(1.0 + 2.0 / eps) + c_kappa + math.log(c_kappa / 4.0)),
+        eps=eps, c_kappa=c_kappa,
     )
 
 
-@contextmanager
-def _overflow_names(constant: str, **inputs: float):
-    """Raise a float overflow inside as a DomainError that names `constant`
-    and the inputs it was derived from."""
+def _overflow_names(constant: str, compute: Callable[[], float], **inputs: float) -> float:
+    """`compute()`, the value of `constant`; if a float overflows inside it
+    (an int input too large for a float included) or its value is not
+    finite, a DomainError that names `constant` and the inputs it was
+    derived from.  A NaN here only comes of an infinite intermediate."""
     try:
-        yield
-    except OverflowError as exc:
-        given = ", ".join(f"{key}={value!r}" for key, value in inputs.items())
-        raise DomainError(f"{constant} overflows float64 at {given}") from exc
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        given = ", ".join(f"{key}={arg!r}" for key, arg in inputs.items())
+        raise DomainError(f"{constant} overflows float64 at {given}")
+    return value
 
 
 def kappa_branches(
@@ -377,19 +382,20 @@ def kappa_branches(
     _check_c_subgauss(c_subgauss)
     if p < 2:
         raise DomainError("p must be at least 2")
-    if c_kappa * n <= 0.0:
-        raise DomainError("c_kappa * n must be positive")
     k_eps = k_epsilon(eps, c_kappa)
-    with _overflow_names("kappa_branch2", rho_minus=rho_minus, eps=eps, c_kappa=c_kappa, p=p, n=n,
-                         c_subgauss=c_subgauss):
-        branch2 = (
-            4.0
-            * math.exp(3.0)
-            / (1.0 - rho_minus) ** 2
-            * ((1.0 + k_eps) * (1.0 + c_kappa) / (c_subgauss * (1.0 - eps) ** 4)) ** 2
-            * math.log(p) ** 2
-            * math.log(c_kappa * n)
-        )
+    # c_kappa > 0 here, and a huge int n would overflow c_kappa * n
+    if n <= 0:
+        raise DomainError("c_kappa * n must be positive")
+    branch2 = _overflow_names(
+        "kappa_branch2",
+        lambda: 4.0
+        * math.exp(3.0)
+        / (1.0 - rho_minus) ** 2
+        * ((1.0 + k_eps) * (1.0 + c_kappa) / (c_subgauss * (1.0 - eps) ** 4)) ** 2
+        * math.log(p) ** 2
+        * math.log(c_kappa * n),
+        rho_minus=rho_minus, eps=eps, c_kappa=c_kappa, p=p, n=n, c_subgauss=c_subgauss,
+    )
     return KAPPA_BRANCH_CONSTANT, branch2
 
 
@@ -397,16 +403,16 @@ def c_s_constant(rho_minus: float, eps: float, c_kappa: float, c_subgauss: float
     """C_s = c^2 (1-rho)^2 (1-eps)^8 / (4 e^3) * C_k / ((1+K_eps)^2 (1+C_k)^2)."""
     _check_c_subgauss(c_subgauss)
     k_eps = k_epsilon(eps, c_kappa)
-    with _overflow_names("c_s", rho_minus=rho_minus, eps=eps, c_kappa=c_kappa,
-                         c_subgauss=c_subgauss):
-        return (
-            c_subgauss**2
-            * (1.0 - rho_minus) ** 2
-            * (1.0 - eps) ** 8
-            / (4.0 * math.exp(3.0))
-            * c_kappa
-            / ((1.0 + k_eps) ** 2 * (1.0 + c_kappa) ** 2)
-        )
+    return _overflow_names(
+        "c_s",
+        lambda: c_subgauss**2
+        * (1.0 - rho_minus) ** 2
+        * (1.0 - eps) ** 8
+        / (4.0 * math.exp(3.0))
+        * c_kappa
+        / ((1.0 + k_eps) ** 2 * (1.0 + c_kappa) ** 2),
+        rho_minus=rho_minus, eps=eps, c_kappa=c_kappa, c_subgauss=c_subgauss,
+    )
 
 
 def s_max(
@@ -481,7 +487,10 @@ def derive_constants(
     kappa = max(branch1, branch2)
     c_s = c_s_constant(rho_minus, epsilon, c_kappa, c_subgauss)
     r_prime = (1.0 - rho_minus) / 2.0
-    u_norm = norm_threshold_u(n, kappa * s, epsilon, c_subgauss, k_eps, p)
+    u_norm = _overflow_names(
+        "u_norm", lambda: norm_threshold_u(n, kappa * s, epsilon, c_subgauss, k_eps, p),
+        n=n, p=p, s=s, kappa=kappa, epsilon=epsilon, c_subgauss=c_subgauss,
+    )
     c_v = math.log(c_kappa * n) if c_kappa * n > 0 else math.nan
     # undefined, like s_max and z0, where log(C_k n) <= 0
     v_split = math.sqrt(r_prime**2 / c_v) if c_v > 0.0 else None

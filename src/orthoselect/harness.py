@@ -227,8 +227,8 @@ def _run_trials(seed: int, trials: int, draw: Callable, measure: Callable | None
     own stream (seed, i), in index order, a block of trials at a time.
 
     Without `measure`, a block is one trial and draw(gen) returns its
-    measures as a dict.  With it, draw(gen, rows) returns a tuple of arrays
-    holding only the trial's random numbers, the first drawn by
+    measures as a dict.  With it, draw(gen, rows) returns a tuple of
+    array-likes holding only the trial's random numbers, the first drawn by
     rows(n, count, gen) as its sphere points, and measure(*stacked) maps the
     draws of a block, stacked along a new first axis by `_draw_block`, to
     measure columns.  `width` is the number of float64 values the measure
@@ -488,13 +488,13 @@ def run_decoupling_audit(n: int, p: int, kappa: float, s: int, r_grid: Sequence[
         raise InvalidInput("kappa*s must not exceed p")
     rate = 1.0 / kappa
     r_values = [float(r) for r in r_grid]
-    swap_low = np.arange(s)
 
-    def draw(gen: np.random.Generator, rows: Callable) -> tuple[np.ndarray, ...]:
+    def draw(gen: np.random.Generator, rows: Callable) -> tuple:
         # the p columns and the direction v as p + 1 sphere rows (v last),
         # the s Fisher-Yates swap targets and the three Bernoulli uniforms, in
-        # the order the trial consumes them
-        return rows(n, p + 1, gen), gen.integers(swap_low, m), gen.random((3, m))
+        # the order the trial consumes them (s scalar draws: the numbers of
+        # one broadcast gen.integers(arange(s), m), in less time)
+        return rows(n, p + 1, gen), [gen.integers(i, m) for i in range(s)], gen.random((3, m))
 
     def measure(xv: np.ndarray, swaps: np.ndarray, u: np.ndarray) -> dict:
         x, v = xv[:, :p], xv[:, p]

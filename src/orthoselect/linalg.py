@@ -5,7 +5,8 @@ unit vectors.  Spectra are computed by symmetric eigendecomposition of the
 smaller of the two crossproduct matrices (Gram X^T X, or X X^T when there are
 more columns than rows), which is exact enough for the desk-scale sizes this
 package targets (|S| <= 64, n <= 10^3).  `unit_rows` is the package's one
-check of a direction or a batch of them, `select --v-file` included.
+check of a unit vector: matrix columns, net points and directions
+(`select --v-file` included) all pass it.
 """
 from __future__ import annotations
 
@@ -36,19 +37,8 @@ class ColumnMatrix:
             raise InvalidInput(f"expected a 2-d array, got ndim={arr.ndim}")
         if arr.shape[0] < 1:
             raise InvalidInput("matrix must have at least one row")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("matrix entries must be finite")
-        if arr.shape[1] > 0:
-            norms = np.linalg.norm(arr, axis=0)
-            worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > UNIT_NORM_TOL:
-                raise InvalidInput(
-                    f"columns must have unit norm within {UNIT_NORM_TOL}; "
-                    f"worst deviation {worst:.3e}"
-                )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        unit_rows(arr.T, arr.shape[0], "columns")
+        object.__setattr__(self, "data", frozen(arr))
 
     @property
     def n(self) -> int:
@@ -154,16 +144,25 @@ def gram_deviation(matrix: ColumnMatrix) -> float:
     return float(max(abs(float(lam[0])), abs(float(lam[-1]))))
 
 
-def unit_rows(directions: np.ndarray, n: int) -> np.ndarray:
-    """`directions` as a (count, n) float array of finite unit rows; the one
-    check of a direction's shape and norm."""
-    dirs = np.asarray(directions, dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != n:
-        raise InvalidInput(f"directions must be a (count, {n}) array, got shape {dirs.shape}")
-    norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
-        raise InvalidInput(f"directions must be finite with unit norm within {UNIT_NORM_TOL}")
-    return dirs
+def unit_rows(rows: np.ndarray, n: int, name: str = "directions") -> np.ndarray:
+    """`rows` as a (count, n) float array of finite rows of unit norm within
+    UNIT_NORM_TOL.  `name` (columns, net points, directions) labels the
+    error, which gives the worst deviation (nan or inf if not finite)."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise InvalidInput(f"{name} must be a (count, {n}) array, got shape {arr.shape}")
+    deviation = np.abs(np.sqrt(np.einsum("ij,ij->i", arr, arr)) - 1.0)
+    if not np.all(deviation <= UNIT_NORM_TOL):
+        raise InvalidInput(f"{name} must be finite with unit norm within {UNIT_NORM_TOL}; "
+                           f"worst deviation {np.max(deviation):.3e}")
+    return arr
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of `arr`."""
+    out = arr.copy()
+    out.flags.writeable = False
+    return out
 
 
 def inf_norm_against(matrix: ColumnMatrix, subset: IndexSet, v: np.ndarray) -> float:

@@ -381,9 +381,10 @@ def _pipeline(
     partial Fisher-Yates shuffle of positions into the direction's
     value-ranked outer list, `_subset_positions`) for every direction still
     without a well-conditioned subset, conditions them all at once
-    (`_feasible`), and reads each accepted subset's attained value from the
-    outer-set values.  A round reads the outer sets through flat indices
-    direction * m + position, so it holds only (a, s) arrays.
+    (`_feasible`), and reads every drawn subset's attained value from the
+    outer-set values in one take, keeping the accepted ones.  A round reads
+    the outer sets through flat indices direction * m + position, so it
+    holds only (a, s) arrays.
     Returns per direction row:
 
     - the outer columns (count, m), in value order;
@@ -421,9 +422,11 @@ def _pipeline(
         accepted = np.flatnonzero(ok)
         if accepted.size:
             hit = active[accepted]
-            inner[hit] = chosen[accepted]
+            # column by column: faster than (rows, s) gathers and scatters
+            for i in range(s):
+                inner[hit, i] = chosen[accepted, i]
             attempts[hit] = attempt
-            attained[hit] = b_outer.take(pos[accepted].T).max(axis=0)
+            attained[hit] = b_outer.take(pos.T).max(axis=0)[accepted]
             active = active[~ok]
     return outer, inner, attempts, attained
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidInput
-from .linalg import ColumnMatrix
+from .linalg import ColumnMatrix, frozen, unit_rows
 
 NET_DIMENSION_CAP = 8
 _CANDIDATE_CHUNK = 512
@@ -124,7 +124,8 @@ def sample_sphere_matrix(n: int, p: int, rng: RngStream | np.random.Generator) -
 
 @dataclass(frozen=True)
 class EpsNet:
-    """Unit vectors in R^d that, with their negatives, cover S^{d-1} to `radius`.
+    """Unit vectors in R^d (`linalg.unit_rows`, kept read-only) that, with
+    their negatives, cover S^{d-1} to `radius`.
 
     `mode` says how the radius is known: "proven" for a `cube_grid` (closed
     form), "exact" for the d = 1 net {-1, +1}, and "heuristic" for a
@@ -140,15 +141,8 @@ class EpsNet:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise InvalidInput("net points must be a (count, dimension) array")
-        norms = np.linalg.norm(pts, axis=1)
-        if pts.shape[0] and float(np.max(np.abs(norms - 1.0))) > 1e-9:
-            raise InvalidInput("net points must be unit vectors")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points",
+                           frozen(unit_rows(self.points, self.dimension, "net points")))
 
     def __len__(self) -> int:
         return int(self.points.shape[0])

@@ -325,6 +325,23 @@ def test_constants_refuse_a_non_finite_c_kappa_or_c_subgauss(bad):
             call()
 
 
+def test_k_epsilon_and_kappa_branches_refuse_an_infinite_value():
+    # a product that reaches inf raises no OverflowError, as `**` would
+    with pytest.raises(DomainError, match=r"^k_epsilon overflows float64 at eps=0\.5, "
+                                          r"c_kappa=1e\+308$"):
+        an.k_epsilon(0.5, 1e308)
+    with pytest.raises(DomainError, match=r"^k_epsilon overflows"):
+        an.kappa_branches(0.5, 0.5, 1e308, 1000, 100, 0.5)
+    with pytest.raises(DomainError, match=r"^kappa_branch2 overflows float64 at rho_minus=0\.5, "
+                                          r"eps=0\.5, c_kappa=1e\+76, p=1000, n=100, "
+                                          r"c_subgauss=0\.5$"):
+        an.kappa_branches(0.5, 0.5, 1e76, 1000, 100, 0.5)
+    assert math.isfinite(an.k_epsilon(0.5, 1e76))
+    # an int too large for a float names the constant and the input
+    with pytest.raises(DomainError, match=r"^kappa_branch2 overflows .*, n=9{400}, "):
+        an.kappa_branches(0.5, 0.5, 1.0, 1000, int("9" * 400), 0.5)
+
+
 def test_derive_constants_recomputes_consistently():
     c = an.derive_constants(100, 1000, 1, 0.5, 0.5, 1.0, 0.5)
     assert c.k_epsilon == pytest.approx(an.k_epsilon(0.5, 1.0), rel=1e-15)

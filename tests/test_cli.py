@@ -445,8 +445,11 @@ def test_constants_non_finite_or_overflowing_input_is_a_domain_error(runner, tmp
     assert result.exit_code == 4, result.output
     assert "domain error" in result.output
     # an overflow names the derived constant and the input it came from
-    named = {("--c-kappa", "1e308"): ("c_s overflows", "c_kappa=1e+308"),
-             ("--c", "1e-300"): ("kappa_branch2 overflows", "c_subgauss=1e-300")}
+    named = {("--c-kappa", "1e308"): ("k_epsilon overflows", "c_kappa=1e+308"),
+             ("--c", "1e-300"): ("kappa_branch2 overflows", "c_subgauss=1e-300"),
+             ("--n", "9" * 400): ("kappa_branch2 overflows", f"n={'9' * 400}"),
+             ("--p", "9" * 400): ("gamma_bound overflows", f"p={'9' * 400}"),
+             ("--s", "9" * 400): ("u_norm overflows", f"s={'9' * 400}")}
     for text in named.get(tuple(flags), ()):
         assert text in result.output
     assert "Traceback" not in result.output

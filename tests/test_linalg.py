@@ -16,7 +16,7 @@ from orthoselect import (
     submatrix,
 )
 from orthoselect.linalg import UNIT_NORM_TOL, unit_rows
-from orthoselect.sphere import (RngStream, sample_sphere_matrix, sample_unit_vector,
+from orthoselect.sphere import (EpsNet, RngStream, sample_sphere_matrix, sample_unit_vector,
                                 sample_unit_vectors)
 
 from oracles import power_iteration_norm
@@ -228,3 +228,38 @@ def test_unit_rows_accepts_norms_within_the_tolerance_and_rejects_the_rest():
     for shape in ((1000, 3), (1000, 5), (4,), (1, 1, 4)):  # unit rows of the wrong shape
         with pytest.raises(InvalidInput):
             unit_rows(np.full(shape, 1.0 / math.sqrt(shape[-1])), 4)
+
+
+# each stored unit vector, as the rows its check sees, and the kind its
+# error names
+_UNIT_CHECKS = {
+    "columns": lambda rows: ColumnMatrix(np.asarray(rows).T).data.T,
+    "net points": lambda rows: EpsNet(4, 0.5, rows).points,
+    "directions": lambda rows: unit_rows(rows, 4),
+}
+
+
+@pytest.mark.parametrize("kind", list(_UNIT_CHECKS))
+def test_columns_net_points_and_directions_pass_the_one_unit_check(kind):
+    check = _UNIT_CHECKS[kind]
+    v = sample_unit_vectors(4, 100, RngStream(80, 0))
+    for scale in (1.0 + 0.9 * UNIT_NORM_TOL, 1.0 - 0.9 * UNIT_NORM_TOL):
+        assert np.array_equal(check(v * scale), v * scale)
+    refused = f"{kind} must be finite with unit norm within 1e-09; worst deviation "
+    for value, worst in ((1.0 + 1.1 * UNIT_NORM_TOL, r"1\.100e-09"),
+                         (1.0 - 1.1 * UNIT_NORM_TOL, r"1\.100e-09"),
+                         (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "inf")):
+        bad = v.copy()
+        if math.isfinite(value):
+            bad[37] *= value
+        else:
+            bad[37, 2] = value
+        with pytest.raises(InvalidInput, match=f"^{refused}{worst}$"):
+            check(bad)
+    # a matrix of any row count is valid, but not one of no rows (the rows
+    # seen here are its columns)
+    shapes = ((4,), (1, 1, 4), (4, 0)) if kind == "columns" else ((100, 3), (100, 5), (4,),
+                                                                  (1, 1, 4))
+    for shape in shapes:
+        with pytest.raises(InvalidInput):
+            check(np.full(shape, 0.5))

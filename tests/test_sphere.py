@@ -6,7 +6,6 @@ import pytest
 
 from orthoselect import (
     BudgetExceeded,
-    EpsNet,
     InvalidInput,
     RngStream,
     build_eps_net,
@@ -277,11 +276,6 @@ def test_grid_over_the_limit_names_its_size():
                                              r"155897368 points.* 0\.5291502622129182 \(k=5\)"):
         cube_grid(8, 0.25)
     assert len(cube_grid(8, 0.9)) == 17_496
-
-
-def test_eps_net_type_validates_points():
-    with pytest.raises(InvalidInput):
-        EpsNet(2, 0.5, np.array([[2.0, 0.0]]))
 
 
 def test_acceptance_net_maps_its_products_once(fresh_python):
