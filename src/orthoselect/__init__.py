@@ -22,8 +22,8 @@ _EXPORTS = {
                      "sample_unit_vector", "sample_unit_vectors"), "sphere"),
     "SelectionConfig": "config",
     **dict.fromkeys(("GammaEstimate", "SelectionOutcome", "attained_values", "brute_force_inf",
-                     "constrained_select", "estimate_gamma", "exact_inf_profile", "greedy_outer",
-                     "monotonicity_check"), "selection"),
+                     "constrained_select", "estimate_gamma", "exact_inf_profile",
+                     "greedy_outer"), "selection"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -32,6 +32,8 @@ from .config import KAPPA_BRANCH_CONSTANT
 _BETACF_MAX_ITER = 500
 _BETACF_EPS = 3e-16
 _FPMIN = 1e-300
+# Width at which `order_stat_quantile` stops its bisection.
+_QUANTILE_TOL = 1e-12
 # Entries per block of an array `order_stat_cdf`.
 _CDF_BLOCK = 1 << 14
 
@@ -271,7 +273,7 @@ def order_stat_sf(z: float, spec: OrderStatSpec) -> float:
     return binomial_cdf(spec.r - 1, spec.p, g)
 
 
-def order_stat_quantile(alpha: float, spec: OrderStatSpec, tol: float = 1e-12) -> float:
+def order_stat_quantile(alpha: float, spec: OrderStatSpec) -> float:
     """Smallest z with F_{Z_(r)}(z) >= 1 - alpha, by bisection.
 
     Extreme levels (alpha below float granularity near 1) bisect on the
@@ -286,7 +288,7 @@ def order_stat_quantile(alpha: float, spec: OrderStatSpec, tol: float = 1e-12) -
     else:
         hit = lambda z: order_stat_sf(z, spec) <= alpha
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > _QUANTILE_TOL:
         mid = 0.5 * (lo + hi)
         if hit(mid):
             hi = mid
@@ -349,10 +351,14 @@ def k_epsilon(eps: float, c_kappa: float) -> float:
         raise DomainError("eps must lie in (0, 1)")
     if not (math.isfinite(c_kappa) and c_kappa > 0.0):
         raise DomainError("c_kappa must be finite and positive")
+    quarter = c_kappa / 4.0
+    if quarter == 0.0:
+        raise DomainError(f"k_epsilon underflows float64 at eps={eps!r}, c_kappa={c_kappa!r}: "
+                          "c_kappa / 4 rounds to 0, whose log is -inf")
     return _overflow_names(
         "k_epsilon",
         lambda: math.sqrt(2.0 * math.pi) / 6.0
-        * ((1.0 + c_kappa) * math.log(1.0 + 2.0 / eps) + c_kappa + math.log(c_kappa / 4.0)),
+        * ((1.0 + c_kappa) * math.log(1.0 + 2.0 / eps) + c_kappa + math.log(quarter)),
         eps=eps, c_kappa=c_kappa,
     )
 

@@ -61,15 +61,13 @@ _THEOREM_C_KAPPA = 1.0
 _STREAM_BOOTSTRAP = 1 << 48
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at DEFAULT_CONFIDENCE."""
     if trials < 1:
         raise InvalidInput("trials must be positive")
     if not 0 <= successes <= trials:
         raise InvalidInput("successes must lie in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidInput("confidence must lie in (0, 1)")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + DEFAULT_CONFIDENCE / 2.0)
     f = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -149,22 +147,24 @@ class ReportCell:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Machine-readable audit result: cells, hypothesis ledger, trial table."""
+    """Machine-readable audit result: cells, hypothesis ledger, trial table.
+    Its intervals are at DEFAULT_CONFIDENCE, which the JSON records."""
 
     name: str
     grid: dict
     master_seed: int
     trials: int
     cells: list[ReportCell]
-    confidence: float = DEFAULT_CONFIDENCE
     hypotheses: list[dict] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     records: TrialTable = field(default_factory=TrialTable)
 
     def to_json_dict(self) -> dict:
-        """Every field but the trial table, which goes to the trials CSV."""
+        """Every field but the trial table, which goes to the trials CSV, and
+        the confidence."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
-        return _jsonable({**out, "cells": [asdict(c) for c in self.cells]})
+        return _jsonable({**out, "confidence": DEFAULT_CONFIDENCE,
+                          "cells": [asdict(c) for c in self.cells]})
 
 
 REPORT_SCHEMA = {

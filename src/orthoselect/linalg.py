@@ -73,12 +73,6 @@ class IndexSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, j: int) -> bool:
-        return j in self.indices
-
-    def issubset(self, other: "IndexSet") -> bool:
-        return set(self.indices) <= set(other.indices)
-
     def validate_for(self, matrix: ColumnMatrix) -> None:
         if self.indices and self.indices[-1] >= matrix.p:
             raise InvalidIndex(

@@ -12,16 +12,15 @@ of a block to its m smallest |<X_j, v>| (`_rank_rows`), writing them
 straight into the block's rows of the (count, m) outputs.  So memory is
 bounded by a block per thread plus the outputs, never by the full
 (p, count) value matrix.  The blocks are ranked on every CPU the process may
-run on.  A direction is ranked by sorting keys: each entry's float32 bits,
-read as an unsigned integer, with the sign bit cleared and the low bits
-replaced by the column index, so the first m keys name its first m columns.
-A direction whose first m + 1 keys tie once the index bits are dropped is
-ranked again from float64 keys, and, if those tie too, by a full stable
-argsort of its |float64| values.  Directions of more than
-_FLOAT32_KEY_COLUMNS columns start at float64 keys.  The values are read
-last, by one flat take on the block, and only then made absolute.  Each
-round of draws reads the outer sets through flat (a, s) indices and holds
-no (a, m) array.
+run on.  A direction is ranked in two stages.  First by sorting keys: each
+entry's float32 bits (float64 bits past _FLOAT32_KEY_COLUMNS columns), read
+as an unsigned integer and marked after their transposed copy, with the sign
+bit cleared and the low bits replaced by the column index, so the first m
+keys name its first m columns.  Then a direction whose first m + 1 keys tie
+once the index bits are dropped is ranked by a full stable argsort of its
+|float64| values.  The values are read last, by one flat take on the block,
+and only then made absolute.  Each round of draws reads the outer sets
+through flat (a, s) indices and holds no (a, m) array.
 
 Each round conditions its drawn subsets in `_feasible`: the column pairs'
 Gram entries decide every subset outside a band of half-width 1e-8 around
@@ -75,9 +74,8 @@ _TABLE_SUBSETS = 1 << 23
 # _TILE_ROWS, so a direction's entries do not depend on its block (see
 # `_product_blocks`).
 _RANK_ELEMENTS = 1 << 16
-# Columns up to which `_rank_rows` starts at float32 keys and sorts them in
-# full; longer rows start at float64 keys and partition them (see
-# `_rank_rows`).
+# Columns up to which `_rank_rows` ranks by float32 keys and sorts them in
+# full; longer rows take float64 keys and partition them (see `_rank_rows`).
 _FLOAT32_KEY_COLUMNS = 512
 # Direction rows per BLAS tile of the product.
 _TILE_ROWS = 8
@@ -201,30 +199,22 @@ def _rank_rows(a: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     distinct and sort by (value part, column), so its first m keys are its
     answer unless two of its first m + 1 share a value part: a tie at the
     m-th and (m+1)-th leaves the set undecided, a tie among the first m
-    leaves their order undecided, and the row goes on to the next stage.
+    leaves their order undecided, and the row goes on to the second stage.
 
-    A row passes through at most three stages, each taking only the rows
-    the one before left undecided: float32 keys, float64 keys, and a full
-    stable argsort of its float64 magnitudes.  Rows of at most
-    _FLOAT32_KEY_COLUMNS = 512 columns start at float32 keys, which keep at
-    least 15 of float32's 24 significand bits; longer rows start at float64
+    A row passes through at most two stages: its keys, and, if they leave
+    it undecided, a full stable argsort of its float64 magnitudes.  Rows of
+    at most _FLOAT32_KEY_COLUMNS = 512 columns take float32 keys, which keep
+    at least 15 of float32's 24 significand bits; longer rows take float64
     keys, because float32 keys keep so few value bits there that most rows
-    tie once m is large (61% at p = 1000, m = 200, against 0.4% at m = 15),
-    and float64 keys alone rank them faster.  The stage a call starts at
-    depends on p only.  The values are read from `a` last, the same bits
-    whichever stage ranked a row, by one take on `a` flattened in C order
-    at idx * width + row, and made absolute in place.
+    tie once m is large (61% at p = 1000, m = 200, against 0.4% at m = 15).
+    The key type depends on p only.  The values are read from `a` last, the
+    same bits whichever stage ranked a row, by one take on `a` flattened in
+    C order at idx * width + row, and made absolute in place.
     """
     rows, m = idx.shape
     p, width = a.shape
     b = a[:, :rows]
-    first = np.uint32 if p <= _FLOAT32_KEY_COLUMNS else np.uint64
-    todo = _key_ranks(b, first, idx)
-    if todo.size and first is np.uint32:
-        again = np.empty((todo.size, m), dtype=np.intp)
-        left = _key_ranks(b[:, todo], np.uint64, again)
-        idx[todo] = again
-        todo = todo[left]
+    todo = _key_ranks(b, np.uint32 if p <= _FLOAT32_KEY_COLUMNS else np.uint64, idx)
     if todo.size:
         idx[todo] = np.argsort(np.abs(b[:, todo]).T, axis=1, kind="stable")[:, :m]
     flat = idx * width
@@ -242,13 +232,11 @@ def _key_ranks(b: np.ndarray, key: type, idx: np.ndarray) -> np.ndarray:
     `_rank_rows`), and returns the positions of the directions whose
     ranking is undecided.
 
-    The keys are copied into their (rows, p) array in slabs of about
-    _RANK_ELEMENTS values, so each slab's transposing reads stay in cache.
-    Float32 keys are cast and marked before that copy, in b's layout, whose
-    rows (one per column index) are the long ones at p <= 512, so the copy
-    moves half the bytes; float64 keys (p > 512, or a block's few tied
-    directions) are marked after it, along the keys' own rows.  Rows of at
-    most _FLOAT32_KEY_COLUMNS columns sort their keys in full; longer rows
+    Float32 keys are cast from `b` first, so the copy below moves half the
+    bytes.  The keys' bit patterns are copied into their (rows, p) array in
+    slabs of about _RANK_ELEMENTS values, so each slab's transposing reads
+    stay in cache, and only then marked, along the keys' own rows.  Rows of
+    at most _FLOAT32_KEY_COLUMNS columns sort their keys in full; longer rows
     partition them at m and sort only the first m, which is several times
     faster there.  The ties are found in one pass over the first m + 1 keys
     of every row laid end to end: two neighbours share a value part when
@@ -259,18 +247,14 @@ def _key_ranks(b: np.ndarray, key: type, idx: np.ndarray) -> np.ndarray:
     bits = (p - 1).bit_length()
     # the bits above the column index, less the sign bit: the keys order |b|
     keep = key((1 << (8 * np.dtype(key).itemsize - 1)) - (1 << bits))
-    cols = np.arange(p, dtype=key)
     if key is np.uint32:
-        b = b.astype(np.float32).view(key)
-        b &= keep
-        b |= cols[:, None]
+        b = b.astype(np.float32)
     k = np.empty((rows, p), dtype=key)
     step = max(1, _RANK_ELEMENTS // rows)
     for lo in range(0, p, step):
         k[:, lo : lo + step] = b[lo : lo + step].view(key).T
-    if key is np.uint64:
-        k &= keep
-        k |= cols
+    k &= keep
+    k |= np.arange(p, dtype=key)
     if p > _FLOAT32_KEY_COLUMNS and m < p:
         k.partition(m, axis=1)
         k[:, :m].sort(axis=1)
@@ -662,31 +646,3 @@ def estimate_gamma(
         net=net.descriptor(),
         feasibility_rate=finite / total if total else 0.0,
     )
-
-
-@dataclass(frozen=True)
-class MonotonicityResult:
-    gamma_base: float
-    gamma_concat: float
-    satisfied: bool
-
-
-def monotonicity_check(
-    matrix: ColumnMatrix,
-    extra: ColumnMatrix,
-    cfg: SelectionConfig,
-    directions: np.ndarray,
-) -> MonotonicityResult:
-    """Exact selection value over a fixed direction set, before and after
-    appending columns; appending can only shrink it (inf over empty family
-    counts as +inf)."""
-    if extra.n != matrix.n:
-        raise InvalidInput("appended columns must have the same row count")
-    dirs = np.asarray(directions, dtype=float)
-    base_vals = exact_inf_profile(matrix, dirs, cfg.s, cfg.rho_minus)
-    combined = ColumnMatrix(np.hstack([matrix.data, extra.data]))
-    concat_vals = exact_inf_profile(combined, dirs, cfg.s, cfg.rho_minus)
-    gamma_base = float(np.max(base_vals))
-    gamma_concat = float(np.max(concat_vals))
-    satisfied = gamma_concat <= gamma_base + 1e-12 or math.isinf(gamma_base)
-    return MonotonicityResult(gamma_base, gamma_concat, satisfied)

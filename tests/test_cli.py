@@ -438,7 +438,7 @@ def test_constants_csv_mode(runner):
 @pytest.mark.parametrize("flags", [
     ["--c-kappa", "nan"], ["--c-kappa", "inf"], ["--c-kappa", "1e308"],
     ["--c", "nan"], ["--c", "inf"], ["--c", "1e-300"],
-    ["--n", "9" * 400], ["--p", "9" * 400], ["--s", "9" * 400],
+    ["--n", "9" * 400], ["--p", "9" * 400], ["--s", "9" * 400], ["--c-kappa", "5e-324"],
 ])
 def test_constants_non_finite_or_overflowing_input_is_a_domain_error(runner, tmp_path, flags):
     result = runner.invoke(main, ["constants", *flags, "--out", str(tmp_path / "c.txt")])
@@ -449,10 +449,16 @@ def test_constants_non_finite_or_overflowing_input_is_a_domain_error(runner, tmp
              ("--c", "1e-300"): ("kappa_branch2 overflows", "c_subgauss=1e-300"),
              ("--n", "9" * 400): ("kappa_branch2 overflows", f"n={'9' * 400}"),
              ("--p", "9" * 400): ("gamma_bound overflows", f"p={'9' * 400}"),
-             ("--s", "9" * 400): ("u_norm overflows", f"s={'9' * 400}")}
+             ("--s", "9" * 400): ("u_norm overflows", f"s={'9' * 400}"),
+             ("--c-kappa", "5e-324"): ("k_epsilon underflows", "c_kappa=5e-324")}
     for text in named.get(tuple(flags), ()):
         assert text in result.output
     assert "Traceback" not in result.output
+    if flags == ["--c-kappa", "5e-324"]:
+        # the norm audit derives k_epsilon from the same flag before any draw
+        norm = runner.invoke(main, ["experiment", "norm", *flags, "--out", str(tmp_path / "x")])
+        assert norm.exit_code == 4, norm.output
+        assert "k_epsilon underflows" in norm.output and "Traceback" not in norm.output
     assert not list(tmp_path.iterdir())
 
 

@@ -25,7 +25,6 @@ from orthoselect import (
     exact_inf_profile,
     greedy_outer,
     inf_norm_against,
-    monotonicity_check,
     sample_sphere_matrix,
     sample_unit_vector,
     sample_unit_vectors,
@@ -246,8 +245,8 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
     wide[:, :rows] = collided(p, rows, p * 1000 + m)
     a = wide[:, :rows]  # the directions of a padded product, as `_product_blocks` yields
     expected = stable_first(a.T, m)
-    # each stage's key type (None for the final stable argsort), input block
-    # and the positions of the rows it leaves undecided
+    # each stage's key type (None for the stable argsort that follows the
+    # keys), input block and the positions of the rows it leaves undecided
     stages = []
     real_key_ranks, real_argsort = selection._key_ranks, np.argsort
 
@@ -271,8 +270,8 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
         assert np.array_equal(b, a[:, left])
         left = left[tied]
     assert not left.size
-    order = [np.uint32, np.uint64, None]
-    order = order[order.index(first_key(p)[0]) :]
+    # two stages: the key type p picks, then the stable argsort
+    order = [first_key(p)[0], None]
     assert [key for key, _, _ in stages] == order[: len(stages)]
     # one row at a time
     for k in range(0, rows, 101):
@@ -281,7 +280,7 @@ def test_rank_rows_sees_through_float32_rounding_and_ties(p, m, monkeypatch):
     if 3 <= m < p:
         kinds = collision_kinds(a.T, m)
         assert all(kinds.values()), kinds
-        assert len(stages) == len(order)  # every stage took rows
+        assert len(stages) == len(order)  # both stages took rows
 
 
 @pytest.mark.parametrize("p, m", [(12, 4), (12, 12), (200, 15), (200, 200), (600, 15), (600, 600)])
@@ -588,7 +587,7 @@ def test_constrained_select_value_bounded_by_outer_order_statistic():
             continue
         z_m = inf_norm_against(x, out.outer_set, v)
         assert out.attained_value <= z_m + 1e-12
-        assert out.inner_set.issubset(out.outer_set)
+        assert set(out.inner_set) <= set(out.outer_set)
         assert out.sigma_min_achieved >= cfg.rho_minus
 
 
@@ -1186,9 +1185,11 @@ def test_monotonicity_duplicate_columns_change_nothing():
     x = sample_sphere_matrix(4, 8, RngStream(52, 0))
     dirs = sample_unit_vectors(4, 20, RngStream(53, 0))
     cfg = SelectionConfig(s=2, rho_minus=0.5)
-    res = monotonicity_check(x, x, cfg, dirs)
-    assert res.satisfied
-    assert res.gamma_concat == pytest.approx(res.gamma_base, abs=1e-12)
+    base = float(np.max(exact_inf_profile(x, dirs, cfg.s, cfg.rho_minus)))
+    concat = float(np.max(exact_inf_profile(ColumnMatrix(np.hstack([x.data, x.data])), dirs,
+                                            cfg.s, cfg.rho_minus)))
+    assert concat <= base + 1e-12 or math.isinf(base)
+    assert concat == pytest.approx(base, abs=1e-12)
 
 
 def test_monotonicity_random_sweep():
@@ -1197,7 +1198,10 @@ def test_monotonicity_random_sweep():
         x = sample_sphere_matrix(4, 8, RngStream(54, i))
         extra = sample_sphere_matrix(4, 4, RngStream(55, i))
         dirs = sample_unit_vectors(4, 20, RngStream(56, i))
-        assert monotonicity_check(x, extra, cfg, dirs).satisfied
+        base = float(np.max(exact_inf_profile(x, dirs, cfg.s, cfg.rho_minus)))
+        concat = float(np.max(exact_inf_profile(ColumnMatrix(np.hstack([x.data, extra.data])),
+                                                dirs, cfg.s, cfg.rho_minus)))
+        assert concat <= base + 1e-12 or math.isinf(base)
 
 
 def test_monotonicity_new_orthogonal_column_can_strictly_help():
@@ -1211,6 +1215,8 @@ def test_monotonicity_new_orthogonal_column_can_strictly_help():
     extra = ColumnMatrix(np.column_stack([np.eye(4)[:, 2], np.eye(4)[:, 3]]))
     dirs = np.array([[1.0, 0.0, 0.0, 0.0]])
     cfg = SelectionConfig(s=2, rho_minus=0.5)
-    res = monotonicity_check(x, extra, cfg, dirs)
-    assert res.satisfied
-    assert res.gamma_concat < res.gamma_base - 0.05
+    base = float(np.max(exact_inf_profile(x, dirs, cfg.s, cfg.rho_minus)))
+    concat = float(np.max(exact_inf_profile(ColumnMatrix(np.hstack([x.data, extra.data])), dirs,
+                                            cfg.s, cfg.rho_minus)))
+    assert concat <= base + 1e-12 or math.isinf(base)
+    assert concat < base - 0.05
