@@ -337,7 +337,10 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
 
     The empirical coherence of sphere-uniform columns concentrates near
     sqrt(2 log(p) / n), so the claim is expected to come back violated; the
-    audit records where, rather than assuming either side.
+    audit records where, rather than assuming either side.  `welch_bound`
+    records why: any p > n unit vectors in R^n have coherence at least
+    sqrt((p - n) / (n (p - 1))) (Welch), which exceeds p^-2/2 whenever
+    p > n, so the claim fails for every matrix, not only the sample.
     """
     if trials < 100:
         raise InvalidInput("coherence audit needs at least 100 trials")
@@ -347,6 +350,7 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
         raise InvalidInput("p must be at least 2")
     claim_threshold = 0.5 * p**-2
     reference_scale = math.sqrt(2.0 * math.log(p) / n)
+    welch_bound = math.sqrt((p - n) / (n * (p - 1))) if p > n else 0.0
     claimed_prob = 1.0 - p ** float(-n)
     grid = {"n": n, "p": p}
 
@@ -369,6 +373,7 @@ def run_coherence_audit(n: int, p: int, trials: int, seed: int) -> ExperimentRep
             "freq_below_sqrt_2logp_over_n": ref_hits / trials,
             "sqrt_2logp_over_n": reference_scale,
             "ci_below_sqrt_scale": list(wilson_interval(ref_hits, trials)),
+            "welch_bound": welch_bound,
         },
         records=TrialTable(trials, grid, measures, {"threshold": claim_threshold},
                            {"below_threshold": below}),

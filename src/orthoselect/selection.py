@@ -6,17 +6,16 @@ the outer set until one is well conditioned (smallest singular value at least
 rho_minus).  One batched kernel, `_pipeline`, runs this for many directions at
 once; `attained_values` and `constrained_select` (its count=1 view) read its
 results.  The outer sets come from `_outer_ranked`, which `greedy_outer`
-shares: it takes X^T v in blocks of directions (`_product_blocks`), each a
-padded (p, width) block as the product leaves it, and ranks every direction
-of a block to its m smallest |<X_j, v>| (`_rank_rows`), writing them
-straight into the block's rows of the (count, m) outputs.  So memory is
-bounded by a block per thread plus the outputs, never by the full
-(p, count) value matrix.  The blocks are ranked on every CPU the process may
-run on.  A direction is ranked in two stages.  First by sorting keys: each
-entry's float32 bits (float64 bits past _FLOAT32_KEY_COLUMNS columns), read
-as an unsigned integer and marked after their transposed copy, with the sign
-bit cleared and the low bits replaced by the column index, so the first m
-keys name its first m columns.  Then a direction whose first m + 1 keys tie
+shares: it takes X^T v in blocks of directions, each a padded (p, width)
+block as the product leaves it, and ranks every direction of a block to its
+m smallest |<X_j, v>| (`_rank_rows`), writing them straight into the
+block's rows of the (count, m) outputs.  So memory is bounded by one block
+plus the outputs, never by the full (p, count) value matrix.  A direction
+is ranked in two stages.  First by sorting keys: each entry's float32 bits
+(float64 bits past _FLOAT32_KEY_COLUMNS columns), read as an unsigned
+integer and marked after their transposed copy, with the sign bit cleared
+and the low bits replaced by the column index, so the first m keys name its
+first m columns.  Then a direction whose first m + 1 keys tie
 once the index bits are dropped is ranked by a full stable argsort of its
 |float64| values.  The values are read last, by one flat take on the block,
 and only then made absolute.  Each round of draws reads the outer sets
@@ -50,8 +49,6 @@ so never above the worst-direction value.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -72,7 +69,7 @@ _TABLE_SUBSETS = 1 << 23
 # Values per product block of X^T v (0.5 MiB of float64): a multiple of 64
 # direction rows, whose product takes them zero-padded to a multiple of
 # _TILE_ROWS, so a direction's entries do not depend on its block (see
-# `_product_blocks`).
+# `_outer_ranked`).
 _RANK_ELEMENTS = 1 << 16
 # Columns up to which `_rank_rows` ranks by float32 keys and sorts them in
 # full; longer rows take float64 keys and partition them (see `_rank_rows`).
@@ -113,70 +110,26 @@ def _row_blocks(count: int, p: int, scale: int = 1) -> list[slice]:
     return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
-def _product_blocks(matrix: ColumnMatrix, dirs: np.ndarray, blocks):
-    """Yields each row slice of `blocks` and the C-contiguous (p, width)
-    <X_j, v> of its directions, as the product leaves it (no copy, no
-    absolute value: `_rank_rows` takes magnitudes): its first len(slice)
-    columns hold one direction each, and the rest are padding.  No (p, count)
-    array is held if the caller drops each block in turn.
-
-    The padding contract: a block's direction rows are copied into a zeroed
-    buffer of a multiple of _TILE_ROWS rows, and X^T D^T is taken of that
-    buffer.  Every direction then sits in a full BLAS tile, so its entries
-    are the same bits whatever the call's direction count, the block, or its
-    place in it (checked in the tests): a one-direction call reads exactly
-    its column of a batch.  `blocks` may be an iterator that other threads
-    draw from too.
-    """
-    for rows in blocks:
-        d = dirs[rows]
-        padded = np.zeros((-(-len(d) // _TILE_ROWS) * _TILE_ROWS, matrix.n))
-        padded[: len(d)] = d
-        yield rows, matrix.data.T @ padded.T
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity mask, where the
-    platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _outer_ranked(matrix: ColumnMatrix, dirs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The outer set of every direction row: the m columns with smallest
     |<X_j, v>|, in value order with ties to the smaller column index (the
     first m of a stable argsort), as (count, m) indices and their values.
 
-    Each block of `_product_blocks` is ranked by `_rank_rows` into its own
-    rows of the outputs.  One shared iterator hands the blocks to a thread
-    per CPU (`_cpu_count`), the caller among them; numpy releases the GIL in
-    a block's product, cast and sorts.  A block's ranking does not depend on
-    the thread that makes it, so neither do the outputs.  A single block
-    starts no thread, and an exception in any thread is raised here once
-    every thread has stopped.
+    Each `_row_blocks` slice of directions is copied into a zeroed buffer of
+    a multiple of _TILE_ROWS rows, X^T D^T is taken of that buffer, and
+    `_rank_rows` ranks the (p, width) product, as it leaves it, into the
+    slice's rows of the outputs.  Every direction then sits in a full BLAS
+    tile, so its entries are the same bits whatever the call's direction
+    count, the block, or its place in it (checked in the tests): a
+    one-direction call reads exactly its row of a batch.
     """
     outer = np.empty((dirs.shape[0], m), dtype=np.intp)
     values = np.empty((dirs.shape[0], m))
-    blocks = _row_blocks(dirs.shape[0], matrix.p)
-    shared = iter(blocks)
-    errors = []
-
-    def rank() -> None:
-        try:
-            for rows, a in _product_blocks(matrix, dirs, shared):
-                _rank_rows(a, outer[rows], values[rows])
-        except BaseException as exc:  # raised by the caller, after the join
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=rank) for _ in range(min(_cpu_count(), len(blocks)) - 1)]
-    for helper in helpers:
-        helper.start()
-    rank()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    for rows in _row_blocks(dirs.shape[0], matrix.p):
+        d = dirs[rows]
+        padded = np.zeros((-(-len(d) // _TILE_ROWS) * _TILE_ROWS, matrix.n))
+        padded[: len(d)] = d
+        _rank_rows(matrix.data.T @ padded.T, outer[rows], values[rows])
     return outer, values
 
 
@@ -557,9 +510,8 @@ def exact_inf_profile(
     The directions run in chunks of _WALK_BLOCKS row blocks.  `_outer_ranked`
     ranks a chunk's first _PREFIX_COLUMNS columns from the pipeline's |X^T v|
     entries, and `_walk` walks them; the rows still open are ranked in full
-    from their entries taken again, the same bits, and walked on.  Only the
-    rankings run on every CPU: the walks share one `_Decided`, so they
-    run in the caller's thread."""
+    from their entries taken again, the same bits, and walked on.  Every
+    walk reads one `_Decided`."""
     dirs = unit_rows(directions, matrix.n)
     if not 1 <= s <= matrix.p:
         raise InvalidInput(f"subset size s={s} invalid for p={matrix.p}")

@@ -125,6 +125,15 @@ def test_coherence_audit_reports_violation():
     assert rep.extras["freq_below_sqrt_2logp_over_n"] >= 0.3
 
 
+@pytest.mark.parametrize("n, p, bound", [(6, 50, 0.3869), (2, 3, 0.5)])
+def test_coherence_audit_records_the_welch_bound_below_every_trial(n, p, bound):
+    rep = hn.run_coherence_audit(n, p, 1000, seed=1)
+    welch = rep.extras["welch_bound"]
+    assert welch == pytest.approx(bound, abs=1e-4)
+    assert welch > rep.cells[0].params["threshold"]  # the claim fails for every matrix
+    assert rep.records.measures["coherence"].min() >= welch - 1e-12
+
+
 def test_cap_hit_frequency_matches_cdf_complement():
     # frequency of |<X_1, X_2>| >= h for independent uniform columns is
     # 1 - G(h), the two-sided cap mass

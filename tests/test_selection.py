@@ -1,7 +1,5 @@
-import itertools
 import math
 import os
-import sys
 import threading
 import tracemalloc
 from itertools import combinations
@@ -314,26 +312,6 @@ def test_rank_rows_writes_the_fancy_gather_into_its_rows_only(p, m):
     check(wide, rows, outer[10 : rows + 10], values[10 : rows + 10])
     assert np.all(outer[:10] == -7) and np.all(outer[rows + 10 :] == -7)
     assert np.all(values[:10] == -0.5) and np.all(values[rows + 10 :] == -0.5)
-    # two threads fill disjoint blocks of one pair of outputs, a gap left between
-    blocks = [np.ascontiguousarray(a[:, lo : lo + 50]) for lo in range(0, rows, 50)]
-    outer = np.full((len(blocks) * 60, m), -7, dtype=np.intp)
-    values = np.full((len(blocks) * 60, m), -0.5)
-
-    def fill(ids):
-        for i in ids:
-            own = slice(60 * i, 60 * i + 50)
-            selection._rank_rows(blocks[i], outer[own], values[own])
-
-    threads = [threading.Thread(target=fill, args=(range(t, len(blocks), 2),)) for t in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    for i, block in enumerate(blocks):
-        check(block, 50, outer[60 * i : 60 * i + 50], values[60 * i : 60 * i + 50])
-        assert np.all(outer[60 * i + 50 : 60 * i + 60] == -7)
-        assert np.all(values[60 * i + 50 : 60 * i + 60] == -0.5)
 
 
 def test_subset_positions_match_a_full_fisher_yates_shuffle():
@@ -379,80 +357,12 @@ def test_outputs_do_not_depend_on_the_cpu_count(monkeypatch, started):
 
     set_cpus(monkeypatch, 1)
     one = outputs()
-    assert not started
     set_cpus(monkeypatch, 4)
-    attained_values(x, dirs, cfg, RngStream(59, 2))
-    # the pipeline's one ranking ran on three helpers beside the caller
-    assert len(started) == 3
     four = outputs()
-    assert len(started) > 6  # the exact oracle's rankings ran on helpers too
+    assert not started  # every block is ranked on the caller's thread
     assert np.array_equal(one[0], four[0])
     assert one[1] == four[1]
     assert np.array_equal(one[2], four[2])
-    # without an affinity mask, the CPU count is os.cpu_count()
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    started.clear()
-    assert np.array_equal(attained_values(x, dirs, cfg, RngStream(59, 2)), one[0])
-    assert len(started) == 1
-
-
-def test_more_threads_than_cores_rank_each_block_once(monkeypatch):
-    # 16 threads on short switch intervals: a block handed out twice or
-    # never would show as an extra ranking or an unwritten output row
-    x = sample_sphere_matrix(4, 200, RngStream(59, 0))
-    dirs = sample_unit_vectors(4, 10_007, RngStream(59, 1))
-    expected = stable_argsort_oracle(x, dirs, 15)
-    set_cpus(monkeypatch, 16)
-    ranked = []
-    real = selection._rank_rows
-    monkeypatch.setattr(selection, "_rank_rows",
-                        lambda a, idx, values: ranked.append(len(idx)) or real(a, idx, values))
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            run = threading.Thread(target=lambda: got.append(selection._outer_ranked(x, dirs, 15)))
-            run.start()
-            run.join(timeout=120)
-            assert not run.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(got) == 5
-    for outer, values in got:
-        assert np.array_equal(outer, expected[0]) and np.array_equal(values, expected[1])
-    assert len(ranked) == 5 * len(selection._row_blocks(len(dirs), x.p))
-    assert sum(ranked) == 5 * len(dirs)
-
-
-def test_an_error_in_any_block_is_raised_by_the_caller(monkeypatch):
-    x = sample_sphere_matrix(4, 200, RngStream(59, 0))
-    dirs = sample_unit_vectors(4, 10_007, RngStream(59, 1))
-    set_cpus(monkeypatch, 4)
-    calls = itertools.count()
-    real = selection._rank_rows
-
-    def second_fails(a, idx, values):
-        if next(calls) == 1:
-            raise RuntimeError("second block")
-        real(a, idx, values)
-
-    monkeypatch.setattr(selection, "_rank_rows", second_fails)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="second block"):
-        selection._outer_ranked(x, dirs, 15)
-    assert threading.active_count() == before  # every helper has stopped
-
-
-def test_a_single_direction_starts_no_thread(monkeypatch, started):
-    set_cpus(monkeypatch, 4)
-    x = sample_sphere_matrix(4, 200, RngStream(59, 0))
-    v = sample_unit_vector(4, RngStream(59, 3))
-    greedy_outer(x, v, 15)
-    constrained_select(x, v, SelectionConfig(s=2), RngStream(59, 4))
-    brute_force_inf(x, v, 2, 0.5)
-    assert not started
 
 
 @pytest.mark.parametrize("p", [12, 200, 220])
